@@ -39,8 +39,8 @@ from .numerics import (
 from .oracle import (
     McConfig,
     McResult,
+    dp_tables,
     exact_dp,
-    exact_dp_tables,
     merge_results,
     simulate_ever_hit,
     simulate_hitting,
@@ -49,9 +49,7 @@ from .walkmodel import (
     DieModel,
     TargetSet,
     TruncationSolution,
-    solve_overshoot,
     solve_pair,
-    solve_truncated,
     sweep_pair,
 )
 
@@ -66,8 +64,6 @@ __all__ = [
     "DieModel",
     "TargetSet",
     "TruncationSolution",
-    "solve_truncated",
-    "solve_overshoot",
     "solve_pair",
     "sweep_pair",
     "pn_exact",
@@ -84,8 +80,8 @@ __all__ = [
     "certified_digit_count",
     "OvershootBounds",
     "CertifiedEstimate",
+    "dp_tables",
     "exact_dp",
-    "exact_dp_tables",
     "simulate_hitting",
     "simulate_ever_hit",
     "merge_results",

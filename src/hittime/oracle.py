@@ -1,9 +1,10 @@
-"""Independent verification paths: exact rational DP and Monte Carlo.
+"""Independent verification paths: materialized DP and Monte Carlo.
 
-``exact_dp`` solves the two truncated recursions by backward substitution
-in exact rational arithmetic (denominators divide M^(N-s)), giving ground
-truth that the decimal solver must reproduce digit-for-digit after
-conversion.  The Monte Carlo routines roll the raw process with a
+``dp_tables`` solves the two truncated recursions by backward substitution
+over dense arrays, in exact rational arithmetic (denominators divide
+M^(N-s)) or in the rolling-window sweep's decimal operation order; the
+sweep must reproduce the first after conversion and the second digit for
+digit.  The Monte Carlo routines roll the raw process with a
 counter-based Philox generator, so runs are reproducible from the seed and
 trial batches can be partitioned across workers and merged exactly.
 """
@@ -11,11 +12,14 @@ trial batches can be partitioned across workers and merged exactly.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 
+from .numerics import PrecisionContext
 from .walkmodel import DieModel, TargetSet
 
 __all__ = [
@@ -24,12 +28,11 @@ __all__ = [
     "AllTrialsCappedError",
     "McConfig",
     "McResult",
+    "dp_tables",
     "exact_dp",
-    "exact_dp_tables",
     "simulate_hitting",
     "simulate_ever_hit",
     "merge_results",
-    "derive_seeds",
 ]
 
 EXACT_DP_MAX_N = 5000
@@ -47,25 +50,45 @@ class AllTrialsCappedError(RuntimeError):
     """Every simulated trial hit the step cap; no estimate is possible."""
 
 
-def exact_dp_tables(target: TargetSet, n: int, s_min: int = 0,
-                    die: DieModel = DieModel(6),
-                    ) -> tuple[list[Fraction], list[Fraction]]:
-    """Exact (E, P) tables for all states s_min .. n, index ``s - s_min``."""
-    if n > EXACT_DP_MAX_N:
-        raise SizeCapError(f"exact solve capped at N <= {EXACT_DP_MAX_N}, got {n}")
+def dp_tables(target: TargetSet, n: int, s_min: int = 0,
+              die: DieModel = DieModel(6), ctx: PrecisionContext | None = None,
+              ) -> tuple[list, list]:
+    """Materialized (E, P) tables for all states s_min .. n, index ``s - s_min``.
+
+    Without ``ctx`` the values are exact ``Fraction``s.  With ``ctx`` they
+    are ``Decimal``s computed in the rolling-window sweep's operation order
+    (neighbors summed in ascending state order, then one division by M), so
+    :func:`hittime.walkmodel.sweep_pair` must match them digit for digit.
+    Dense arrays and :meth:`TargetSet.membership` keep this solver
+    independent of the sweep's window and member pointer.
+    """
     if n < 0 or s_min < 0 or s_min > n:
         raise ValueError("need 0 <= s_min <= N")
     target.ensure_bound(n)
     m = die.sides
+    if ctx is None:
+        add, div = operator.add, operator.truediv
+        zero, one, m_val = Fraction(0), Fraction(1), m
+    else:
+        c = ctx.context()
+        add, div = c.add, c.divide
+        zero, one, m_val = Decimal(0), Decimal(1), Decimal(m)
+
+    # Dense arrays covering s_min .. n + m with the boundary rows appended.
     size = n - s_min + 1
-    e_arr = [Fraction(0)] * (size + m)
-    p_arr = [Fraction(0)] * size + [Fraction(1)] * m
+    e_arr = [zero] * (size + m)
+    p_arr = [zero] * size + [one] * m
     for s in range(n, s_min - 1, -1):
         idx = s - s_min
         if target.membership(s):
-            continue
-        e_arr[idx] = 1 + Fraction(sum(e_arr[idx + 1: idx + m + 1]), m)
-        p_arr[idx] = Fraction(sum(p_arr[idx + 1: idx + m + 1]), m)
+            continue  # arrays already hold exact zeros
+        acc_e = e_arr[idx + 1]
+        acc_p = p_arr[idx + 1]
+        for j in range(2, m + 1):
+            acc_e = add(acc_e, e_arr[idx + j])
+            acc_p = add(acc_p, p_arr[idx + j])
+        e_arr[idx] = add(one, div(acc_e, m_val))
+        p_arr[idx] = div(acc_p, m_val)
     return e_arr[:size], p_arr[:size]
 
 
@@ -77,7 +100,9 @@ def exact_dp(target: TargetSet, n: int, s: int,
     """
     if s > n:
         return Fraction(0), Fraction(1)
-    e_arr, p_arr = exact_dp_tables(target, n, s_min=s, die=die)
+    if n > EXACT_DP_MAX_N:
+        raise SizeCapError(f"exact solve capped at N <= {EXACT_DP_MAX_N}, got {n}")
+    e_arr, p_arr = dp_tables(target, n, s_min=s, die=die)
     return e_arr[0], p_arr[0]
 
 
@@ -146,32 +171,18 @@ def merge_results(a: McResult, b: McResult) -> McResult:
                              a.sum_t_sq + b.sum_t_sq)
 
 
-def derive_seeds(seed: int, workers: int) -> list[int]:
-    """Deterministic per-worker seeds for partitioned simulation."""
-    children = np.random.SeedSequence(seed).spawn(workers)
-    return [int(c.generate_state(1, dtype=np.uint64)[0]) for c in children]
-
-
-def _membership_mask(target: TargetSet, values: np.ndarray) -> np.ndarray:
+def _membership_mask(table: np.ndarray | None, values: np.ndarray) -> np.ndarray:
     """Vectorized membership for nonnegative int64 ``values``.
 
-    Values beyond the target's horizon are non-members here; the caller
-    treats walks past the horizon as dead (capped).
+    ``table`` is ``None`` for the squares; for a finite target it covers
+    ``0 .. horizon + 1``, and values beyond the horizon read its last,
+    non-member slot.  The caller treats walks past the horizon as dead
+    (capped).
     """
-    if target.kind == "perfect_squares":
+    if table is None:
         r = np.sqrt(values.astype(np.float64)).astype(np.int64)
         return ((r * r == values) | ((r + 1) * (r + 1) == values)) & (values >= 1)
-    horizon = target.horizon
-    assert horizon is not None
-    table = np.zeros(horizon + 2, dtype=bool)
-    if target.kind == "explicit_list":
-        table[np.fromiter(target.elements, dtype=np.int64)] = True
-    else:
-        for h in range(horizon + 1):
-            if (target.bits >> h) & 1:
-                table[h] = True
-    clipped = np.minimum(values, horizon + 1)
-    return table[clipped]
+    return table[np.minimum(values, table.size - 1)]
 
 
 def simulate_hitting(cfg: McConfig) -> McResult:
@@ -187,6 +198,10 @@ def simulate_hitting(cfg: McConfig) -> McResult:
     m = cfg.die.sides
     target = cfg.target
     bound = target.horizon
+    table = None
+    if bound is not None:
+        table = np.zeros(bound + 2, dtype=bool)
+        table[target.members_upto(bound)] = True
 
     start_in_target = (bound is None or cfg.start <= bound) and target.membership(cfg.start)
     if start_in_target:
@@ -207,7 +222,7 @@ def simulate_hitting(cfg: McConfig) -> McResult:
             block = min(_ROLL_BLOCK, cfg.max_steps - steps_done)
             rolls = 1 + np.floor(m * rng.random((alive.size, block))).astype(np.int64)
             paths = sums[alive, None] + np.cumsum(rolls, axis=1)
-            hits = _membership_mask(target, paths)
+            hits = _membership_mask(table, paths)
             hit_any = hits.any(axis=1)
             first = np.argmax(hits, axis=1)
             if hit_any.any():

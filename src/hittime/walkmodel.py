@@ -16,14 +16,15 @@ Both recursions depend only on the M states above ``s``, so a rolling
 window of ``M + 1`` slots (indexed ``s mod (M+1)``) suffices: O(1) memory,
 O(N) time.  Per state the arithmetic is pinned to one fixed operation
 order -- neighbors summed in ascending state order, then one division by M
--- so that streamed and materialized solvers produce digit-identical
-results at equal precision.
+-- so that the rolling window and the materialized solver
+:func:`hittime.oracle.dp_tables` produce digit-identical results at equal
+precision.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -38,12 +39,7 @@ __all__ = [
     "CutoffExceedsBoundError",
     "TruncationSolution",
     "sweep_pair",
-    "sweep_expectation",
-    "sweep_overshoot",
-    "solve_truncated",
-    "solve_overshoot",
     "solve_pair",
-    "solve_pair_reference",
 ]
 
 # Progress callbacks fire every this many states during a sweep.
@@ -77,23 +73,22 @@ class DieModel:
 class TargetSet:
     """Membership oracle over the nonnegative integers.
 
-    Three kinds are supported: ``perfect_squares`` (unbounded, membership by
-    integer square root, 0 excluded), ``explicit_list`` (finite sorted set),
-    and ``predicate_table`` (bit table up to a declared bound).  A
-    ``declared_bound`` of ``None`` means membership is answerable for every
-    nonnegative integer: always for squares, and for explicit lists that
-    enumerate the complete target set.  A bounded target only answers
-    membership up to its bound, and solves beyond it are refused.
+    ``elements`` of ``None`` means the perfect squares (unbounded,
+    membership by integer square root, 0 excluded); otherwise it is the
+    finite set of target states, from an explicit list or a predicate
+    tabulated up to a bound.  A ``declared_bound`` of ``None`` means
+    membership is answerable for every nonnegative integer: always for
+    squares, and for explicit lists that enumerate the complete target set.
+    A bounded target only answers membership up to its bound, and solves
+    beyond it are refused.
     """
 
-    kind: str
-    elements: frozenset[int] = field(default_factory=frozenset)
-    bits: int = 0
+    elements: frozenset[int] | None = None
     declared_bound: int | None = None
 
     @classmethod
     def perfect_squares(cls) -> "TargetSet":
-        return cls(kind="perfect_squares", declared_bound=None)
+        return cls()
 
     @classmethod
     def from_list(cls, elements: list[int], bound: int | None = None) -> "TargetSet":
@@ -115,17 +110,15 @@ class TargetSet:
             raise TargetSetError(
                 f"declared bound {bound} is below the largest element {elements[-1]}"
             )
-        return cls(kind="explicit_list", elements=frozenset(elements), declared_bound=bound)
+        return cls(elements=frozenset(elements), declared_bound=bound)
 
     @classmethod
     def from_predicate(cls, pred: Callable[[int], bool], bound: int) -> "TargetSet":
+        """The states ``0..bound`` satisfying ``pred``, bounded at ``bound``."""
         if bound < 0:
             raise TargetSetError("predicate table bound must be nonnegative")
-        bits = 0
-        for h in range(bound + 1):
-            if pred(h):
-                bits |= 1 << h
-        return cls(kind="predicate_table", bits=bits, declared_bound=bound)
+        return cls(elements=frozenset(h for h in range(bound + 1) if pred(h)),
+                   declared_bound=bound)
 
     @classmethod
     def dense_from(cls, start: int, bound: int) -> "TargetSet":
@@ -169,7 +162,7 @@ class TargetSet:
         """Whether ``h`` is a target state; defined for 0 <= h <= bound."""
         if h < 0:
             raise ValueError("states are nonnegative")
-        if self.kind == "perfect_squares":
+        if self.elements is None:
             if h < 1:
                 return False
             r = math.isqrt(h)
@@ -178,17 +171,20 @@ class TargetSet:
             raise CutoffExceedsBoundError(
                 f"membership({h}) undefined beyond declared bound {self.declared_bound}"
             )
-        if self.kind == "explicit_list":
-            return h in self.elements
-        if self.kind == "predicate_table":
-            return bool((self.bits >> h) & 1)
-        raise TargetSetError(f"unknown target kind {self.kind!r}")
+        return h in self.elements
 
     def ensure_bound(self, n: int) -> None:
         if self.declared_bound is not None and n > self.declared_bound:
             raise CutoffExceedsBoundError(
                 f"cutoff {n} exceeds target's declared bound {self.declared_bound}"
             )
+
+    def members_upto(self, n: int) -> list[int]:
+        """Target states ``<= n`` in ascending order; ``n`` within the bound."""
+        self.ensure_bound(n)
+        if self.elements is None:
+            return [k * k for k in range(1, math.isqrt(n) + 1)]
+        return sorted(h for h in self.elements if h <= n)
 
     @property
     def horizon(self) -> int | None:
@@ -198,9 +194,9 @@ class TargetSet:
         that passes the horizon of a finite or bounded target can never be
         observed to hit it.
         """
-        if self.kind == "perfect_squares":
+        if self.elements is None:
             return None
-        if self.kind == "explicit_list" and self.declared_bound is None:
+        if self.declared_bound is None:
             return max(self.elements)
         return self.declared_bound
 
@@ -217,30 +213,16 @@ class TruncationSolution:
     target: TargetSet
 
 
-def _absorbing_checker(target: TargetSet) -> Callable[[int], bool]:
-    """Per-state membership test, specialised per target kind.
+def sweep_pair(target: TargetSet, die: DieModel, n: int, s_min: int,
+               ctx: PrecisionContext,
+               progress: Callable[[int], None] | None = None,
+               ) -> Iterator[tuple[int, Decimal, Decimal]]:
+    """Backward rolling-window solve streaming ``(s, E_N(s), P_s)``.
 
-    For perfect squares a descending tracker is used by the sweeps instead;
-    this generic checker serves list/table targets.
-    """
-    if target.kind == "explicit_list":
-        elems = target.elements
-        return lambda s: s in elems
-    if target.kind == "predicate_table":
-        bits = target.bits
-        return lambda s: bool((bits >> s) & 1)
-    return lambda s: s >= 1 and math.isqrt(s) ** 2 == s
-
-
-def _sweep(target: TargetSet, die: DieModel, n: int, s_min: int,
-           ctx: PrecisionContext, want_e: bool, want_p: bool,
-           progress: Callable[[int], None] | None = None,
-           ) -> Iterator[tuple[int, Decimal | None, Decimal | None]]:
-    """Backward rolling-window solve, yielding states in descending order.
-
-    Yields ``(s, E_N(s) or None, P_s or None)`` for ``s = n .. s_min``.  The
-    per-state operation order is fixed (see module docstring) and identical
-    whether one or both recursions are requested.
+    States are yielded in descending order ``s = n .. s_min``, with the
+    per-state operation order fixed as in the module docstring.  Target
+    states are met by a pointer descending through
+    :meth:`TargetSet.members_upto`.
     """
     if n < 0:
         raise ValueError("cutoff must be nonnegative")
@@ -248,7 +230,7 @@ def _sweep(target: TargetSet, die: DieModel, n: int, s_min: int,
         raise ValueError("start state must be nonnegative")
     if s_min > n:
         raise ValueError("sweep requires s_min <= N; states above N are boundary")
-    target.ensure_bound(n)
+    members = target.members_upto(n)
 
     c = ctx.context()
     add = c.add
@@ -261,52 +243,28 @@ def _sweep(target: TargetSet, die: DieModel, n: int, s_min: int,
 
     # Slots hold the values for states s+1 .. s+width; beyond the cutoff
     # E = 0 and P = 1 exactly.
-    ew = [zero] * width if want_e else None
-    pw = [one] * width if want_p else None
-
-    squares = target.kind == "perfect_squares"
-    if squares:
-        k = math.isqrt(n)
-        next_square = k * k if k >= 1 else -1
-    else:
-        is_member = _absorbing_checker(target)
+    ew = [zero] * width
+    pw = [one] * width
+    next_member = members.pop() if members else -1
 
     countdown = PROGRESS_INTERVAL
     for s in range(n, s_min - 1, -1):
         i = s % width
-        if squares:
-            absorbing = s == next_square
-            if absorbing:
-                k -= 1
-                next_square = k * k if k >= 1 else -1
+        if s == next_member:
+            next_member = members.pop() if members else -1
+            e = p = zero
         else:
-            absorbing = is_member(s)
-
-        e = p = None
-        if absorbing:
-            if want_e:
-                e = zero
-                ew[i] = zero
-            if want_p:
-                p = zero
-                pw[i] = zero
-        else:
-            if want_e:
-                w = (i + 1) % width
-                acc = ew[w]
-                for j in range(2, width):
-                    w = (i + j) % width
-                    acc = add(acc, ew[w])
-                e = add(one, div(acc, m_dec))
-                ew[i] = e
-            if want_p:
-                w = (i + 1) % width
-                acc = pw[w]
-                for j in range(2, width):
-                    w = (i + j) % width
-                    acc = add(acc, pw[w])
-                p = div(acc, m_dec)
-                pw[i] = p
+            w = (i + 1) % width
+            acc_e = ew[w]
+            acc_p = pw[w]
+            for j in range(2, width):
+                w = (i + j) % width
+                acc_e = add(acc_e, ew[w])
+                acc_p = add(acc_p, pw[w])
+            e = add(one, div(acc_e, m_dec))
+            p = div(acc_p, m_dec)
+        ew[i] = e
+        pw[i] = p
 
         if progress is not None:
             countdown -= 1
@@ -317,113 +275,19 @@ def _sweep(target: TargetSet, die: DieModel, n: int, s_min: int,
         yield s, e, p
 
 
-def sweep_pair(target: TargetSet, die: DieModel, n: int, s_min: int,
-               ctx: PrecisionContext,
-               progress: Callable[[int], None] | None = None,
-               ) -> Iterator[tuple[int, Decimal, Decimal]]:
-    """Fused sweep streaming ``(s, E_N(s), P_s)`` for ``s = n .. s_min``."""
-    for s, e, p in _sweep(target, die, n, s_min, ctx, True, True, progress):
-        yield s, e, p  # type: ignore[misc]
-
-
-def sweep_expectation(target: TargetSet, die: DieModel, n: int, s_min: int,
-                      ctx: PrecisionContext) -> Iterator[tuple[int, Decimal]]:
-    """Stream ``(s, E_N(s))`` only, for ``s = n .. s_min``."""
-    for s, e, _ in _sweep(target, die, n, s_min, ctx, True, False):
-        yield s, e  # type: ignore[misc]
-
-
-def sweep_overshoot(target: TargetSet, die: DieModel, n: int, s_min: int,
-                    ctx: PrecisionContext) -> Iterator[tuple[int, Decimal]]:
-    """Stream ``(s, P_s)`` only, for ``s = n .. s_min``."""
-    for s, _, p in _sweep(target, die, n, s_min, ctx, False, True):
-        yield s, p  # type: ignore[misc]
-
-
-def _boundary_solution(target: TargetSet, die: DieModel, n: int, s: int) -> TruncationSolution:
-    return TruncationSolution(cutoff=n, start=s, e_n_value=Decimal(0),
-                              overshoot_prob=Decimal(1), die=die, target=target)
-
-
-def solve_truncated(target: TargetSet, die: DieModel, n: int, s_min: int,
-                    ctx: PrecisionContext) -> TruncationSolution:
-    """Solve both recursions as two independent single-quantity sweeps.
-
-    Start states above the cutoff report the boundary values (0, 1)
-    directly.  :func:`solve_pair` computes the same numbers in one fused
-    traversal; the two paths are digit-identical at equal precision.
-    """
-    if s_min > n:
-        return _boundary_solution(target, die, n, s_min)
-    e_val = p_val = None
-    for _, e in sweep_expectation(target, die, n, s_min, ctx):
-        e_val = e
-    for _, p in sweep_overshoot(target, die, n, s_min, ctx):
-        p_val = p
-    assert e_val is not None and p_val is not None
-    return TruncationSolution(cutoff=n, start=s_min, e_n_value=e_val,
-                              overshoot_prob=p_val, die=die, target=target)
-
-
-def solve_overshoot(target: TargetSet, die: DieModel, n: int, s_min: int,
-                    ctx: PrecisionContext) -> Decimal:
-    """Overshoot probability at ``s_min`` (boundary value 1 above the cutoff)."""
-    if s_min > n:
-        return Decimal(1)
-    p_val = None
-    for _, p in sweep_overshoot(target, die, n, s_min, ctx):
-        p_val = p
-    assert p_val is not None
-    return p_val
-
-
 def solve_pair(target: TargetSet, die: DieModel, n: int, s_min: int,
                ctx: PrecisionContext,
                progress: Callable[[int], None] | None = None) -> TruncationSolution:
-    """Fused backward sweep returning the solution pair at ``s_min``."""
+    """Backward sweep returning the solution pair at ``s_min``.
+
+    Start states above the cutoff report the boundary values (0, 1).
+    """
     if s_min > n:
-        return _boundary_solution(target, die, n, s_min)
+        return TruncationSolution(cutoff=n, start=s_min, e_n_value=Decimal(0),
+                                  overshoot_prob=Decimal(1), die=die, target=target)
     e_val = p_val = None
     for _, e, p in sweep_pair(target, die, n, s_min, ctx, progress):
         e_val, p_val = e, p
     assert e_val is not None and p_val is not None
     return TruncationSolution(cutoff=n, start=s_min, e_n_value=e_val,
                               overshoot_prob=p_val, die=die, target=target)
-
-
-def solve_pair_reference(target: TargetSet, die: DieModel, n: int, s_min: int,
-                         ctx: PrecisionContext) -> tuple[list[Decimal], list[Decimal]]:
-    """Materialized full-array backward solve (reference implementation).
-
-    Keeps every state value in two dense arrays instead of a rolling
-    window; used to check that the streaming solver is digit-identical.
-    Returns ``(E, P)`` with index ``s - s_min``.
-    """
-    if n < 0 or s_min < 0 or s_min > n:
-        raise ValueError("need 0 <= s_min <= N")
-    target.ensure_bound(n)
-
-    c = ctx.context()
-    add = c.add
-    div = c.divide
-    zero = Decimal(0)
-    one = Decimal(1)
-    m = die.sides
-    m_dec = Decimal(m)
-
-    # Dense arrays covering s_min .. n + m with the boundary rows appended.
-    size = n - s_min + 1
-    e_arr = [zero] * (size + m)
-    p_arr = [zero] * size + [one] * m
-    for s in range(n, s_min - 1, -1):
-        idx = s - s_min
-        if target.membership(s):
-            continue  # arrays already hold exact zeros
-        acc_e = e_arr[idx + 1]
-        acc_p = p_arr[idx + 1]
-        for j in range(2, m + 1):
-            acc_e = add(acc_e, e_arr[idx + j])
-            acc_p = add(acc_p, p_arr[idx + j])
-        e_arr[idx] = add(one, div(acc_e, m_dec))
-        p_arr[idx] = div(acc_p, m_dec)
-    return e_arr[:size], p_arr[:size]

@@ -17,8 +17,8 @@ from hittime.certify import certify_squares, overshoot_bounds_zero_epsilon, reco
 from hittime.cli import main
 from hittime.hitprob import compute_roots, epsilon, pn_exact, pn_series
 from hittime.numerics import agreed_digits, digit_string, make_context, rational_to_decimal
-from hittime.oracle import McConfig, exact_dp_tables, simulate_hitting
-from hittime.walkmodel import DieModel, TargetSet, solve_pair_reference, sweep_pair
+from hittime.oracle import McConfig, dp_tables, simulate_hitting
+from hittime.walkmodel import DieModel, TargetSet, sweep_pair
 
 # Published reference values for the perfect-square expected hitting time.
 # independently published 21-digit reference value for the squares target
@@ -145,7 +145,7 @@ def test_criterion_07_oracle_equivalence():
     for n in (10, 16, 100, 1000):
         targets = [SQUARES, TargetSet.from_list([3, 7, 20]), TargetSet.dense_from(1, n)]
         for target in targets:
-            e_tab, p_tab = exact_dp_tables(target, n, 0)
+            e_tab, p_tab = dp_tables(target, n, 0)
             for s, e, p in sweep_pair(target, D6, n, 0, ctx):
                 assert agreed_digits(e, rational_to_decimal(e_tab[s], ctx),
                                      working) >= working - 5
@@ -191,7 +191,7 @@ def test_criterion_10_rolling_window_equivalence():
     t0 = time.perf_counter()
     ctx = make_context(100)
     n = 10**4
-    e_ref, p_ref = solve_pair_reference(SQUARES, D6, n, 0, ctx)
+    e_ref, p_ref = dp_tables(SQUARES, n, 0, D6, ctx)
     for s, e, p in sweep_pair(SQUARES, D6, n, 0, ctx):
         assert str(e) == str(e_ref[s])
         assert str(p) == str(p_ref[s])

@@ -5,18 +5,17 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hittime.numerics import agreed_digits, make_context, rational_to_decimal
-from hittime.oracle import exact_dp, exact_dp_tables
+from hittime.oracle import dp_tables, exact_dp
 from hittime.walkmodel import (
     CutoffExceedsBoundError,
     DieModel,
     TargetSet,
     TargetSetError,
-    solve_overshoot,
     solve_pair,
-    solve_pair_reference,
-    solve_truncated,
     sweep_pair,
 )
 
@@ -122,7 +121,6 @@ def test_boundary_rows():
         sol = solve_pair(SQUARES, D6, 16, s, ctx)
         assert sol.e_n_value == 0
         assert sol.overshoot_prob == 1
-    assert solve_overshoot(SQUARES, D6, 16, 17, ctx) == 1
 
 
 def test_hand_derived_small_values():
@@ -145,7 +143,7 @@ def test_hand_derived_small_values():
 def test_matches_exact_oracle_all_states():
     working = 50
     ctx = make_context(working)
-    e_tab, p_tab = exact_dp_tables(SQUARES, 100, 0)
+    e_tab, p_tab = dp_tables(SQUARES, 100, 0)
     for s, e, p in sweep_pair(SQUARES, D6, 100, 0, ctx):
         e_ref = rational_to_decimal(e_tab[s], ctx)
         p_ref = rational_to_decimal(p_tab[s], ctx)
@@ -153,20 +151,10 @@ def test_matches_exact_oracle_all_states():
         assert agreed_digits(p, p_ref, working) >= working - 5
 
 
-def test_pair_matches_separate_solves_byte_for_byte():
-    ctx = make_context(40)
-    for target in (SQUARES, TargetSet.from_list([3, 7, 20])):
-        pair = solve_pair(target, D6, 400, 0, ctx)
-        separate = solve_truncated(target, D6, 400, 0, ctx)
-        assert str(pair.e_n_value) == str(separate.e_n_value)
-        assert str(pair.overshoot_prob) == str(separate.overshoot_prob)
-        assert str(solve_overshoot(target, D6, 400, 0, ctx)) == str(pair.overshoot_prob)
-
-
 def test_streaming_matches_full_array_reference():
     working = 60
     ctx = make_context(working)
-    e_ref, p_ref = solve_pair_reference(SQUARES, D6, 1000, 0, ctx)
+    e_ref, p_ref = dp_tables(SQUARES, 1000, 0, D6, ctx)
     for s, e, p in sweep_pair(SQUARES, D6, 1000, 0, ctx):
         assert str(e) == str(e_ref[s])
         assert str(p) == str(p_ref[s])
@@ -184,8 +172,8 @@ def test_monotone_in_cutoff_exact_random_targets():
     for _ in range(5):
         elems = sorted(rng.sample(range(1, 60), 8))
         target = TargetSet.from_list(elems)
-        e_small, _ = exact_dp_tables(target, 30, 0)
-        e_big, _ = exact_dp_tables(target, 60, 0)
+        e_small, _ = dp_tables(target, 30, 0)
+        e_big, _ = dp_tables(target, 60, 0)
         for s in range(31):
             assert e_small[s] <= e_big[s]
 
@@ -195,7 +183,7 @@ def test_one_step_consistency():
     ctx = make_context(working)
     c = ctx.context()
     n = 300
-    e_arr, p_arr = solve_pair_reference(SQUARES, D6, n, 0, ctx)
+    e_arr, p_arr = dp_tables(SQUARES, n, 0, D6, ctx)
     e_ext = e_arr + [Decimal(0)] * 6
     p_ext = p_arr + [Decimal(1)] * 6
     for s in range(n + 1):
@@ -249,3 +237,60 @@ def test_streamed_order_is_descending():
     ctx = make_context(30)
     states = [s for s, _, _ in sweep_pair(SQUARES, D6, 50, 10, ctx)]
     assert states == list(range(50, 9, -1))
+
+
+@st.composite
+def finite_targets(draw):
+    """A cutoff N <= 300 and a finite target answerable up to N.
+
+    Complete lists may run past N and include 0 and/or N; bounded lists
+    and predicate tables declare a bound at or above N.
+    """
+    n = draw(st.integers(0, 300))
+    form = draw(st.sampled_from(["complete", "bounded", "predicate"]))
+    if form == "complete":
+        elements = draw(st.sets(st.integers(0, n + 20)))
+        elements |= draw(st.sets(st.sampled_from([0, n]), min_size=1))
+        return n, TargetSet.from_list(sorted(elements))
+    bound = draw(st.integers(n, n + 20))
+    if form == "bounded":
+        elements = draw(st.sets(st.integers(0, bound), min_size=1))
+        return n, TargetSet.from_list(sorted(elements), bound=bound)
+    flags = draw(st.lists(st.booleans(), min_size=bound + 1, max_size=bound + 1))
+    return n, TargetSet.from_predicate(lambda h: flags[h], bound)
+
+
+@settings(deadline=None)
+@given(problem=finite_targets(), sides=st.integers(2, 9), data=st.data())
+def test_sweep_matches_materialized_tables(problem, sides, data):
+    n, target = problem
+    s_min = data.draw(st.integers(0, n), label="s_min")
+    die = DieModel(sides)
+    working = 30
+    ctx = make_context(working)
+    e_dec, p_dec = dp_tables(target, n, s_min, die, ctx)
+    e_tab, p_tab = dp_tables(target, n, s_min, die)
+    tolerance = Fraction(1, 10 ** (working - 5))
+    states = []
+    for s, e, p in sweep_pair(target, die, n, s_min, ctx):
+        i = s - s_min
+        states.append(s)
+        assert str(e) == str(e_dec[i])
+        assert str(p) == str(p_dec[i])
+        assert abs(Fraction(e) - e_tab[i]) <= tolerance * e_tab[i]
+        assert abs(Fraction(p) - p_tab[i]) <= tolerance * p_tab[i]
+    assert states == list(range(n, s_min - 1, -1))
+
+
+@settings(deadline=None)
+@given(elements=st.lists(st.integers(0, 500), min_size=1, unique=True).map(sorted),
+       slack=st.none() | st.integers(0, 100))
+def test_target_file_round_trip_property(tmp_path_factory, elements, slack):
+    bound = None if slack is None else elements[-1] + slack
+    path = tmp_path_factory.getbasetemp() / "round_trip.txt"
+    header = "" if bound is None else f"# bound {bound}\n"
+    path.write_text(header + "".join(f"{e}\n" for e in elements))
+    parsed = TargetSet.from_file(path)
+    limit = elements[-1] + 10 if bound is None else bound
+    assert parsed.declared_bound == bound
+    assert parsed.members_upto(limit) == elements
