@@ -47,6 +47,7 @@ from .oracle import (
 )
 from .walkmodel import (
     DieModel,
+    Enclosure,
     TargetSet,
     TruncationSolution,
     solve_pair,
@@ -62,6 +63,7 @@ __all__ = [
     "digit_string",
     "precision_audit",
     "DieModel",
+    "Enclosure",
     "TargetSet",
     "TruncationSolution",
     "solve_pair",

@@ -16,23 +16,31 @@ collapse to the exact linear forms L = 7K/6 + 8/3 and U = 7K + 20.
 
 Combining with the truncated solve at start state s,
 
-    0 < E(s) - (E_N(s) + L_N * P_s) < (U_N - L_N) * P_s,
+    0 < E(s) - (E_N(s) + L_N * P_s) < (U_N - L_N) * P_s.
 
-so ``point = E_N(s) + L_N * P_s`` is a strict lower bound on the true
-expectation and ``radius = (U_N - L_N) * P_s`` a strict width.  The number
-of certified digits is the length of the decimal prefix shared by the two
-interval endpoints, which the interval cannot straddle.
+Every quantity here is carried as a proven bound, never a rounded
+approximation: the sweep encloses E_N(s) and P_s between exact rationals
+(:class:`~hittime.walkmodel.Enclosure`), L_N is rounded down and U_N up
+from their exact values at an upper bound on eps, and the composed
+
+    point  = down(E_lo + L_N * P_lo)
+    radius = up(E_hi + U_N * P_hi - point)
+
+satisfy point < E(s) < point + radius.  The number of certified digits is
+the length of the decimal prefix shared by the two interval endpoints,
+which the interval cannot straddle.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
 from . import hitprob, walkmodel
-from .numerics import PrecisionContext
+from .numerics import PrecisionContext, rational_to_decimal
 
 __all__ = [
     "DivergentSeriesError",
@@ -66,16 +74,20 @@ class PrecisionInsufficientError(ValueError):
 
 @dataclass(frozen=True)
 class OvershootBounds:
-    """Residual-time bounds (L, U) beyond the cutoff N = K^2, with inputs."""
+    """Residual-time bounds (L, U) beyond the cutoff N = K^2, with inputs.
+
+    ``lower`` is rounded down and ``upper`` up from the exact series; the
+    series ratios are exact rationals at the envelope ``epsilon_n``.
+    """
 
     K: int
     epsilon_n: Decimal
     lower: Decimal
     upper: Decimal
-    r_minus: Decimal
-    r_plus: Decimal
-    t_minus: Decimal
-    t_plus: Decimal
+    r_minus: Fraction
+    r_plus: Fraction
+    t_minus: Fraction
+    t_plus: Fraction
 
 
 @dataclass(frozen=True)
@@ -126,24 +138,29 @@ def sigma_series(d, r, t, k: int, ctx: PrecisionContext | None = None):
 
 def overshoot_bounds(k: int, roots: hitprob.CharacteristicRoots,
                      ctx: PrecisionContext) -> OvershootBounds:
-    """Bounds L, U for cutoff N = K^2, valid for every start state <= N."""
+    """Bounds L, U for cutoff N = K^2, valid for every start state <= N.
+
+    The series are evaluated exactly at ``Fraction(epsilon)``.  The
+    envelope is an upper bound on the true eps, L decreases and U increases
+    in eps, so rounding L down and U up keeps both on their safe side.
+    """
     if k < MIN_K:
         raise ValueError(f"K must be >= {MIN_K}, got {k}")
     eps = hitprob.epsilon(2 * k - 4, roots).epsilon
-    c = ctx.context()
-    five_sevenths = c.divide(Decimal(5), Decimal(7))
-    two_sevenths = c.divide(Decimal(2), Decimal(7))
-    r_minus = c.subtract(five_sevenths, eps)
-    r_plus = c.add(five_sevenths, eps)
-    t_minus = c.subtract(two_sevenths, eps)
-    t_plus = c.add(two_sevenths, eps)
+    eps_q = Fraction(eps)
+    r_minus = Fraction(5, 7) - eps_q
+    r_plus = Fraction(5, 7) + eps_q
+    t_minus = Fraction(2, 7) - eps_q
+    t_plus = Fraction(2, 7) + eps_q
     if not r_plus < 1:
         raise DivergentSeriesError(f"5/7 + epsilon must stay below 1 (K={k})")
     if not t_minus > 0:
         raise DivergentSeriesError(f"2/7 - epsilon must stay positive (K={k})")
-    lower = c.divide(sigma_series(5, r_minus, t_minus, k, ctx), Decimal(6))
-    upper = sigma_series(1, r_plus, t_plus, k, ctx)
-    return OvershootBounds(K=k, epsilon_n=eps, lower=lower, upper=upper,
+    lower = sigma_series(5, r_minus, t_minus, k) / 6
+    upper = sigma_series(1, r_plus, t_plus, k)
+    return OvershootBounds(K=k, epsilon_n=eps,
+                           lower=rational_to_decimal(lower, ctx, decimal.ROUND_FLOOR),
+                           upper=rational_to_decimal(upper, ctx, decimal.ROUND_CEILING),
                            r_minus=r_minus, r_plus=r_plus,
                            t_minus=t_minus, t_plus=t_plus)
 
@@ -152,7 +169,7 @@ def overshoot_bounds_zero_epsilon(k: int) -> tuple[Fraction, Fraction]:
     """Exact rational (L, U) with the envelope forced to zero.
 
     These are the linear forms 7K/6 + 8/3 and 7K + 20, evaluated through
-    the same closed-form series as the decimal path.
+    the same closed-form series as :func:`overshoot_bounds`.
     """
     if k < MIN_K:
         raise ValueError(f"K must be >= {MIN_K}, got {k}")
@@ -192,8 +209,12 @@ def certified_digit_count(point: Decimal, radius: Decimal) -> int:
 def recommended_digits(k: int) -> int:
     """Minimum working precision for certifying at cutoff root K.
 
-    The overshoot probability decays roughly like 10^(-0.146 K); the
-    slack covers the constants and guard needs.
+    P_0, and with it the radius (U_N - L_N) P_0, decays roughly like
+    10^(-0.146 K), so about 0.15 K digits are what the interval can certify.  The point must be
+    carried that deep and beyond: the sweep's enclosure of E_N(0) has
+    width below E_N(0) * 2^-b, b = fraction_bits(ctx), which with the 60
+    digits of slack, the guard digits and the guard bits stays many orders
+    below the radius, so rounding never costs a certified digit.
     """
     return math.ceil(0.15 * k) + 60
 
@@ -202,37 +223,37 @@ def compose_estimate(solution: walkmodel.TruncationSolution,
                      bounds: OvershootBounds, ctx: PrecisionContext) -> CertifiedEstimate:
     """Combine a truncated solve with overshoot bounds into an estimate.
 
-    A zero overshoot probability means the truncation is exact (no path
-    crosses the cutoff before absorbing); the estimate then has radius 0
-    and is flagged ``exact``.
+    ``point = down(E_lo + L P_lo)`` and ``radius = up(E_hi + U P_hi - point)``
+    are rounded in :func:`~hittime.walkmodel.enclosure_context`, so the
+    radius takes up no coarser rounding of the point than the sweep's own.
+    The true expectation lies in ``(point, point + radius)``.  When
+    ``P_hi == 0`` no path crosses the cutoff: the truncation is exact, the
+    estimate is flagged ``exact`` with radius 0, and its certified digits
+    are those the sweep's rounding enclosure ``[E_lo, E_hi]`` pins down.
     """
-    c = ctx.context()
-    e_n = solution.e_n_value
-    p = solution.overshoot_prob
+    enc = solution.enclosure
     cap = max(ctx.working_digits - ctx.guard_digits, 0)
-    if p == 0:
-        return CertifiedEstimate(
-            point_value=e_n, error_radius=Decimal(0), certified_digits=cap,
-            e_n_value=e_n, overshoot_prob=p,
-            lower_bound=bounds.lower, upper_bound=bounds.upper,
-            K=bounds.K, N=solution.cutoff, start=solution.start,
-            working_digits=ctx.working_digits, exact=True)
-    point = c.add(e_n, c.multiply(bounds.lower, p))
-    radius = c.multiply(c.subtract(bounds.upper, bounds.lower), p)
-    digits = min(certified_digit_count(point, radius), cap)
+    exact = enc.p_hi == 0
+    fine = walkmodel.enclosure_context(ctx)
+    point = rational_to_decimal(enc.e_lo + Fraction(bounds.lower) * enc.p_lo,
+                                fine, decimal.ROUND_FLOOR)
+    radius = rational_to_decimal(enc.e_hi + Fraction(bounds.upper) * enc.p_hi
+                                 - Fraction(point), fine, decimal.ROUND_CEILING)
+    digits = cap if radius == 0 else min(certified_digit_count(point, radius), cap)
     return CertifiedEstimate(
-        point_value=point, error_radius=radius, certified_digits=digits,
-        e_n_value=e_n, overshoot_prob=p,
+        point_value=point, error_radius=Decimal(0) if exact else radius,
+        certified_digits=digits,
+        e_n_value=solution.e_n_value, overshoot_prob=solution.overshoot_prob,
         lower_bound=bounds.lower, upper_bound=bounds.upper,
         K=bounds.K, N=solution.cutoff, start=solution.start,
-        working_digits=ctx.working_digits, exact=False)
+        working_digits=ctx.working_digits, exact=exact)
 
 
 def certify_squares(k: int, ctx: PrecisionContext, start: int = 0,
                     progress=None) -> CertifiedEstimate:
     """Certified estimate of the expected hitting time to the squares.
 
-    Runs the fused truncated solve at cutoff N = K^2 on a fair six-sided
+    Runs the truncated solve at cutoff N = K^2 on a fair six-sided
     die, evaluates the overshoot constants, and composes the certified
     interval.  The true expectation lies strictly inside
     ``(point_value, point_value + error_radius)``.

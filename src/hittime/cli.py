@@ -89,7 +89,9 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text if text.endswith("\n") else text + "\n")
 
 
-def _progress_printer(total_states: int):
+def _progress_printer(n: int, start: int):
+    """Stderr progress for a sweep from state ``n`` down to ``start``."""
+    total_states = n - start + 1
     if total_states < _PROGRESS_MIN_STATES:
         return None
     t0 = time.monotonic()
@@ -100,9 +102,11 @@ def _progress_printer(total_states: int):
         if now - last[0] < 2.0:
             return
         last[0] = now
-        done = total_states - s
+        done = n - s + 1
         rate = done / max(now - t0, 1e-9)
-        print(f"swept {done}/{total_states} states ({rate:,.0f}/s)", file=sys.stderr)
+        eta = (total_states - done) / rate
+        print(f"swept {done}/{total_states} states ({rate:,.0f}/s, ETA {eta:,.0f} s)",
+              file=sys.stderr)
 
     return progress
 
@@ -121,7 +125,7 @@ def cmd_certify(args) -> int:
     ctx = make_context(precision)
     t0 = time.monotonic()
     est = certify.certify_squares(k, ctx, start=args.s,
-                                  progress=_progress_printer(n))
+                                  progress=_progress_printer(n, args.s))
     runtime = time.monotonic() - t0
     report = certification_report(est, runtime)
     if args.format == "json":
@@ -175,7 +179,7 @@ def cmd_solve(args) -> int:
         raise ConfigError("--s must be nonnegative")
     t0 = time.monotonic()
     sol = walkmodel.solve_pair(target, die, n, args.s, ctx,
-                               progress=_progress_printer(n - min(args.s, n)))
+                               progress=_progress_printer(n, args.s))
     runtime = time.monotonic() - t0
     uncertified = not (args.target == "squares" and args.die == 6)
     w = ctx.working_digits

@@ -1,17 +1,17 @@
 """Arithmetic substrate: fixed-precision decimal floats and exact rationals.
 
-All modules in this package do their real arithmetic through a
+All modules in this package do their decimal arithmetic through a
 :class:`PrecisionContext`, which wraps a :class:`decimal.Context` carrying
 ``working_digits + guard_digits`` significant digits.  Values are plain
 :class:`decimal.Decimal` objects; exact arithmetic uses
-:class:`fractions.Fraction`.  Rounding is round-half-even everywhere, and
-identical operation sequences at identical precision reproduce identical
-digit strings.
+:class:`fractions.Fraction`.  Each context names its rounding direction:
+bounds are rounded toward the side they bound (:func:`rational_to_decimal`,
+:func:`ulp_up`), and identical operation sequences at identical precision
+reproduce identical digit strings.
 
-The guard digits absorb roundoff drift; :func:`precision_audit` re-runs a
-computation at doubled precision and counts the leading digits on which the
-two results agree, which turns "enough precision" from an assumption into a
-measurement.
+:func:`precision_audit` re-runs a computation at doubled precision and
+counts the leading digits on which the two results agree, a cheap check
+that a result does not hinge on the precision it was computed at.
 """
 
 from __future__ import annotations
@@ -98,15 +98,16 @@ def make_context(working_digits: int, guard_digits: int = DEFAULT_GUARD_DIGITS) 
     return PrecisionContext(working_digits, guard_digits)
 
 
-def rational_to_decimal(q: Fraction, ctx: PrecisionContext) -> Decimal:
+def rational_to_decimal(q: Fraction, ctx: PrecisionContext,
+                        rounding: str = decimal.ROUND_HALF_EVEN) -> Decimal:
     """Evaluate an exact rational at the context's internal precision.
 
-    The result differs from the true value of ``q`` by strictly less than
-    one unit in the last *working* digit (the guard digits give ample
-    headroom: the single division is correctly rounded at internal
-    precision).
+    The single division is correctly rounded in the given direction, so
+    ``ROUND_FLOOR`` gives a lower and ``ROUND_CEILING`` an upper bound on
+    ``q``; either way the result is within one unit in the last internal
+    digit.
     """
-    c = ctx.context()
+    c = ctx.context(rounding)
     return c.divide(Decimal(q.numerator), Decimal(q.denominator))
 
 

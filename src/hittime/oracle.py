@@ -2,25 +2,23 @@
 
 ``dp_tables`` solves the two truncated recursions by backward substitution
 over dense arrays, in exact rational arithmetic (denominators divide
-M^(N-s)) or in the rolling-window sweep's decimal operation order; the
-sweep must reproduce the first after conversion and the second digit for
-digit.  The Monte Carlo routines roll the raw process with a
-counter-based Philox generator, so runs are reproducible from the seed and
-trial batches can be partitioned across workers and merged exactly.
+M^(N-s)) or by the sweep's directed fixed-point rule; the sweep's bounds
+must contain the first and reproduce the second exactly.  The Monte Carlo
+routines roll the raw process with a counter-based Philox generator, so
+runs are reproducible from the seed and trial batches can be partitioned
+across workers and merged exactly.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 
 from .numerics import PrecisionContext
-from .walkmodel import DieModel, TargetSet
+from .walkmodel import RESCALE_BITS, DieModel, TargetSet, fraction_bits
 
 __all__ = [
     "EXACT_DP_MAX_N",
@@ -56,28 +54,23 @@ def dp_tables(target: TargetSet, n: int, s_min: int = 0,
     """Materialized (E, P) tables for all states s_min .. n, index ``s - s_min``.
 
     Without ``ctx`` the values are exact ``Fraction``s.  With ``ctx`` they
-    are ``Decimal``s computed in the rolling-window sweep's operation order
-    (neighbors summed in ascending state order, then one division by M), so
-    :func:`hittime.walkmodel.sweep_pair` must match them digit for digit.
-    Dense arrays and :meth:`TargetSet.membership` keep this solver
-    independent of the sweep's window and member pointer.
+    follow the fixed-point rule of :func:`hittime.walkmodel.sweep_pair`:
+    E as an int on the scale 2^-b, b = ``fraction_bits(ctx)``, and P as a
+    ``(p_lo, p_hi, p_bits)`` triple, so the sweep's ``e`` and ``p`` must
+    match them exactly.  Dense arrays, full M-neighbor sums and
+    :meth:`TargetSet.membership` keep this solver independent of the
+    sweep's sliding window sums and member pointer.
     """
     if n < 0 or s_min < 0 or s_min > n:
         raise ValueError("need 0 <= s_min <= N")
     target.ensure_bound(n)
+    if ctx is not None:
+        return _fixed_tables(target, n, s_min, die.sides, fraction_bits(ctx))
     m = die.sides
-    if ctx is None:
-        add, div = operator.add, operator.truediv
-        zero, one, m_val = Fraction(0), Fraction(1), m
-    else:
-        c = ctx.context()
-        add, div = c.add, c.divide
-        zero, one, m_val = Decimal(0), Decimal(1), Decimal(m)
-
     # Dense arrays covering s_min .. n + m with the boundary rows appended.
     size = n - s_min + 1
-    e_arr = [zero] * (size + m)
-    p_arr = [zero] * size + [one] * m
+    e_arr = [Fraction(0)] * (size + m)
+    p_arr = [Fraction(0)] * size + [Fraction(1)] * m
     for s in range(n, s_min - 1, -1):
         idx = s - s_min
         if target.membership(s):
@@ -85,11 +78,39 @@ def dp_tables(target: TargetSet, n: int, s_min: int = 0,
         acc_e = e_arr[idx + 1]
         acc_p = p_arr[idx + 1]
         for j in range(2, m + 1):
-            acc_e = add(acc_e, e_arr[idx + j])
-            acc_p = add(acc_p, p_arr[idx + j])
-        e_arr[idx] = add(one, div(acc_e, m_val))
-        p_arr[idx] = div(acc_p, m_val)
+            acc_e += e_arr[idx + j]
+            acc_p += p_arr[idx + j]
+        e_arr[idx] = 1 + acc_e / m
+        p_arr[idx] = acc_p / m
     return e_arr[:size], p_arr[:size]
+
+
+def _fixed_tables(target: TargetSet, n: int, s_min: int, m: int, bits: int,
+                  ) -> tuple[list[int], list[tuple[int, int, int]]]:
+    one = 1 << bits
+    size = n - s_min + 1
+    e_arr = [0] * (size + m)
+    lo_arr = [0] * size + [one] * m
+    hi_arr = [0] * size + [one] * m
+    # P block exponent of each state: its P values stand on 2^-(bits + shift).
+    shift = [0] * (size + m)
+    x = 0
+    for s in range(n, s_min - 1, -1):
+        idx = s - s_min
+        window = range(idx + 1, idx + m + 1)
+        hi_sum = sum(hi_arr[j] << (x - shift[j]) for j in window)
+        while 0 < hi_sum < one:
+            x += RESCALE_BITS
+            hi_sum <<= RESCALE_BITS
+        shift[idx] = x
+        if target.membership(s):
+            continue  # arrays already hold exact zeros
+        lo_sum = sum(lo_arr[j] << (x - shift[j]) for j in window)
+        e_arr[idx] = one + sum(e_arr[j] for j in window) // m
+        lo_arr[idx] = lo_sum // m
+        hi_arr[idx] = (hi_sum + m - 1) // m
+    p_rows = [(lo_arr[i], hi_arr[i], bits + shift[i]) for i in range(size)]
+    return e_arr[:size], p_rows
 
 
 def exact_dp(target: TargetSet, n: int, s: int,

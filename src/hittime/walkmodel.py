@@ -12,17 +12,19 @@ requested start state:
   the target, with value 0 on target states ``<= N``, 1 beyond the cutoff,
   and otherwise the plain average of the M forward neighbors.
 
-Both recursions depend only on the M states above ``s``, so a rolling
-window of ``M + 1`` slots (indexed ``s mod (M+1)``) suffices: O(1) memory,
-O(N) time.  Per state the arithmetic is pinned to one fixed operation
-order -- neighbors summed in ascending state order, then one division by M
--- so that the rolling window and the materialized solver
-:func:`hittime.oracle.dp_tables` produce digit-identical results at equal
-precision.
+Both recursions depend only on the M states above ``s``, so a window of M
+values and its running sum suffice: O(1) memory, O(N) time.  The sweep
+works in fixed point: every value is a Python int standing for that int
+times ``2^-b`` (:func:`fraction_bits`).  Each window sum slides exactly,
+``S <- S + v(s) - v(s+M)``, so the one division by M per value is the only
+rounding step, and its direction is chosen so that the results are proven
+bounds (:class:`Enclosure`) rather than approximations.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import decimal
 import math
 from dataclasses import dataclass
 from decimal import Decimal
@@ -30,20 +32,33 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterator
 
-from .numerics import PrecisionContext
+from .numerics import PrecisionContext, rational_to_decimal
 
 __all__ = [
     "DieModel",
     "TargetSet",
     "TargetSetError",
     "CutoffExceedsBoundError",
+    "Enclosure",
     "TruncationSolution",
+    "enclosure_context",
+    "fraction_bits",
     "sweep_pair",
     "solve_pair",
 ]
 
 # Progress callbacks fire every this many states during a sweep.
 PROGRESS_INTERVAL = 1 << 20
+
+# Bits carried below the context's internal digits.  They absorb the
+# sweep's rounding: P's relative width grows by at most 2M * 2^-b per
+# state (see sweep_pair), so while 2MN < 2^64 it stays below one unit in
+# the last internal digit.
+GUARD_BITS = 64
+
+# Step, in bits, by which the P window is rescaled once its upper sum drops
+# below 1 (see sweep_pair).
+RESCALE_BITS = 64
 
 
 class TargetSetError(ValueError):
@@ -201,14 +216,89 @@ class TargetSet:
         return self.declared_bound
 
 
+def fraction_bits(ctx: PrecisionContext) -> int:
+    """Fraction bits b of the sweep's fixed point for a context.
+
+    b = ceil(internal_digits * log2(10)) + GUARD_BITS; a sweep value v
+    stands for v * 2^-b.
+    """
+    return (10 ** ctx.internal_digits).bit_length() + GUARD_BITS
+
+
+def enclosure_context(ctx: PrecisionContext) -> PrecisionContext:
+    """Decimal context about as fine as the sweep's fixed point.
+
+    Its guard digits grow by ceil(GUARD_BITS * log10 2), so rounding a
+    sweep bound to it costs about as much as the sweep's own rounding,
+    not one unit in the last internal digit.
+    """
+    extra = math.ceil(GUARD_BITS * math.log10(2))
+    return dataclasses.replace(ctx, guard_digits=ctx.guard_digits + extra)
+
+
+@dataclass(frozen=True)
+class Enclosure:
+    """Exact rational bounds ``e_lo <= E_N(s) <= e_hi``, ``p_lo <= P_s <= p_hi``."""
+
+    e_lo: Fraction
+    e_hi: Fraction
+    p_lo: Fraction
+    p_hi: Fraction
+
+    @classmethod
+    def from_fixed(cls, e: int, p: tuple[int, int, int], die: DieModel,
+                   ctx: PrecisionContext) -> "Enclosure":
+        """The bounds proven by one state ``(s, e, p)`` of :func:`sweep_pair`.
+
+        ``e_lo = e / 2^b`` with b = :func:`fraction_bits`, and ``p`` is
+        ``(p_lo, p_hi, p_bits)`` on the scale 2^-p_bits.  The upper bound
+        on E comes from the floor sweep alone.  Write
+        ``d(s) = 2^b E_N(s) - e(s)``.  The sweep sets
+        ``e(s) = 2^b + floor(S / M)`` with S the integer sum of the window's
+        e values, and floor(S/M) falls short of S/M by one of
+        0, 1/M, ..., (M-1)/M.  Subtracting this from the exact recursion
+        scaled by 2^b gives::
+
+            d(s) = (d(s+1) + ... + d(s+M)) / M + f(s),   0 <= f(s) <= (M-1)/M,
+
+        with d = 0 on target states and beyond the cutoff.  So
+        ``M d / (M-1)`` satisfies E_N's own recursion with ``<=`` in place
+        of ``=``, and backward induction from the cutoff gives
+        ``0 <= d(s) <= (M-1)/M * E_N(s)``.  Solving
+        ``2^b E_N - e <= (M-1)/M * E_N`` for E_N::
+
+            E_N(s) <= M e / (M 2^b - (M-1)) = (e + (M-1) e / (M 2^b - (M-1))) / 2^b,
+
+        and rounding that correction up gives ``e_hi``.
+        """
+        m = die.sides
+        bits = fraction_bits(ctx)
+        p_lo, p_hi, p_bits = p
+        e_hi = e - (-(m - 1) * e // ((m << bits) - (m - 1)))
+        return cls(e_lo=Fraction(e, 1 << bits), e_hi=Fraction(e_hi, 1 << bits),
+                   p_lo=Fraction(p_lo, 1 << p_bits), p_hi=Fraction(p_hi, 1 << p_bits))
+
+    def lower_decimals(self, ctx: PrecisionContext) -> tuple[Decimal, Decimal]:
+        """``(e_lo, p_lo)`` rounded down in :func:`enclosure_context`."""
+        fine = enclosure_context(ctx)
+        return (rational_to_decimal(self.e_lo, fine, decimal.ROUND_FLOOR),
+                rational_to_decimal(self.p_lo, fine, decimal.ROUND_FLOOR))
+
+
 @dataclass(frozen=True)
 class TruncationSolution:
-    """Solution pair at one start state for one cutoff."""
+    """Solution pair at one start state for one cutoff.
+
+    ``enclosure`` holds the exact bounds the sweep proves; ``e_n_value``
+    and ``overshoot_prob`` are its lower endpoints rounded down to decimals
+    (:meth:`Enclosure.lower_decimals`).
+    """
 
     cutoff: int
     start: int
     e_n_value: Decimal
     overshoot_prob: Decimal
+    enclosure: Enclosure
     die: DieModel
     target: TargetSet
 
@@ -216,13 +306,35 @@ class TruncationSolution:
 def sweep_pair(target: TargetSet, die: DieModel, n: int, s_min: int,
                ctx: PrecisionContext,
                progress: Callable[[int], None] | None = None,
-               ) -> Iterator[tuple[int, Decimal, Decimal]]:
-    """Backward rolling-window solve streaming ``(s, E_N(s), P_s)``.
+               ) -> Iterator[tuple[int, int, tuple[int, int, int]]]:
+    """Backward fixed-point solve streaming ``(s, e, (p_lo, p_hi, p_bits))``.
 
-    States are yielded in descending order ``s = n .. s_min``, with the
-    per-state operation order fixed as in the module docstring.  Target
-    states are met by a pointer descending through
-    :meth:`TargetSet.members_upto`.
+    States are yielded in descending order ``s = n .. s_min``; pass ``e``
+    and ``p`` to :meth:`Enclosure.from_fixed` for the bounds they prove.
+    With b = :func:`fraction_bits`:
+
+    * ``e`` is E_N(s) at scale 2^b from a sweep that rounds every division
+      by M down.
+    * ``p_lo / 2^p_bits <= P_s <= p_hi / 2^p_bits`` come from two sweeps
+      of P that round every division down and up.  The recursion's
+      coefficients are nonnegative, so by backward induction the first
+      stays below and the second above the exact value at every state.
+      ``p_hi`` is 0 exactly when P_s is, since the ceiling of a positive
+      sum is positive.
+
+    P falls to 10^-1000 and below at full scale, so its two windows share
+    one block exponent: whenever the upper window sum drops below 2^b (but
+    not to 0), every P window value and sum is shifted left by
+    ``RESCALE_BITS``, which is exact, and ``p_bits`` is b plus the total
+    shift.  The upper window sum S_hi then stays at least 2^b.  At a
+    non-target state ``p_hi - p_lo < (S_hi - S_lo) / M + 2`` while
+    ``p_hi >= S_hi / M``, so the relative width ``(p_hi - p_lo) / p_hi``
+    exceeds the largest one in the window by less than
+    ``2M / S_hi <= 2M * 2^-b``; after N states it is below 2MN * 2^-b.
+
+    Target states are met by a pointer descending through
+    :meth:`TargetSet.members_upto`.  The arguments are checked on the
+    call, before the first state is requested.
     """
     if n < 0:
         raise ValueError("cutoff must be nonnegative")
@@ -231,40 +343,36 @@ def sweep_pair(target: TargetSet, die: DieModel, n: int, s_min: int,
     if s_min > n:
         raise ValueError("sweep requires s_min <= N; states above N are boundary")
     members = target.members_upto(n)
+    return _fixed_sweep(members, die.sides, n, s_min, fraction_bits(ctx), progress)
 
-    c = ctx.context()
-    add = c.add
-    div = c.divide
-    zero = Decimal(0)
-    one = Decimal(1)
-    m = die.sides
-    m_dec = Decimal(m)
-    width = m + 1
 
-    # Slots hold the values for states s+1 .. s+width; beyond the cutoff
-    # E = 0 and P = 1 exactly.
-    ew = [zero] * width
-    pw = [one] * width
+def _fixed_sweep(members: list[int], m: int, n: int, s_min: int, bits: int,
+                 progress: Callable[[int], None] | None,
+                 ) -> Iterator[tuple[int, int, tuple[int, int, int]]]:
+    one = 1 << bits
+    # Slot s % M holds the values for state s + M; beyond the cutoff E = 0
+    # and P = 1 exactly.  The upper P sweep is carried as its excess over
+    # the lower one, p_hi = p_lo + w: the relative width bound keeps w a few
+    # machine words long, so its ceiling division is small-int work.
+    ew = [0] * m
+    lw = [one] * m
+    ww = [0] * m
+    e_sum = 0
+    lo_sum = m * one
+    w_sum = 0
+    p_bits = bits
     next_member = members.pop() if members else -1
 
     countdown = PROGRESS_INTERVAL
     for s in range(n, s_min - 1, -1):
-        i = s % width
         if s == next_member:
             next_member = members.pop() if members else -1
-            e = p = zero
+            e = lo = w = 0
         else:
-            w = (i + 1) % width
-            acc_e = ew[w]
-            acc_p = pw[w]
-            for j in range(2, width):
-                w = (i + j) % width
-                acc_e = add(acc_e, ew[w])
-                acc_p = add(acc_p, pw[w])
-            e = add(one, div(acc_e, m_dec))
-            p = div(acc_p, m_dec)
-        ew[i] = e
-        pw[i] = p
+            e = one + e_sum // m
+            lo, rem = divmod(lo_sum, m)
+            # ceil((lo_sum + w_sum) / M) - floor(lo_sum / M)
+            w = (rem + w_sum + m - 1) // m
 
         if progress is not None:
             countdown -= 1
@@ -272,7 +380,22 @@ def sweep_pair(target: TargetSet, die: DieModel, n: int, s_min: int,
                 countdown = PROGRESS_INTERVAL
                 progress(s)
 
-        yield s, e, p
+        yield s, e, (lo, lo + w, p_bits)
+
+        i = s % m
+        e_sum += e - ew[i]
+        ew[i] = e
+        lo_sum += lo - lw[i]
+        lw[i] = lo
+        w_sum += w - ww[i]
+        ww[i] = w
+        # Rescale while the upper sum lo_sum + w_sum lies in (0, 2^b).
+        while lo_sum < one and 0 < lo_sum + w_sum < one:
+            lw = [v << RESCALE_BITS for v in lw]
+            ww = [v << RESCALE_BITS for v in ww]
+            lo_sum <<= RESCALE_BITS
+            w_sum <<= RESCALE_BITS
+            p_bits += RESCALE_BITS
 
 
 def solve_pair(target: TargetSet, die: DieModel, n: int, s_min: int,
@@ -280,14 +403,17 @@ def solve_pair(target: TargetSet, die: DieModel, n: int, s_min: int,
                progress: Callable[[int], None] | None = None) -> TruncationSolution:
     """Backward sweep returning the solution pair at ``s_min``.
 
-    Start states above the cutoff report the boundary values (0, 1).
+    Start states above the cutoff report the boundary values (0, 1)
+    exactly.  The fixed-point values are converted once, at the end.
     """
     if s_min > n:
-        return TruncationSolution(cutoff=n, start=s_min, e_n_value=Decimal(0),
-                                  overshoot_prob=Decimal(1), die=die, target=target)
-    e_val = p_val = None
-    for _, e, p in sweep_pair(target, die, n, s_min, ctx, progress):
-        e_val, p_val = e, p
-    assert e_val is not None and p_val is not None
+        enclosure = Enclosure(e_lo=Fraction(0), e_hi=Fraction(0),
+                              p_lo=Fraction(1), p_hi=Fraction(1))
+    else:
+        for _, e, p in sweep_pair(target, die, n, s_min, ctx, progress):
+            pass
+        enclosure = Enclosure.from_fixed(e, p, die, ctx)
+    e_val, p_val = enclosure.lower_decimals(ctx)
     return TruncationSolution(cutoff=n, start=s_min, e_n_value=e_val,
-                              overshoot_prob=p_val, die=die, target=target)
+                              overshoot_prob=p_val, enclosure=enclosure,
+                              die=die, target=target)

@@ -102,6 +102,20 @@ def test_overshoot_bounds_printed_values_at_7000():
     assert digit_string(b.upper, 20) == "49020.000000000000000"
 
 
+def test_overshoot_bounds_round_outward():
+    # L_N and U_N are rounded down and up from their exact values at the
+    # reported envelope, which is itself an upper bound on the true one
+    ctx = make_context(60)
+    roots = compute_roots(ctx)
+    for k in (4, 500, 7000):
+        b = overshoot_bounds(k, roots, ctx)
+        eps = Fraction(b.epsilon_n)
+        exact_lower = sigma_series(5, Fraction(5, 7) - eps, Fraction(2, 7) - eps, k) / 6
+        exact_upper = sigma_series(1, Fraction(5, 7) + eps, Fraction(2, 7) + eps, k)
+        assert Fraction(b.lower) <= exact_lower
+        assert Fraction(b.upper) >= exact_upper
+
+
 def test_audit_of_certification_pipeline():
     # rerunning the whole K=500 pipeline at doubled precision must agree on
     # at least as many digits as the certification claims

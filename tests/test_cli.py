@@ -5,6 +5,7 @@ import json
 from decimal import Decimal
 from fractions import Fraction
 
+from hittime import cli
 from hittime.cli import main
 from hittime.numerics import agreed_digits, make_context, rational_to_decimal
 from hittime.oracle import exact_dp
@@ -213,3 +214,18 @@ def test_output_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert out_path.read_text().startswith("n,p_n")
+
+
+def test_progress_printer_reports_rate_and_eta(capsys, monkeypatch):
+    clock = [100.0]
+    monkeypatch.setattr(cli.time, "monotonic", lambda: clock[0])
+    assert cli._progress_printer(1000, 0) is None  # short sweeps stay quiet
+    n = 4_000_000
+    progress = cli._progress_printer(n, 0)
+    clock[0] = 101.0
+    progress(n - 1_000_000)  # under 2 s since the last line: nothing
+    clock[0] = 110.0
+    progress(n - 1_000_000)  # 1,000,001 of 4,000,001 states in 10 s
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "swept 1000001/4000001 states (100,000/s, ETA 30 s)\n"

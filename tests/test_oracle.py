@@ -17,7 +17,7 @@ from hittime.oracle import (
     simulate_hitting,
 )
 from hittime.hitprob import pn_exact
-from hittime.walkmodel import DieModel, TargetSet, sweep_pair
+from hittime.walkmodel import DieModel, Enclosure, TargetSet, sweep_pair
 
 SQUARES = TargetSet.perfect_squares()
 
@@ -56,6 +56,7 @@ def test_grid_decimal_matches_exact():
         for n in (10, 16, 100):
             e_tab, p_tab = dp_tables(target, n, 0)
             for s, e, p in sweep_pair(target, DieModel(6), n, 0, ctx):
+                e, p = Enclosure.from_fixed(e, p, DieModel(6), ctx).lower_decimals(ctx)
                 assert agreed_digits(e, rational_to_decimal(e_tab[s], ctx), working) >= working - 5
                 assert agreed_digits(p, rational_to_decimal(p_tab[s], ctx), working) >= working - 5
 

@@ -13,6 +13,7 @@ from hittime.oracle import dp_tables, exact_dp
 from hittime.walkmodel import (
     CutoffExceedsBoundError,
     DieModel,
+    Enclosure,
     TargetSet,
     TargetSetError,
     solve_pair,
@@ -145,6 +146,7 @@ def test_matches_exact_oracle_all_states():
     ctx = make_context(working)
     e_tab, p_tab = dp_tables(SQUARES, 100, 0)
     for s, e, p in sweep_pair(SQUARES, D6, 100, 0, ctx):
+        e, p = Enclosure.from_fixed(e, p, D6, ctx).lower_decimals(ctx)
         e_ref = rational_to_decimal(e_tab[s], ctx)
         p_ref = rational_to_decimal(p_tab[s], ctx)
         assert agreed_digits(e, e_ref, working) >= working - 5
@@ -156,8 +158,8 @@ def test_streaming_matches_full_array_reference():
     ctx = make_context(working)
     e_ref, p_ref = dp_tables(SQUARES, 1000, 0, D6, ctx)
     for s, e, p in sweep_pair(SQUARES, D6, 1000, 0, ctx):
-        assert str(e) == str(e_ref[s])
-        assert str(p) == str(p_ref[s])
+        assert e == e_ref[s]
+        assert p == p_ref[s]
 
 
 def test_monotone_in_cutoff_decimal():
@@ -183,7 +185,11 @@ def test_one_step_consistency():
     ctx = make_context(working)
     c = ctx.context()
     n = 300
-    e_arr, p_arr = dp_tables(SQUARES, n, 0, D6, ctx)
+    e_fix, p_fix = dp_tables(SQUARES, n, 0, D6, ctx)
+    lowers = [Enclosure.from_fixed(e, p, D6, ctx).lower_decimals(ctx)
+              for e, p in zip(e_fix, p_fix)]
+    e_arr = [e for e, _ in lowers]
+    p_arr = [p for _, p in lowers]
     e_ext = e_arr + [Decimal(0)] * 6
     p_ext = p_arr + [Decimal(1)] * 6
     for s in range(n + 1):
@@ -225,6 +231,13 @@ def test_general_die_sizes():
 
 def test_sweep_argument_validation():
     ctx = make_context(30)
+    # checked on the call itself, before any state is requested
+    with pytest.raises(ValueError):
+        sweep_pair(SQUARES, D6, -1, 0, ctx)
+    with pytest.raises(ValueError):
+        sweep_pair(SQUARES, D6, 10, 11, ctx)
+    with pytest.raises(CutoffExceedsBoundError):
+        sweep_pair(TargetSet.from_list([3, 7], bound=50), D6, 100, 0, ctx)
     with pytest.raises(ValueError):
         list(sweep_pair(SQUARES, D6, -1, 0, ctx))
     with pytest.raises(ValueError):
@@ -244,10 +257,11 @@ def finite_targets(draw):
     """A cutoff N <= 300 and a finite target answerable up to N.
 
     Complete lists may run past N and include 0 and/or N; bounded lists
-    and predicate tables declare a bound at or above N.
+    and predicate tables declare a bound at or above N.  Dense predicate
+    tables drive P far below 10^-20 at the larger cutoffs.
     """
     n = draw(st.integers(0, 300))
-    form = draw(st.sampled_from(["complete", "bounded", "predicate"]))
+    form = draw(st.sampled_from(["complete", "bounded", "predicate", "dense"]))
     if form == "complete":
         elements = draw(st.sets(st.integers(0, n + 20)))
         elements |= draw(st.sets(st.sampled_from([0, n]), min_size=1))
@@ -256,7 +270,14 @@ def finite_targets(draw):
     if form == "bounded":
         elements = draw(st.sets(st.integers(0, bound), min_size=1))
         return n, TargetSet.from_list(sorted(elements), bound=bound)
-    flags = draw(st.lists(st.booleans(), min_size=bound + 1, max_size=bound + 1))
+    if form == "predicate":
+        flags = draw(st.lists(st.booleans(), min_size=bound + 1, max_size=bound + 1))
+    else:
+        # Mostly targets, but every gap-th state is open, so walks keep
+        # surviving with ever smaller probability instead of none at all.
+        gap = draw(st.integers(2, 3))
+        rnd = draw(st.randoms(use_true_random=False))
+        flags = [h % gap != 0 and rnd.random() < 0.9 for h in range(bound + 1)]
     return n, TargetSet.from_predicate(lambda h: flags[h], bound)
 
 
@@ -268,18 +289,38 @@ def test_sweep_matches_materialized_tables(problem, sides, data):
     die = DieModel(sides)
     working = 30
     ctx = make_context(working)
-    e_dec, p_dec = dp_tables(target, n, s_min, die, ctx)
+    e_fix, p_fix = dp_tables(target, n, s_min, die, ctx)
     e_tab, p_tab = dp_tables(target, n, s_min, die)
     tolerance = Fraction(1, 10 ** (working - 5))
     states = []
     for s, e, p in sweep_pair(target, die, n, s_min, ctx):
         i = s - s_min
         states.append(s)
-        assert str(e) == str(e_dec[i])
-        assert str(p) == str(p_dec[i])
+        assert e == e_fix[i]
+        assert p == p_fix[i]
+        e, p = Enclosure.from_fixed(e, p, die, ctx).lower_decimals(ctx)
         assert abs(Fraction(e) - e_tab[i]) <= tolerance * e_tab[i]
         assert abs(Fraction(p) - p_tab[i]) <= tolerance * p_tab[i]
     assert states == list(range(n, s_min - 1, -1))
+
+
+@settings(deadline=None)
+@given(problem=finite_targets(), sides=st.integers(2, 9), data=st.data())
+def test_sweep_encloses_exact_values(problem, sides, data):
+    n, target = problem
+    s_min = data.draw(st.integers(0, n), label="s_min")
+    die = DieModel(sides)
+    working = 30
+    ctx = make_context(working)
+    e_tab, p_tab = dp_tables(target, n, s_min, die)
+    relative_width = Fraction(1, 10 ** working)
+    for s, e, p in sweep_pair(target, die, n, s_min, ctx):
+        enc = Enclosure.from_fixed(e, p, die, ctx)
+        e_exact, p_exact = e_tab[s - s_min], p_tab[s - s_min]
+        assert enc.e_lo <= e_exact <= enc.e_hi
+        assert enc.p_lo <= p_exact <= enc.p_hi
+        assert (enc.p_hi == 0) == (p_exact == 0)
+        assert enc.p_hi - enc.p_lo <= relative_width * p_exact
 
 
 @settings(deadline=None)
