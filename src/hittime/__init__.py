@@ -21,7 +21,6 @@ from .certify import (
 )
 from .hitprob import (
     CharacteristicRoots,
-    EpsilonBound,
     compute_roots,
     epsilon,
     figure1_table,
@@ -33,7 +32,6 @@ from .numerics import (
     PrecisionTooLowError,
     digit_string,
     make_context,
-    precision_audit,
     rational_to_decimal,
 )
 from .oracle import (
@@ -61,7 +59,6 @@ __all__ = [
     "make_context",
     "rational_to_decimal",
     "digit_string",
-    "precision_audit",
     "DieModel",
     "Enclosure",
     "TargetSet",
@@ -74,7 +71,6 @@ __all__ = [
     "epsilon",
     "figure1_table",
     "CharacteristicRoots",
-    "EpsilonBound",
     "sigma_series",
     "overshoot_bounds",
     "overshoot_bounds_zero_epsilon",

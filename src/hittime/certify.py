@@ -18,32 +18,32 @@ Combining with the truncated solve at start state s,
 
     0 < E(s) - (E_N(s) + L_N * P_s) < (U_N - L_N) * P_s.
 
-Every quantity here is carried as a proven bound, never a rounded
-approximation: the sweep encloses E_N(s) and P_s between exact rationals
-(:class:`~hittime.walkmodel.Enclosure`), L_N is rounded down and U_N up
-from their exact values at an upper bound on eps, and the composed
+Every quantity here is an exact rational, never a rounded approximation:
+the sweep encloses E_N(s) and P_s between exact rationals
+(:class:`~hittime.walkmodel.Enclosure`), L_N and U_N are the exact series
+values at an upper bound on eps, and the composed endpoints
 
-    point  = down(E_lo + L_N * P_lo)
-    radius = up(E_hi + U_N * P_hi - point)
+    lower = E_lo + L_N * P_lo,    upper = E_hi + U_N * P_hi
 
-satisfy point < E(s) < point + radius.  The number of certified digits is
-the length of the decimal prefix shared by the two interval endpoints,
-which the interval cannot straddle.
+satisfy lower < E(s) < upper.  The number of certified digits is the
+length of the decimal prefix shared by the two endpoints, which the
+interval cannot straddle.  Nothing is rounded until the report prints it,
+outward (:func:`hittime.cli.certification_report`).
 """
 
 from __future__ import annotations
 
-import decimal
 import math
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
 from . import hitprob, walkmodel
-from .numerics import PrecisionContext, rational_to_decimal
+from .numerics import GUARD_DIGITS, PrecisionContext
 
 __all__ = [
     "DivergentSeriesError",
+    "InvertedIntervalError",
     "PrecisionInsufficientError",
     "OvershootBounds",
     "CertifiedEstimate",
@@ -64,6 +64,10 @@ class DivergentSeriesError(ValueError):
     """Series ratio outside (0, 1); the geometric sums do not converge."""
 
 
+class InvertedIntervalError(ValueError):
+    """Certified interval with upper end not above its lower end (internal failure)."""
+
+
 class PrecisionInsufficientError(ValueError):
     """Working precision too low for the requested certification."""
 
@@ -74,33 +78,31 @@ class PrecisionInsufficientError(ValueError):
 
 @dataclass(frozen=True)
 class OvershootBounds:
-    """Residual-time bounds (L, U) beyond the cutoff N = K^2, with inputs.
+    """Residual-time bounds (L, U) beyond the cutoff N = K^2.
 
-    ``lower`` is rounded down and ``upper`` up from the exact series; the
-    series ratios are exact rationals at the envelope ``epsilon_n``.
+    Both are the exact series values at the envelope ``epsilon_n``.
     """
 
     K: int
     epsilon_n: Decimal
-    lower: Decimal
-    upper: Decimal
-    r_minus: Fraction
-    r_plus: Fraction
-    t_minus: Fraction
-    t_plus: Fraction
+    lower: Fraction
+    upper: Fraction
 
 
 @dataclass(frozen=True)
 class CertifiedEstimate:
-    """Point value, rigorous radius, and certified digit count at one cutoff."""
+    """Point value, rigorous radius, and certified digit count at one cutoff.
 
-    point_value: Decimal
-    error_radius: Decimal
+    Every real is exact; E_N and P are the lower ends of the sweep's enclosure.
+    """
+
+    point_value: Fraction
+    error_radius: Fraction
     certified_digits: int
-    e_n_value: Decimal
-    overshoot_prob: Decimal
-    lower_bound: Decimal
-    upper_bound: Decimal
+    e_n_value: Fraction
+    overshoot_prob: Fraction
+    lower_bound: Fraction
+    upper_bound: Fraction
     K: int
     N: int
     start: int
@@ -108,45 +110,32 @@ class CertifiedEstimate:
     exact: bool = False  # degenerate case: zero overshoot probability
 
 
-def sigma_series(d, r, t, k: int, ctx: PrecisionContext | None = None):
+def sigma_series(d: int, r: Fraction, t: Fraction, k: int) -> Fraction:
     """Closed form of sum_j [ (K+1+j)^2 - K^2 - d ] r^j t over j >= 0.
 
-    Accepts :class:`~decimal.Decimal` operands with a context, or exact
-    :class:`~fractions.Fraction` operands with ``ctx=None``; the evaluation
-    is the same three-term expression either way, with no truncated
-    summation involved.
+    Exact in :class:`~fractions.Fraction` arithmetic: a three-term
+    expression, with no truncated summation involved.
     """
     if d not in (1, 5):
         raise ValueError(f"d must be 1 or 5, got {d}")
     if not 0 < r < 1:
         raise DivergentSeriesError(f"series ratio must lie in (0, 1), got {r}")
-    if ctx is None:
-        one_minus = 1 - r
-        return t * (Fraction(2 * k + 1 - d) / one_minus
-                    + 2 * (k + 1) * r / one_minus**2
-                    + r * (1 + r) / one_minus**3)
-    c = ctx.context()
-    one = Decimal(1)
-    om = c.subtract(one, r)
-    om2 = c.multiply(om, om)
-    om3 = c.multiply(om2, om)
-    term1 = c.divide(Decimal(2 * k + 1 - d), om)
-    term2 = c.divide(c.multiply(Decimal(2 * (k + 1)), r), om2)
-    term3 = c.divide(c.multiply(r, c.add(one, r)), om3)
-    return c.multiply(t, c.add(c.add(term1, term2), term3))
+    one_minus = 1 - r
+    return t * (Fraction(2 * k + 1 - d) / one_minus
+                + 2 * (k + 1) * r / one_minus**2
+                + r * (1 + r) / one_minus**3)
 
 
-def overshoot_bounds(k: int, roots: hitprob.CharacteristicRoots,
-                     ctx: PrecisionContext) -> OvershootBounds:
+def overshoot_bounds(k: int, roots: hitprob.CharacteristicRoots) -> OvershootBounds:
     """Bounds L, U for cutoff N = K^2, valid for every start state <= N.
 
     The series are evaluated exactly at ``Fraction(epsilon)``.  The
-    envelope is an upper bound on the true eps, L decreases and U increases
-    in eps, so rounding L down and U up keeps both on their safe side.
+    envelope is an upper bound on the true eps, and L decreases and U
+    increases in eps, so both stay on their safe side.
     """
     if k < MIN_K:
         raise ValueError(f"K must be >= {MIN_K}, got {k}")
-    eps = hitprob.epsilon(2 * k - 4, roots).epsilon
+    eps = hitprob.epsilon(2 * k - 4, roots)
     eps_q = Fraction(eps)
     r_minus = Fraction(5, 7) - eps_q
     r_plus = Fraction(5, 7) + eps_q
@@ -156,13 +145,9 @@ def overshoot_bounds(k: int, roots: hitprob.CharacteristicRoots,
         raise DivergentSeriesError(f"5/7 + epsilon must stay below 1 (K={k})")
     if not t_minus > 0:
         raise DivergentSeriesError(f"2/7 - epsilon must stay positive (K={k})")
-    lower = sigma_series(5, r_minus, t_minus, k) / 6
-    upper = sigma_series(1, r_plus, t_plus, k)
     return OvershootBounds(K=k, epsilon_n=eps,
-                           lower=rational_to_decimal(lower, ctx, decimal.ROUND_FLOOR),
-                           upper=rational_to_decimal(upper, ctx, decimal.ROUND_CEILING),
-                           r_minus=r_minus, r_plus=r_plus,
-                           t_minus=t_minus, t_plus=t_plus)
+                           lower=sigma_series(5, r_minus, t_minus, k) / 6,
+                           upper=sigma_series(1, r_plus, t_plus, k))
 
 
 def overshoot_bounds_zero_epsilon(k: int) -> tuple[Fraction, Fraction]:
@@ -178,32 +163,24 @@ def overshoot_bounds_zero_epsilon(k: int) -> tuple[Fraction, Fraction]:
     return lower, upper
 
 
-def certified_digit_count(point: Decimal, radius: Decimal) -> int:
-    """Largest d such that point and point + radius share d decimal places.
+def certified_digit_count(lower: Fraction, upper: Fraction) -> int:
+    """Number of decimal places on which ``lower`` and ``upper`` agree.
 
     The integer parts must match as well, else the count is 0.  Comparison
-    is exact (both operands are converted to rationals), and conservative:
-    a tie at the d-th place does not count as agreement beyond it.
+    is exact and conservative: a tie at the d-th place does not count as
+    agreement beyond it.  Agreement to d places needs
+    ``10^d (upper - lower) < 1``, so the digit walk ends by itself.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    a = Fraction(point)
-    b = a + Fraction(radius)
-    if math.floor(a) != math.floor(b):
-        return 0
-    # radius < 10^(adjusted+1) bounds how deep agreement can possibly reach;
-    # walk the digits exactly from there rather than from zero.
-    depth_cap = -(radius.adjusted()) + 2
-    num_a, num_b = a.numerator, b.numerator
-    den_a, den_b = a.denominator, b.denominator
-    digits = 0
-    for _ in range(depth_cap):
+    if not lower < upper:
+        raise InvertedIntervalError("certified interval is empty or inverted")
+    num_a, den_a = lower.numerator, lower.denominator
+    num_b, den_b = upper.numerator, upper.denominator
+    places = -1  # the first comparison is of the integer parts
+    while num_a // den_a == num_b // den_b:
         num_a *= 10
         num_b *= 10
-        if num_a // den_a != num_b // den_b:
-            break
-        digits += 1
-    return digits
+        places += 1
+    return max(places, 0)
 
 
 def recommended_digits(k: int) -> int:
@@ -223,27 +200,21 @@ def compose_estimate(solution: walkmodel.TruncationSolution,
                      bounds: OvershootBounds, ctx: PrecisionContext) -> CertifiedEstimate:
     """Combine a truncated solve with overshoot bounds into an estimate.
 
-    ``point = down(E_lo + L P_lo)`` and ``radius = up(E_hi + U P_hi - point)``
-    are rounded in :func:`~hittime.walkmodel.enclosure_context`, so the
-    radius takes up no coarser rounding of the point than the sweep's own.
-    The true expectation lies in ``(point, point + radius)``.  When
-    ``P_hi == 0`` no path crosses the cutoff: the truncation is exact, the
-    estimate is flagged ``exact`` with radius 0, and its certified digits
-    are those the sweep's rounding enclosure ``[E_lo, E_hi]`` pins down.
+    The interval ``(E_lo + L P_lo, E_hi + U P_hi)`` is composed exactly.
+    When ``P_hi == 0`` no path crosses the cutoff: the truncation is exact,
+    the estimate is flagged ``exact`` with radius 0, and its certified
+    digits are those the sweep's enclosure ``[E_lo, E_hi]`` pins down.
     """
     enc = solution.enclosure
-    cap = max(ctx.working_digits - ctx.guard_digits, 0)
+    lower = enc.e_lo + bounds.lower * enc.p_lo
+    upper = enc.e_hi + bounds.upper * enc.p_hi
     exact = enc.p_hi == 0
-    fine = walkmodel.enclosure_context(ctx)
-    point = rational_to_decimal(enc.e_lo + Fraction(bounds.lower) * enc.p_lo,
-                                fine, decimal.ROUND_FLOOR)
-    radius = rational_to_decimal(enc.e_hi + Fraction(bounds.upper) * enc.p_hi
-                                 - Fraction(point), fine, decimal.ROUND_CEILING)
-    digits = cap if radius == 0 else min(certified_digit_count(point, radius), cap)
+    cap = max(ctx.working_digits - GUARD_DIGITS, 0)
+    digits = cap if upper == lower else min(certified_digit_count(lower, upper), cap)
     return CertifiedEstimate(
-        point_value=point, error_radius=Decimal(0) if exact else radius,
+        point_value=lower, error_radius=Fraction(0) if exact else upper - lower,
         certified_digits=digits,
-        e_n_value=solution.e_n_value, overshoot_prob=solution.overshoot_prob,
+        e_n_value=enc.e_lo, overshoot_prob=enc.p_lo,
         lower_bound=bounds.lower, upper_bound=bounds.upper,
         K=bounds.K, N=solution.cutoff, start=solution.start,
         working_digits=ctx.working_digits, exact=exact)
@@ -271,7 +242,7 @@ def certify_squares(k: int, ctx: PrecisionContext, start: int = 0,
     if not 0 <= start <= n:
         raise ValueError("start state must lie in [0, N]")
     roots = hitprob.compute_roots(ctx)
-    bounds = overshoot_bounds(k, roots, ctx)
+    bounds = overshoot_bounds(k, roots)
     target = walkmodel.TargetSet.perfect_squares()
     die = walkmodel.DieModel(6)
     solution = walkmodel.solve_pair(target, die, n, start, ctx, progress)

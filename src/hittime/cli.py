@@ -22,9 +22,11 @@ import math
 import os
 import sys
 import time
+from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal
+from fractions import Fraction
 
 from . import __version__, certify, hitprob, oracle, walkmodel
-from .numerics import digit_string, make_context
+from .numerics import PrecisionTooLowError, digit_string, make_context, round_to_digits
 
 __all__ = ["main"]
 
@@ -134,12 +136,12 @@ def cmd_certify(args) -> int:
         w = est.working_digits
         lines = [
             f"K = {est.K}   N = {est.N}   start = {est.start}   precision = {w} digits",
-            f"E_N({est.start})      = {digit_string(est.e_n_value, w)}",
-            f"P_s(A_N)    = {digit_string(est.overshoot_prob, w)}",
-            f"L_N         = {digit_string(est.lower_bound, 40)}",
-            f"U_N         = {digit_string(est.upper_bound, 40)}",
-            f"point_value = {digit_string(est.point_value, w)}",
-            f"error_radius = {digit_string(est.error_radius, 40)}",
+            f"E_N({est.start})      = {report['E_N_0']}",
+            f"P_s(A_N)    = {report['P0_AN']}",
+            f"L_N         = {digit_string(est.lower_bound, 40, ROUND_FLOOR)}",
+            f"U_N         = {digit_string(est.upper_bound, 40, ROUND_CEILING)}",
+            f"point_value = {report['point_value']}",
+            f"error_radius = {digit_string(Decimal(report['error_radius']), 40, ROUND_CEILING)}",
             f"certified_digits = {est.certified_digits}",
             f"runtime_seconds = {runtime:.2f}",
         ]
@@ -148,20 +150,30 @@ def cmd_certify(args) -> int:
 
 
 def certification_report(est: certify.CertifiedEstimate, runtime: float) -> dict:
-    """JSON-ready certification report; all reals as digit strings."""
+    """JSON-ready certification report; all reals as digit strings.
+
+    This is where the exact certified values become decimals, each rounded
+    once, outward: lower ends (point, E_N, P, L_N) down and upper ends
+    (U_N, radius) up.  The radius is measured from the printed point, so
+    the printed ``[point, point + radius]`` contains the proven interval.
+    An ``exact`` estimate keeps radius 0.
+    """
     w = est.working_digits
+    point = round_to_digits(est.point_value, w, ROUND_FLOOR)
+    radius = (Fraction(0) if est.exact
+              else est.point_value + est.error_radius - Fraction(point))
     return {
         "schema": SCHEMA_VERSION,
         "K": est.K,
         "N": est.N,
         "start": est.start,
         "precision_digits": w,
-        "E_N_0": digit_string(est.e_n_value, w),
-        "P0_AN": digit_string(est.overshoot_prob, w),
-        "L_N": digit_string(est.lower_bound, w),
-        "U_N": digit_string(est.upper_bound, w),
-        "point_value": digit_string(est.point_value, w),
-        "error_radius": digit_string(est.error_radius, w),
+        "E_N_0": digit_string(est.e_n_value, w, ROUND_FLOOR),
+        "P0_AN": digit_string(est.overshoot_prob, w, ROUND_FLOOR),
+        "L_N": digit_string(est.lower_bound, w, ROUND_FLOOR),
+        "U_N": digit_string(est.upper_bound, w, ROUND_CEILING),
+        "point_value": str(point),
+        "error_radius": digit_string(radius, w, ROUND_CEILING),
         "certified_digits": est.certified_digits,
         "exact": est.exact,
         "runtime_seconds": f"{runtime:.3f}",
@@ -371,11 +383,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except certify.PrecisionInsufficientError as exc:
+    except (certify.PrecisionInsufficientError, PrecisionTooLowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECISION
     except (hitprob.RootRefinementError, certify.DivergentSeriesError,
-            oracle.AllTrialsCappedError, ArithmeticError) as exc:
+            certify.InvertedIntervalError, oracle.AllTrialsCappedError,
+            ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ConfigError, walkmodel.TargetSetError, walkmodel.CutoffExceedsBoundError,

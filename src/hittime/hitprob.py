@@ -38,7 +38,6 @@ __all__ = [
     "RootRefinementError",
     "DecimalComplex",
     "CharacteristicRoots",
-    "EpsilonBound",
     "pn_exact",
     "pn_decimal",
     "pn_series",
@@ -84,14 +83,6 @@ class CharacteristicRoots:
     modulus_v: Decimal
     modulus_w: Decimal
     ctx: PrecisionContext
-
-
-@dataclass(frozen=True)
-class EpsilonBound:
-    """Envelope value (5/7)|w|^n, biased upward in its final digits."""
-
-    n: int
-    epsilon: Decimal
 
 
 def pn_exact(n: int) -> Fraction:
@@ -255,7 +246,7 @@ def _pow_round_up(c: decimal.Context, base: Decimal, n: int) -> Decimal:
     return result
 
 
-def epsilon(n: int, roots: CharacteristicRoots) -> EpsilonBound:
+def epsilon(n: int, roots: CharacteristicRoots) -> Decimal:
     """Envelope value (5/7)|w|^n with upward bias, never understated.
 
     The modulus is nudged up one unit in its last internal digit and every
@@ -269,7 +260,7 @@ def epsilon(n: int, roots: CharacteristicRoots) -> EpsilonBound:
     base = ulp_up(roots.modulus_w, ctx)
     power = _pow_round_up(c_up, base, n)
     five_sevenths = c_up.divide(Decimal(5), Decimal(7))
-    return EpsilonBound(n=n, epsilon=c_up.multiply(five_sevenths, power))
+    return c_up.multiply(five_sevenths, power)
 
 
 def figure1_table(n_max: int, ctx: PrecisionContext | None = None,

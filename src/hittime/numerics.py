@@ -2,16 +2,12 @@
 
 All modules in this package do their decimal arithmetic through a
 :class:`PrecisionContext`, which wraps a :class:`decimal.Context` carrying
-``working_digits + guard_digits`` significant digits.  Values are plain
+``working_digits + GUARD_DIGITS`` significant digits.  Values are plain
 :class:`decimal.Decimal` objects; exact arithmetic uses
 :class:`fractions.Fraction`.  Each context names its rounding direction:
 bounds are rounded toward the side they bound (:func:`rational_to_decimal`,
-:func:`ulp_up`), and identical operation sequences at identical precision
-reproduce identical digit strings.
-
-:func:`precision_audit` re-runs a computation at doubled precision and
-counts the leading digits on which the two results agree, a cheap check
-that a result does not hinge on the precision it was computed at.
+:func:`digit_string`, :func:`ulp_up`), and identical operation sequences at
+identical precision reproduce identical digit strings.
 """
 
 from __future__ import annotations
@@ -20,12 +16,10 @@ import decimal
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Callable
 
 __all__ = [
     "MIN_WORKING_DIGITS",
-    "MIN_GUARD_DIGITS",
-    "DEFAULT_GUARD_DIGITS",
+    "GUARD_DIGITS",
     "PrecisionTooLowError",
     "PrecisionContext",
     "make_context",
@@ -33,13 +27,14 @@ __all__ = [
     "digit_string",
     "round_to_digits",
     "agreed_digits",
-    "precision_audit",
     "ulp_up",
 ]
 
 MIN_WORKING_DIGITS = 30
-MIN_GUARD_DIGITS = 10
-DEFAULT_GUARD_DIGITS = 15
+# Digits carried internally beyond the working precision: they keep the
+# roundoff of the decimal stages (roots, envelope) below the reported
+# resolution and, through internal_digits, widen the sweep's fixed point.
+GUARD_DIGITS = 15
 
 # Generous exponent range: overshoot probabilities sit around 1e-1000 and
 # intermediate squares go lower still; nothing here should ever clamp.
@@ -53,30 +48,23 @@ class PrecisionTooLowError(ValueError):
 
 @dataclass(frozen=True)
 class PrecisionContext:
-    """Working decimal precision plus internal guard digits.
+    """Working decimal precision.
 
-    ``working_digits`` is the precision results are reported at;
-    ``guard_digits`` extra digits are carried internally by every
-    operation so that accumulated roundoff stays below the reported
-    resolution.
+    ``working_digits`` is the precision results are reported at; every
+    operation carries :data:`GUARD_DIGITS` more internally.
     """
 
     working_digits: int
-    guard_digits: int = DEFAULT_GUARD_DIGITS
 
     def __post_init__(self) -> None:
         if self.working_digits < MIN_WORKING_DIGITS:
             raise PrecisionTooLowError(
                 f"working_digits must be >= {MIN_WORKING_DIGITS}, got {self.working_digits}"
             )
-        if self.guard_digits < MIN_GUARD_DIGITS:
-            raise ValueError(
-                f"guard_digits must be >= {MIN_GUARD_DIGITS}, got {self.guard_digits}"
-            )
 
     @property
     def internal_digits(self) -> int:
-        return self.working_digits + self.guard_digits
+        return self.working_digits + GUARD_DIGITS
 
     def context(self, rounding: str = decimal.ROUND_HALF_EVEN) -> decimal.Context:
         """A fresh decimal context at internal precision.
@@ -88,14 +76,10 @@ class PrecisionContext:
             prec=self.internal_digits, rounding=rounding, Emax=_EMAX, Emin=_EMIN
         )
 
-    def doubled(self) -> "PrecisionContext":
-        """Context with doubled working precision (same guard), for audits."""
-        return PrecisionContext(2 * self.working_digits, self.guard_digits)
 
-
-def make_context(working_digits: int, guard_digits: int = DEFAULT_GUARD_DIGITS) -> PrecisionContext:
+def make_context(working_digits: int) -> PrecisionContext:
     """Create a :class:`PrecisionContext`; refuses working_digits < 30."""
-    return PrecisionContext(working_digits, guard_digits)
+    return PrecisionContext(working_digits)
 
 
 def rational_to_decimal(q: Fraction, ctx: PrecisionContext,
@@ -107,25 +91,34 @@ def rational_to_decimal(q: Fraction, ctx: PrecisionContext,
     ``q``; either way the result is within one unit in the last internal
     digit.
     """
-    c = ctx.context(rounding)
-    return c.divide(Decimal(q.numerator), Decimal(q.denominator))
+    return round_to_digits(q, ctx.internal_digits, rounding)
 
 
-def round_to_digits(x: Decimal, digits: int) -> Decimal:
-    """Round ``x`` to ``digits`` significant digits (half-even)."""
+def round_to_digits(x: Decimal | Fraction, digits: int,
+                    rounding: str = decimal.ROUND_HALF_EVEN) -> Decimal:
+    """Round ``x`` to ``digits`` significant digits in the given direction.
+
+    A :class:`~fractions.Fraction` is rounded once, correctly, from its
+    exact value, so ``ROUND_FLOOR`` and ``ROUND_CEILING`` give a lower and
+    an upper bound on it.
+    """
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    return decimal.Context(prec=digits, rounding=decimal.ROUND_HALF_EVEN,
-                           Emax=_EMAX, Emin=_EMIN).plus(x)
+    c = decimal.Context(prec=digits, rounding=rounding, Emax=_EMAX, Emin=_EMIN)
+    if isinstance(x, Fraction):
+        return c.divide(Decimal(x.numerator), Decimal(x.denominator))
+    return c.plus(x)
 
 
-def digit_string(x: Decimal, digits: int) -> str:
+def digit_string(x: Decimal | Fraction, digits: int,
+                 rounding: str = decimal.ROUND_HALF_EVEN) -> str:
     """Canonical decimal digit string of ``x`` at ``digits`` significant digits.
 
     Plain positional form for moderate exponents, scientific form otherwise,
     exactly as :class:`decimal.Decimal` prints; byte-stable across runs.
+    ``rounding`` picks the direction (:func:`round_to_digits`).
     """
-    return str(round_to_digits(x, digits))
+    return str(round_to_digits(x, digits, rounding))
 
 
 def ulp_up(x: Decimal, ctx: PrecisionContext) -> Decimal:
@@ -166,17 +159,3 @@ def agreed_digits(a: Decimal, b: Decimal, digits: int) -> int:
             break
         n += 1
     return n
-
-
-def precision_audit(computation: Callable[[PrecisionContext], Decimal],
-                    ctx: PrecisionContext) -> int:
-    """Re-run ``computation`` at doubled precision and count agreed digits.
-
-    ``computation`` must be a deterministic function of its context. The
-    return value is the number of leading working digits on which the
-    baseline and the doubled-precision rerun agree, capped at
-    ``ctx.working_digits``.
-    """
-    base = computation(ctx)
-    fine = computation(ctx.doubled())
-    return agreed_digits(base, fine, ctx.working_digits)

@@ -35,9 +35,11 @@ __all__ = [
 
 EXACT_DP_MAX_N = 5000
 
-# Trials are simulated in blocks of this many rolls at a time.
+# Trials are simulated in blocks of this many rolls at a time, this many
+# trials at once.  Each block holds a few chunk x 64 arrays (8 MB apiece at
+# 1 << 14 trials), so the chunk sets peak memory, not the estimate.
 _ROLL_BLOCK = 64
-_TRIAL_CHUNK = 1 << 16
+_TRIAL_CHUNK = 1 << 14
 
 
 class SizeCapError(ValueError):

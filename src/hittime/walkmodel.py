@@ -23,7 +23,6 @@ bounds (:class:`Enclosure`) rather than approximations.
 
 from __future__ import annotations
 
-import dataclasses
 import decimal
 import math
 from dataclasses import dataclass
@@ -41,7 +40,6 @@ __all__ = [
     "CutoffExceedsBoundError",
     "Enclosure",
     "TruncationSolution",
-    "enclosure_context",
     "fraction_bits",
     "sweep_pair",
     "solve_pair",
@@ -225,17 +223,6 @@ def fraction_bits(ctx: PrecisionContext) -> int:
     return (10 ** ctx.internal_digits).bit_length() + GUARD_BITS
 
 
-def enclosure_context(ctx: PrecisionContext) -> PrecisionContext:
-    """Decimal context about as fine as the sweep's fixed point.
-
-    Its guard digits grow by ceil(GUARD_BITS * log10 2), so rounding a
-    sweep bound to it costs about as much as the sweep's own rounding,
-    not one unit in the last internal digit.
-    """
-    extra = math.ceil(GUARD_BITS * math.log10(2))
-    return dataclasses.replace(ctx, guard_digits=ctx.guard_digits + extra)
-
-
 @dataclass(frozen=True)
 class Enclosure:
     """Exact rational bounds ``e_lo <= E_N(s) <= e_hi``, ``p_lo <= P_s <= p_hi``."""
@@ -279,10 +266,9 @@ class Enclosure:
                    p_lo=Fraction(p_lo, 1 << p_bits), p_hi=Fraction(p_hi, 1 << p_bits))
 
     def lower_decimals(self, ctx: PrecisionContext) -> tuple[Decimal, Decimal]:
-        """``(e_lo, p_lo)`` rounded down in :func:`enclosure_context`."""
-        fine = enclosure_context(ctx)
-        return (rational_to_decimal(self.e_lo, fine, decimal.ROUND_FLOOR),
-                rational_to_decimal(self.p_lo, fine, decimal.ROUND_FLOOR))
+        """``(e_lo, p_lo)`` rounded down at the context's internal precision."""
+        return (rational_to_decimal(self.e_lo, ctx, decimal.ROUND_FLOOR),
+                rational_to_decimal(self.p_lo, ctx, decimal.ROUND_FLOOR))
 
 
 @dataclass(frozen=True)

@@ -85,7 +85,7 @@ def test_criterion_03_envelope():
     for n, p in pn_series(500, ctx):
         if n == 0:
             continue
-        assert abs(p - two_sevenths) <= epsilon(n, roots).epsilon + slack
+        assert abs(p - two_sevenths) <= epsilon(n, roots) + slack
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
     report(3, "two-sided envelope n=1..500", elapsed)

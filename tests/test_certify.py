@@ -1,12 +1,15 @@
 """Overshoot constants, interval composition, and digit certification."""
 
-from decimal import Decimal
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hittime.certify import (
     DivergentSeriesError,
+    InvertedIntervalError,
     PrecisionInsufficientError,
     certified_digit_count,
     certify_squares,
@@ -17,7 +20,13 @@ from hittime.certify import (
     sigma_series,
 )
 from hittime.hitprob import compute_roots
-from hittime.numerics import agreed_digits, digit_string, make_context, rational_to_decimal
+from hittime.numerics import (
+    GUARD_DIGITS,
+    agreed_digits,
+    digit_string,
+    make_context,
+    rational_to_decimal,
+)
 from hittime.oracle import exact_dp
 from hittime.walkmodel import DieModel, TargetSet, solve_pair
 
@@ -47,19 +56,13 @@ def test_sigma_matches_partial_sums():
     # first omitted term, so the tail is below next_term * (1+r)/(1-r)^3
     next_term = ((k + 2002) ** 2 - k * k - 5) * r**2001 * t
     assert closed - partial < next_term * (1 + r) / (1 - r) ** 3
-    # and the decimal path agrees with the exact value to working - 5 digits
-    working = 50
-    ctx = make_context(working)
-    dec = sigma_series(5, rational_to_decimal(r, ctx), rational_to_decimal(t, ctx), k, ctx)
-    assert agreed_digits(dec, rational_to_decimal(closed, ctx), working) >= working - 5
 
 
 def test_sigma_validation():
-    ctx = make_context(30)
     with pytest.raises(DivergentSeriesError):
         sigma_series(1, Fraction(7, 5), Fraction(1, 3), 10)
     with pytest.raises(DivergentSeriesError):
-        sigma_series(1, Decimal("1.0"), Decimal("0.5"), 10, ctx)
+        sigma_series(1, Fraction(1), Fraction(1, 2), 10)
     with pytest.raises(ValueError):
         sigma_series(2, Fraction(1, 2), Fraction(1, 3), 10)
 
@@ -76,7 +79,7 @@ def test_overshoot_bounds_decimal_close_to_linear_forms():
     ctx = make_context(working)
     roots = compute_roots(ctx)
     for k in (10, 12, 50, 100):
-        b = overshoot_bounds(k, roots, ctx)
+        b = overshoot_bounds(k, roots)
         l0, u0 = overshoot_bounds_zero_epsilon(k)
         eps = Fraction(b.epsilon_n)
         # a growing envelope always lowers L and raises U
@@ -88,8 +91,8 @@ def test_overshoot_bounds_decimal_close_to_linear_forms():
             assert abs(Fraction(b.lower) - l0) < 10 * eps * k * k
             assert abs(Fraction(b.upper) - u0) < 10 * eps * k * k
         assert 0 < b.lower < b.upper
-        assert 0 < b.r_plus < 1
-        assert b.t_minus > 0
+        assert 0 < Fraction(5, 7) + eps < 1
+        assert Fraction(2, 7) - eps > 0
 
 
 def test_overshoot_bounds_printed_values_at_7000():
@@ -97,57 +100,78 @@ def test_overshoot_bounds_printed_values_at_7000():
     # the linear forms: L repeats 3s, U is exactly 49020 at any sane depth
     working = 60
     ctx = make_context(working)
-    b = overshoot_bounds(7000, compute_roots(ctx), ctx)
+    b = overshoot_bounds(7000, compute_roots(ctx))
     assert digit_string(b.lower, 20) == "8169.3333333333333333"
     assert digit_string(b.upper, 20) == "49020.000000000000000"
 
 
 def test_overshoot_bounds_round_outward():
-    # L_N and U_N are rounded down and up from their exact values at the
-    # reported envelope, which is itself an upper bound on the true one
+    # L_N and U_N are the exact series values at the reported envelope,
+    # which is itself an upper bound on the true one; only the report
+    # rounds them, outward
     ctx = make_context(60)
     roots = compute_roots(ctx)
     for k in (4, 500, 7000):
-        b = overshoot_bounds(k, roots, ctx)
+        b = overshoot_bounds(k, roots)
         eps = Fraction(b.epsilon_n)
         exact_lower = sigma_series(5, Fraction(5, 7) - eps, Fraction(2, 7) - eps, k) / 6
         exact_upper = sigma_series(1, Fraction(5, 7) + eps, Fraction(2, 7) + eps, k)
-        assert Fraction(b.lower) <= exact_lower
-        assert Fraction(b.upper) >= exact_upper
+        assert b.lower == exact_lower
+        assert b.upper == exact_upper
 
 
 def test_audit_of_certification_pipeline():
     # rerunning the whole K=500 pipeline at doubled precision must agree on
     # at least as many digits as the certification claims
-    from hittime.numerics import precision_audit
-
     ctx = make_context(200)
-    claimed = certify_squares(500, ctx).certified_digits
-    audited = precision_audit(lambda c: certify_squares(500, c).point_value, ctx)
-    assert audited >= claimed
+    est = certify_squares(500, ctx)
+    fine = certify_squares(500, make_context(400))
+    assert est.certified_digits == 68
+    assert agreed_digits(rational_to_decimal(est.point_value, ctx),
+                         rational_to_decimal(fine.point_value, ctx),
+                         ctx.working_digits) >= est.certified_digits
 
 
 def test_overshoot_bounds_validation():
     ctx = make_context(40)
     roots = compute_roots(ctx)
     with pytest.raises(ValueError):
-        overshoot_bounds(3, roots, ctx)
+        overshoot_bounds(3, roots)
     with pytest.raises(ValueError):
         overshoot_bounds_zero_epsilon(3)
 
 
 def test_certified_digit_count_examples():
-    assert certified_digit_count(Decimal("1.0"), Decimal("0.2")) == 0
-    assert certified_digit_count(Decimal("0.123449"), Decimal("2E-6")) == 4
-    assert certified_digit_count(Decimal("7.0797"), Decimal("6.16E-1019")) >= 1017
-    with pytest.raises(ValueError):
-        certified_digit_count(Decimal("1"), Decimal("0"))
-    with pytest.raises(ValueError):
-        certified_digit_count(Decimal("1"), Decimal("-0.1"))
+    assert certified_digit_count(Fraction("1.0"), Fraction("1.2")) == 0
+    assert certified_digit_count(Fraction("0.123449"), Fraction("0.123451")) == 4
+    point = Fraction("7.0797")
+    assert certified_digit_count(point, point + Fraction("6.16E-1019")) >= 1017
+    with pytest.raises(InvertedIntervalError):
+        certified_digit_count(Fraction(1), Fraction(1))
+    with pytest.raises(InvertedIntervalError):
+        certified_digit_count(Fraction(1), Fraction("0.9"))
 
 
 def test_certified_digit_count_integer_part_mismatch():
-    assert certified_digit_count(Decimal("1.94"), Decimal("0.2")) == 0
+    assert certified_digit_count(Fraction("1.94"), Fraction("2.14")) == 0
+
+
+@given(lower=st.fractions(min_value=0, max_value=100, max_denominator=10**40),
+       width=st.fractions(min_value=Fraction(1, 10**45), max_value=3,
+                          max_denominator=10**50)
+       | st.integers(0, 45).map(lambda j: Fraction(1, 10**j)))
+def test_certified_digit_count_is_the_shared_prefix(lower, width):
+    # d places agree, and the next does not (or the integer parts differ)
+    upper = lower + width
+    d = certified_digit_count(lower, upper)
+
+    def agree(places):
+        return math.floor(lower * 10**places) == math.floor(upper * 10**places)
+
+    if agree(0):
+        assert agree(d) and not agree(d + 1)
+    else:
+        assert d == 0
 
 
 def test_certify_published_prefix():
@@ -200,7 +224,8 @@ def test_certify_nonzero_start():
     e_ref, _ = exact_dp(TargetSet.perfect_squares(), 400, 5)
     # point value is a strict lower bound that lies close above E_N(5)
     assert Fraction(est5.e_n_value) <= Fraction(est5.point_value)
-    assert agreed_digits(est5.e_n_value, rational_to_decimal(e_ref, ctx), 40) >= 35
+    assert agreed_digits(rational_to_decimal(est5.e_n_value, ctx),
+                         rational_to_decimal(e_ref, ctx), 40) >= 35
     with pytest.raises(ValueError):
         certify_squares(20, ctx, start=401)
 
@@ -208,14 +233,14 @@ def test_certify_nonzero_start():
 def test_degenerate_composition_has_zero_radius():
     ctx = make_context(60)
     roots = compute_roots(ctx)
-    bounds = overshoot_bounds(10, roots, ctx)
+    bounds = overshoot_bounds(10, roots)
     dense = TargetSet.dense_from(1, 100)
     sol = solve_pair(dense, DieModel(6), 100, 0, ctx)
     est = compose_estimate(sol, bounds, ctx)
     assert est.exact
     assert est.error_radius == 0
-    assert est.point_value == sol.e_n_value
-    assert est.certified_digits == ctx.working_digits - ctx.guard_digits
+    assert est.point_value == sol.enclosure.e_lo
+    assert est.certified_digits == ctx.working_digits - GUARD_DIGITS
 
 
 def test_interval_contains_exact_small_case():

@@ -1,11 +1,12 @@
 """End-to-end command-line behavior: formats, exit codes, self-consistency."""
 
+import dataclasses
 import decimal
 import json
 from decimal import Decimal
 from fractions import Fraction
 
-from hittime import cli
+from hittime import certify, cli
 from hittime.cli import main
 from hittime.numerics import agreed_digits, make_context, rational_to_decimal
 from hittime.oracle import exact_dp
@@ -40,10 +41,50 @@ def test_certify_json_report(capsys):
     low = Decimal(report["L_N"])
     high = Decimal(report["U_N"])
     assert low < high
-    # point = E_N + L*P and radius = (U-L)*P, allowing reporting round-off
+    # point = E_N + L*P and radius = (U-L)*P, allowing reporting round-off;
+    # the radius is measured from the printed point, which is rounded down
+    # by up to one unit in its last printed digit
+    w = report["precision_digits"]
     with decimal.localcontext(decimal.Context(prec=250)):
         assert abs(point - (e_n + low * p0)) <= Decimal("1e-180")
-        assert abs(radius - (high - low) * p0) <= abs(radius) * Decimal("1e-150")
+        assert abs(radius - (high - low) * p0) \
+            <= Decimal(10) ** (1 - w) + abs(radius) * Decimal("1e-150")
+
+
+def test_certify_report_contains_proven_interval():
+    # every printed end is rounded outward from the exact interval:
+    # point down, point + radius up, so the print contains the proof
+    ctx = make_context(200)
+    for k in (500, 501, 502, 503):
+        est = certify.certify_squares(k, ctx)
+        report = cli.certification_report(est, 0.0)
+        point = Fraction(Decimal(report["point_value"]))
+        radius = Fraction(Decimal(report["error_radius"]))
+        assert point <= est.point_value
+        assert point + radius >= est.point_value + est.error_radius
+        assert Fraction(Decimal(report["E_N_0"])) <= est.e_n_value
+        assert Fraction(Decimal(report["P0_AN"])) <= est.overshoot_prob
+        assert Fraction(Decimal(report["L_N"])) <= est.lower_bound
+        assert Fraction(Decimal(report["U_N"])) >= est.upper_bound
+        assert report["certified_digits"] == est.certified_digits
+
+
+def test_certify_text_report(capsys):
+    # the text report prints the JSON report's numbers, with L_N, U_N and
+    # the radius rounded outward again to 40 digits
+    _, out, _ = run_cli(capsys, "certify", "--K", "10")
+    report = json.loads(out)
+    code, out, _ = run_cli(capsys, "certify", "--K", "10", "--format", "text")
+    assert code == 0
+    fields = {key.strip(): value
+              for key, value in (line.split(" = ", 1) for line in out.splitlines()[1:])}
+    assert fields["point_value"] == report["point_value"]
+    assert fields["E_N(0)"] == report["E_N_0"]
+    assert fields["P_s(A_N)"] == report["P0_AN"]
+    assert Decimal(fields["L_N"]) <= Decimal(report["L_N"])
+    assert Decimal(fields["U_N"]) >= Decimal(report["U_N"])
+    assert Decimal(fields["error_radius"]) >= Decimal(report["error_radius"])
+    assert int(fields["certified_digits"]) == report["certified_digits"]
 
 
 def test_certify_rejects_small_k(capsys):
@@ -56,6 +97,24 @@ def test_certify_rejects_bad_precision(capsys):
     code, _, err = run_cli(capsys, "certify", "--K", "500", "--precision", "60")
     assert code == 3
     assert "digits" in err
+    # below the supported minimum of 30 digits is insufficient precision too
+    code, _, err = run_cli(capsys, "certify", "--K", "10", "--precision", "20")
+    assert code == 3
+    assert "30" in err
+
+
+def test_inverted_interval_is_internal_failure(capsys, monkeypatch):
+    real = certify.overshoot_bounds
+
+    def swapped(k, roots):
+        b = real(k, roots)
+        return dataclasses.replace(b, lower=b.upper * 10**9, upper=b.lower)
+
+    monkeypatch.setattr(certify, "overshoot_bounds", swapped)
+    code, out, err = run_cli(capsys, "certify", "--K", "10")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_certify_rejects_non_square_n(capsys):
@@ -206,6 +265,10 @@ def test_precision_env_override(capsys, monkeypatch):
     monkeypatch.setenv("HITTIME_PRECISION", "not-a-number")
     code, _, _ = run_cli(capsys, "solve", "--target", "squares", "--N", "16")
     assert code == 2
+    monkeypatch.setenv("HITTIME_PRECISION", "29")
+    code, _, err = run_cli(capsys, "solve", "--target", "squares", "--N", "16")
+    assert code == 3
+    assert "30" in err
 
 
 def test_output_file(capsys, tmp_path):

@@ -17,7 +17,13 @@ from hittime.hitprob import (
     pn_exact,
     pn_series,
 )
-from hittime.numerics import agreed_digits, digit_string, make_context, rational_to_decimal
+from hittime.numerics import (
+    GUARD_DIGITS,
+    agreed_digits,
+    digit_string,
+    make_context,
+    rational_to_decimal,
+)
 
 # The first eight ever-hit probabilities, exact.
 FIRST_EIGHT = [
@@ -72,7 +78,7 @@ def test_pn_maximum_at_six():
 def test_pn_limit_two_sevenths():
     ctx = make_context(60)
     p200 = pn_decimal(200, ctx)
-    eps = epsilon(200, compute_roots(ctx)).epsilon
+    eps = epsilon(200, compute_roots(ctx))
     assert abs(p200 - rational_to_decimal(Fraction(2, 7), ctx)) <= eps
 
 
@@ -126,7 +132,7 @@ def test_root_residuals(working):
     ctx = make_context(working)
     roots = compute_roots(ctx)
     c = ctx.context()
-    tol = Decimal(1).scaleb(-(working - ctx.guard_digits))
+    tol = Decimal(1).scaleb(-(working - GUARD_DIGITS))
     for z in (roots.w_plus, roots.w_minus, roots.v_plus, roots.v_minus,
               DecimalComplex(roots.u, Decimal(0)),
               DecimalComplex(roots.root_unit, Decimal(0))):
@@ -175,7 +181,7 @@ def test_epsilon_envelope_two_sided():
     for n, p in pn_series(500, ctx):
         if n == 0:
             continue
-        eps = epsilon(n, roots).epsilon
+        eps = epsilon(n, roots)
         assert abs(c.subtract(p, two_sevenths)) <= eps + slack
         q = c.subtract(Decimal(1), p)
         assert abs(c.subtract(q, five_sevenths)) <= eps + slack
@@ -183,7 +189,7 @@ def test_epsilon_envelope_two_sided():
 
 def test_epsilon_monotone_decreasing():
     roots = compute_roots(make_context(40))
-    values = [epsilon(n, roots).epsilon for n in range(1, 60)]
+    values = [epsilon(n, roots) for n in range(1, 60)]
     assert all(a > b for a, b in zip(values, values[1:]))
     assert all(v > 0 for v in values)
 
@@ -193,7 +199,7 @@ def test_epsilon_first_value():
     roots = compute_roots(ctx)
     direct = ctx.context().multiply(
         ctx.context().divide(Decimal(5), Decimal(7)), roots.modulus_w)
-    got = epsilon(1, roots).epsilon
+    got = epsilon(1, roots)
     # upward bias keeps the bound at or above the plainly rounded product
     assert got >= direct
     assert agreed_digits(got, direct, 40) >= 38
@@ -207,7 +213,7 @@ def test_epsilon_never_understates():
     w_lo = Fraction(roots.modulus_w) - Fraction(1, 10**40)
     for n in (1, 5, 17, 100):
         lower = Fraction(5, 7) * w_lo**n
-        assert Fraction(epsilon(n, roots).epsilon) >= lower
+        assert Fraction(epsilon(n, roots)) >= lower
 
 
 def test_figure1_table():

@@ -1,18 +1,16 @@
-"""Precision contexts, rational conversion, digit tools, and the audit."""
+"""Precision contexts, rational conversion, and digit tools."""
 
 import random
-from decimal import Decimal
+from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal
 from fractions import Fraction
 
 import pytest
 
 from hittime.numerics import (
-    PrecisionContext,
     PrecisionTooLowError,
     agreed_digits,
     digit_string,
     make_context,
-    precision_audit,
     rational_to_decimal,
     round_to_digits,
     ulp_up,
@@ -25,8 +23,6 @@ def test_make_context_boundaries():
     assert ctx.internal_digits == 45
     with pytest.raises(PrecisionTooLowError):
         make_context(29)
-    with pytest.raises(ValueError):
-        make_context(40, guard_digits=5)
 
 
 def test_make_context_large():
@@ -94,6 +90,22 @@ def test_digit_string_significant_digits():
         == "1.508850331E-1023"
 
 
+def test_digit_string_directed_rounding_of_fractions():
+    # a Fraction is rounded once from its exact value, in the asked direction
+    assert digit_string(Fraction(2, 3), 5) == "0.66667"
+    assert digit_string(Fraction(2, 3), 5, ROUND_FLOOR) == "0.66666"
+    assert digit_string(Fraction(2, 3), 5, ROUND_CEILING) == "0.66667"
+    assert digit_string(Fraction(-2, 3), 5, ROUND_FLOOR) == "-0.66667"
+    assert digit_string(Fraction(1, 4), 5, ROUND_CEILING) == "0.25"
+    assert digit_string(Fraction(0), 5, ROUND_CEILING) == "0"
+    assert digit_string(Decimal("1.23456"), 3, ROUND_CEILING) == "1.24"
+    rng = random.Random(11)
+    for _ in range(200):
+        q = Fraction(rng.randrange(-10**30, 10**30), rng.randrange(1, 10**30))
+        assert Fraction(Decimal(digit_string(q, 20, ROUND_FLOOR))) <= q
+        assert Fraction(Decimal(digit_string(q, 20, ROUND_CEILING))) >= q
+
+
 def test_ulp_up_is_strictly_above():
     ctx = make_context(30)
     x = rational_to_decimal(Fraction(2, 7), ctx)
@@ -110,25 +122,3 @@ def test_agreed_digits_cases():
     assert agreed_digits(Decimal("1"), Decimal("-1"), 9) == 0
     assert agreed_digits(Decimal("1"), Decimal("10"), 9) == 0
 
-
-def test_audit_exact_operand():
-    ctx = make_context(40)
-    agreed = precision_audit(lambda c: rational_to_decimal(Fraction(1, 6), c), ctx)
-    assert agreed >= ctx.working_digits - 1
-
-
-def test_audit_constant_zero():
-    ctx = make_context(40)
-    assert precision_audit(lambda c: Decimal(0), ctx) == 40
-
-
-def test_audit_detects_starved_precision():
-    # A computation that cancels almost everything keeps only trailing
-    # digits; the audit should report far fewer agreed digits than claimed.
-    def cancellation(c: PrecisionContext) -> Decimal:
-        ctx = c.context()
-        big = ctx.divide(Decimal(10**60), Decimal(3))
-        return ctx.subtract(ctx.add(big, Decimal("1.25")), big)
-
-    audited = precision_audit(cancellation, make_context(30))
-    assert audited < 30
