@@ -8,8 +8,9 @@ Subcommands::
     roots      characteristic roots and their moduli
     simulate   Monte Carlo estimate of the hitting time
 
-Exit codes: 0 success, 2 usage/config error, 3 insufficient precision,
-4 internal numeric failure.  All real numbers in JSON output are decimal
+Exit codes: 0 success, 2 usage/config error (including a target or output
+path that cannot be read or written), 3 insufficient precision, 4 internal
+numeric failure.  All real numbers in JSON output are decimal
 digit strings, never binary floats, so reports are precision-lossless and
 diffable.  Progress for long sweeps goes to stderr only.
 """
@@ -392,7 +393,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ConfigError, walkmodel.TargetSetError, walkmodel.CutoffExceedsBoundError,
-            oracle.SizeCapError, ValueError) as exc:
+            oracle.SizeCapError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -2,8 +2,9 @@
 
 ``dp_tables`` solves the two truncated recursions by backward substitution
 over dense arrays, in exact rational arithmetic (denominators divide
-M^(N-s)) or by the sweep's directed fixed-point rule; the sweep's bounds
-must contain the first and reproduce the second exactly.  The Monte Carlo
+M^(N-s)) or by the sweep's fixed-point rule (every division rounded down,
+P under a block exponent); the sweep's bounds must contain the first, and
+its swept values must reproduce the second exactly.  The Monte Carlo
 routines roll the raw process with a counter-based Philox generator, so
 runs are reproducible from the seed and trial batches can be partitioned
 across workers and merged exactly.
@@ -58,7 +59,7 @@ def dp_tables(target: TargetSet, n: int, s_min: int = 0,
     Without ``ctx`` the values are exact ``Fraction``s.  With ``ctx`` they
     follow the fixed-point rule of :func:`hittime.walkmodel.sweep_pair`:
     E as an int on the scale 2^-b, b = ``fraction_bits(ctx)``, and P as a
-    ``(p_lo, p_hi, p_bits)`` triple, so the sweep's ``e`` and ``p`` must
+    ``(p_lo, p_bits)`` pair, so the sweep's ``e`` and ``p`` must
     match them exactly.  Dense arrays, full M-neighbor sums and
     :meth:`TargetSet.membership` keep this solver independent of the
     sweep's sliding window sums and member pointer.
@@ -88,30 +89,27 @@ def dp_tables(target: TargetSet, n: int, s_min: int = 0,
 
 
 def _fixed_tables(target: TargetSet, n: int, s_min: int, m: int, bits: int,
-                  ) -> tuple[list[int], list[tuple[int, int, int]]]:
+                  ) -> tuple[list[int], list[tuple[int, int]]]:
     one = 1 << bits
     size = n - s_min + 1
     e_arr = [0] * (size + m)
     lo_arr = [0] * size + [one] * m
-    hi_arr = [0] * size + [one] * m
     # P block exponent of each state: its P values stand on 2^-(bits + shift).
     shift = [0] * (size + m)
     x = 0
     for s in range(n, s_min - 1, -1):
         idx = s - s_min
         window = range(idx + 1, idx + m + 1)
-        hi_sum = sum(hi_arr[j] << (x - shift[j]) for j in window)
-        while 0 < hi_sum < one:
+        lo_sum = sum(lo_arr[j] << (x - shift[j]) for j in window)
+        while 0 < lo_sum < one:
             x += RESCALE_BITS
-            hi_sum <<= RESCALE_BITS
+            lo_sum <<= RESCALE_BITS
         shift[idx] = x
         if target.membership(s):
             continue  # arrays already hold exact zeros
-        lo_sum = sum(lo_arr[j] << (x - shift[j]) for j in window)
         e_arr[idx] = one + sum(e_arr[j] for j in window) // m
         lo_arr[idx] = lo_sum // m
-        hi_arr[idx] = (hi_sum + m - 1) // m
-    p_rows = [(lo_arr[i], hi_arr[i], bits + shift[i]) for i in range(size)]
+    p_rows = [(lo_arr[i], bits + shift[i]) for i in range(size)]
     return e_arr[:size], p_rows
 
 

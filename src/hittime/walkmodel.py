@@ -17,8 +17,9 @@ values and its running sum suffice: O(1) memory, O(N) time.  The sweep
 works in fixed point: every value is a Python int standing for that int
 times ``2^-b`` (:func:`fraction_bits`).  Each window sum slides exactly,
 ``S <- S + v(s) - v(s+M)``, so the one division by M per value is the only
-rounding step, and its direction is chosen so that the results are proven
-bounds (:class:`Enclosure`) rather than approximations.
+rounding step.  Each quantity is swept once, with every division rounded
+down, so the swept values are proven lower bounds; :class:`Enclosure`
+derives the matching upper bounds from them in closed form.
 """
 
 from __future__ import annotations
@@ -49,12 +50,12 @@ __all__ = [
 PROGRESS_INTERVAL = 1 << 20
 
 # Bits carried below the context's internal digits.  They absorb the
-# sweep's rounding: P's relative width grows by at most 2M * 2^-b per
-# state (see sweep_pair), so while 2MN < 2^64 it stays below one unit in
-# the last internal digit.
+# sweep's rounding: the upper bound on P is the lower one divided by
+# 1 - (N+1) M 2^-b at most (see Enclosure.from_fixed), so while
+# (N+1) M < 2^64 their gap stays below one unit in the last internal digit.
 GUARD_BITS = 64
 
-# Step, in bits, by which the P window is rescaled once its upper sum drops
+# Step, in bits, by which the P window is rescaled once its sum drops
 # below 1 (see sweep_pair).
 RESCALE_BITS = 64
 
@@ -233,14 +234,19 @@ class Enclosure:
     p_hi: Fraction
 
     @classmethod
-    def from_fixed(cls, e: int, p: tuple[int, int, int], die: DieModel,
+    def from_fixed(cls, e: int, p: tuple[int, int], states: int, die: DieModel,
                    ctx: PrecisionContext) -> "Enclosure":
         """The bounds proven by one state ``(s, e, p)`` of :func:`sweep_pair`.
 
-        ``e_lo = e / 2^b`` with b = :func:`fraction_bits`, and ``p`` is
-        ``(p_lo, p_hi, p_bits)`` on the scale 2^-p_bits.  The upper bound
-        on E comes from the floor sweep alone.  Write
-        ``d(s) = 2^b E_N(s) - e(s)``.  The sweep sets
+        ``states`` is the number of states swept down to this one,
+        ``n - s + 1``.  The lower bounds are the swept values themselves,
+        ``e_lo = e / 2^b`` with b = :func:`fraction_bits` and
+        ``p_lo / 2^p_bits`` from ``p = (p_lo, p_bits)``: every division by
+        M rounds down and the recursions' coefficients are nonnegative, so
+        by backward induction each stays below the exact value.  Both upper
+        bounds follow from the same values in closed form.
+
+        E.  Write ``d(s) = 2^b E_N(s) - e(s)``.  The sweep sets
         ``e(s) = 2^b + floor(S / M)`` with S the integer sum of the window's
         e values, and floor(S/M) falls short of S/M by one of
         0, 1/M, ..., (M-1)/M.  Subtracting this from the exact recursion
@@ -257,13 +263,37 @@ class Enclosure:
             E_N(s) <= M e / (M 2^b - (M-1)) = (e + (M-1) e / (M 2^b - (M-1))) / 2^b,
 
         and rounding that correction up gives ``e_hi``.
+
+        P.  Let ``delta = M 2^-b`` and ``q(s) = p_lo(s) / 2^p_bits(s)``.
+        The sweep keeps the integer window sum S of P either 0 or at least
+        2^b (its rescale rule).  Beyond the cutoff ``q = P = 1``.  At a
+        non-target state ``p_lo = floor(S / M)``:
+
+        * if S = 0, every window value is 0.  A non-target p_lo is 0 only
+          when its own S is (S < M < 2^b), so by induction from the cutoff
+          P is 0 wherever p_lo is, and P_s = 0;
+        * otherwise ``p_lo > S/M - 1 >= (S/M)(1 - delta)``, and shifts are
+          exact, so ``q(s) > (1 - delta)`` times the window mean of q.
+
+        Backward induction on ``k = n - s + 1`` then gives
+        ``P_s <= q(s) (1 - delta)^-k``, and Bernoulli's inequality
+        ``(1 - delta)^k >= 1 - k delta`` turns that into::
+
+            P_s <= q(s) / (1 - k M 2^-b),
+
+        valid while ``k M < 2^b`` (checked).  ``p_hi`` is this bound,
+        exactly; it is 0 exactly when ``p_lo`` is.
         """
         m = die.sides
         bits = fraction_bits(ctx)
-        p_lo, p_hi, p_bits = p
+        p_lo, p_bits = p
+        slack = (1 << bits) - states * m
+        if slack <= 0:
+            raise ValueError(f"bound on P needs states * M < 2^{bits}, got {states} * {m}")
         e_hi = e - (-(m - 1) * e // ((m << bits) - (m - 1)))
         return cls(e_lo=Fraction(e, 1 << bits), e_hi=Fraction(e_hi, 1 << bits),
-                   p_lo=Fraction(p_lo, 1 << p_bits), p_hi=Fraction(p_hi, 1 << p_bits))
+                   p_lo=Fraction(p_lo, 1 << p_bits),
+                   p_hi=Fraction(p_lo << bits, slack << p_bits))
 
     def lower_decimals(self, ctx: PrecisionContext) -> tuple[Decimal, Decimal]:
         """``(e_lo, p_lo)`` rounded down at the context's internal precision."""
@@ -285,38 +315,27 @@ class TruncationSolution:
     e_n_value: Decimal
     overshoot_prob: Decimal
     enclosure: Enclosure
-    die: DieModel
-    target: TargetSet
 
 
 def sweep_pair(target: TargetSet, die: DieModel, n: int, s_min: int,
                ctx: PrecisionContext,
                progress: Callable[[int], None] | None = None,
-               ) -> Iterator[tuple[int, int, tuple[int, int, int]]]:
-    """Backward fixed-point solve streaming ``(s, e, (p_lo, p_hi, p_bits))``.
+               ) -> Iterator[tuple[int, int, tuple[int, int]]]:
+    """Backward fixed-point solve streaming ``(s, e, (p_lo, p_bits))``.
 
-    States are yielded in descending order ``s = n .. s_min``; pass ``e``
-    and ``p`` to :meth:`Enclosure.from_fixed` for the bounds they prove.
-    With b = :func:`fraction_bits`:
+    States are yielded in descending order ``s = n .. s_min``; pass ``e``,
+    ``p`` and the swept-state count ``n - s + 1`` to
+    :meth:`Enclosure.from_fixed` for the bounds they prove.  ``e`` is
+    E_N(s) on the scale 2^-b, b = :func:`fraction_bits`, and ``p_lo`` is
+    P_s on the scale 2^-p_bits, each from one sweep that rounds every
+    division by M down.
 
-    * ``e`` is E_N(s) at scale 2^b from a sweep that rounds every division
-      by M down.
-    * ``p_lo / 2^p_bits <= P_s <= p_hi / 2^p_bits`` come from two sweeps
-      of P that round every division down and up.  The recursion's
-      coefficients are nonnegative, so by backward induction the first
-      stays below and the second above the exact value at every state.
-      ``p_hi`` is 0 exactly when P_s is, since the ceiling of a positive
-      sum is positive.
-
-    P falls to 10^-1000 and below at full scale, so its two windows share
-    one block exponent: whenever the upper window sum drops below 2^b (but
-    not to 0), every P window value and sum is shifted left by
+    P falls to 10^-1000 and below at full scale, so its window carries a
+    block exponent: whenever the window sum drops below 2^b (but not to
+    0), every P window value and the sum are shifted left by
     ``RESCALE_BITS``, which is exact, and ``p_bits`` is b plus the total
-    shift.  The upper window sum S_hi then stays at least 2^b.  At a
-    non-target state ``p_hi - p_lo < (S_hi - S_lo) / M + 2`` while
-    ``p_hi >= S_hi / M``, so the relative width ``(p_hi - p_lo) / p_hi``
-    exceeds the largest one in the window by less than
-    ``2M / S_hi <= 2M * 2^-b``; after N states it is below 2MN * 2^-b.
+    shift.  The window sum is thus 0 or at least 2^b at every state, which
+    the closed-form upper bound on P relies on.
 
     Target states are met by a pointer descending through
     :meth:`TargetSet.members_upto`.  The arguments are checked on the
@@ -334,18 +353,14 @@ def sweep_pair(target: TargetSet, die: DieModel, n: int, s_min: int,
 
 def _fixed_sweep(members: list[int], m: int, n: int, s_min: int, bits: int,
                  progress: Callable[[int], None] | None,
-                 ) -> Iterator[tuple[int, int, tuple[int, int, int]]]:
+                 ) -> Iterator[tuple[int, int, tuple[int, int]]]:
     one = 1 << bits
     # Slot s % M holds the values for state s + M; beyond the cutoff E = 0
-    # and P = 1 exactly.  The upper P sweep is carried as its excess over
-    # the lower one, p_hi = p_lo + w: the relative width bound keeps w a few
-    # machine words long, so its ceiling division is small-int work.
+    # and P = 1 exactly.
     ew = [0] * m
     lw = [one] * m
-    ww = [0] * m
     e_sum = 0
     lo_sum = m * one
-    w_sum = 0
     p_bits = bits
     next_member = members.pop() if members else -1
 
@@ -353,12 +368,10 @@ def _fixed_sweep(members: list[int], m: int, n: int, s_min: int, bits: int,
     for s in range(n, s_min - 1, -1):
         if s == next_member:
             next_member = members.pop() if members else -1
-            e = lo = w = 0
+            e = lo = 0
         else:
             e = one + e_sum // m
-            lo, rem = divmod(lo_sum, m)
-            # ceil((lo_sum + w_sum) / M) - floor(lo_sum / M)
-            w = (rem + w_sum + m - 1) // m
+            lo = lo_sum // m
 
         if progress is not None:
             countdown -= 1
@@ -366,21 +379,16 @@ def _fixed_sweep(members: list[int], m: int, n: int, s_min: int, bits: int,
                 countdown = PROGRESS_INTERVAL
                 progress(s)
 
-        yield s, e, (lo, lo + w, p_bits)
+        yield s, e, (lo, p_bits)
 
         i = s % m
         e_sum += e - ew[i]
         ew[i] = e
         lo_sum += lo - lw[i]
         lw[i] = lo
-        w_sum += w - ww[i]
-        ww[i] = w
-        # Rescale while the upper sum lo_sum + w_sum lies in (0, 2^b).
-        while lo_sum < one and 0 < lo_sum + w_sum < one:
+        while 0 < lo_sum < one:
             lw = [v << RESCALE_BITS for v in lw]
-            ww = [v << RESCALE_BITS for v in ww]
             lo_sum <<= RESCALE_BITS
-            w_sum <<= RESCALE_BITS
             p_bits += RESCALE_BITS
 
 
@@ -398,8 +406,7 @@ def solve_pair(target: TargetSet, die: DieModel, n: int, s_min: int,
     else:
         for _, e, p in sweep_pair(target, die, n, s_min, ctx, progress):
             pass
-        enclosure = Enclosure.from_fixed(e, p, die, ctx)
+        enclosure = Enclosure.from_fixed(e, p, n - s_min + 1, die, ctx)
     e_val, p_val = enclosure.lower_decimals(ctx)
     return TruncationSolution(cutoff=n, start=s_min, e_n_value=e_val,
-                              overshoot_prob=p_val, enclosure=enclosure,
-                              die=die, target=target)
+                              overshoot_prob=p_val, enclosure=enclosure)

@@ -13,10 +13,11 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import agreed_digits
 from hittime.certify import certify_squares, overshoot_bounds_zero_epsilon, recommended_digits
 from hittime.cli import main
 from hittime.hitprob import compute_roots, epsilon, pn_exact, pn_series
-from hittime.numerics import agreed_digits, digit_string, make_context, rational_to_decimal
+from hittime.numerics import digit_string, make_context, rational_to_decimal
 from hittime.oracle import McConfig, dp_tables, simulate_hitting
 from hittime.walkmodel import DieModel, Enclosure, TargetSet, sweep_pair
 
@@ -147,7 +148,7 @@ def test_criterion_07_oracle_equivalence():
         for target in targets:
             e_tab, p_tab = dp_tables(target, n, 0)
             for s, e, p in sweep_pair(target, D6, n, 0, ctx):
-                e, p = Enclosure.from_fixed(e, p, D6, ctx).lower_decimals(ctx)
+                e, p = Enclosure.from_fixed(e, p, n - s + 1, D6, ctx).lower_decimals(ctx)
                 assert agreed_digits(e, rational_to_decimal(e_tab[s], ctx),
                                      working) >= working - 5
                 assert agreed_digits(p, rational_to_decimal(p_tab[s], ctx),
@@ -164,7 +165,7 @@ def test_criterion_08_monotonicity_and_nesting():
     for n in (16, 100, 400, 2500, 10000):
         for _, e, p in sweep_pair(SQUARES, D6, n, 0, ctx):
             pass
-        values.append(Enclosure.from_fixed(e, p, D6, ctx).lower_decimals(ctx)[0])
+        values.append(Enclosure.from_fixed(e, p, n + 1, D6, ctx).lower_decimals(ctx)[0])
     assert all(a <= b for a, b in zip(values, values[1:]))
     est50 = certify_squares(50, make_context(recommended_digits(50)))
     est200 = certify_squares(200, make_context(recommended_digits(200)))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import agreed_digits
 from hittime.certify import (
     DivergentSeriesError,
     InvertedIntervalError,
@@ -22,7 +23,6 @@ from hittime.certify import (
 from hittime.hitprob import compute_roots
 from hittime.numerics import (
     GUARD_DIGITS,
-    agreed_digits,
     digit_string,
     make_context,
     rational_to_decimal,

@@ -6,9 +6,10 @@ import json
 from decimal import Decimal
 from fractions import Fraction
 
+from conftest import agreed_digits
 from hittime import certify, cli
 from hittime.cli import main
-from hittime.numerics import agreed_digits, make_context, rational_to_decimal
+from hittime.numerics import make_context, rational_to_decimal
 from hittime.oracle import exact_dp
 from hittime.walkmodel import TargetSet
 
@@ -174,6 +175,16 @@ def test_solve_missing_target_file(capsys):
                            "--N", "10")
     assert code == 2
     assert "target" in err
+
+
+def test_unusable_paths_are_usage_errors(capsys, tmp_path):
+    # an output file in a missing directory; a directory given as the target
+    for argv in (["--target", "squares", "--out", str(tmp_path / "missing" / "x.json")],
+                 ["--target", str(tmp_path)]):
+        code, out, err = run_cli(capsys, "solve", "--N", "16", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_pn_exact_listing(capsys):

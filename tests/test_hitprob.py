@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import agreed_digits
 from hittime.hitprob import (
     PN_EXACT_MAX,
     DecimalComplex,
@@ -19,7 +20,6 @@ from hittime.hitprob import (
 )
 from hittime.numerics import (
     GUARD_DIGITS,
-    agreed_digits,
     digit_string,
     make_context,
     rational_to_decimal,

@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import agreed_digits
 from hittime.numerics import (
     PrecisionTooLowError,
-    agreed_digits,
     digit_string,
     make_context,
     rational_to_decimal,

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from hittime.numerics import agreed_digits, make_context, rational_to_decimal
+from conftest import agreed_digits
+from hittime.numerics import make_context, rational_to_decimal
 from hittime.oracle import (
     EXACT_DP_MAX_N,
     AllTrialsCappedError,
@@ -56,7 +57,7 @@ def test_grid_decimal_matches_exact():
         for n in (10, 16, 100):
             e_tab, p_tab = dp_tables(target, n, 0)
             for s, e, p in sweep_pair(target, DieModel(6), n, 0, ctx):
-                e, p = Enclosure.from_fixed(e, p, DieModel(6), ctx).lower_decimals(ctx)
+                e, p = Enclosure.from_fixed(e, p, n - s + 1, DieModel(6), ctx).lower_decimals(ctx)
                 assert agreed_digits(e, rational_to_decimal(e_tab[s], ctx), working) >= working - 5
                 assert agreed_digits(p, rational_to_decimal(p_tab[s], ctx), working) >= working - 5
 

@@ -5,10 +5,11 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hittime.numerics import agreed_digits, make_context, rational_to_decimal
+from conftest import agreed_digits
+from hittime.numerics import make_context, rational_to_decimal
 from hittime.oracle import dp_tables, exact_dp
 from hittime.walkmodel import (
     CutoffExceedsBoundError,
@@ -16,6 +17,7 @@ from hittime.walkmodel import (
     Enclosure,
     TargetSet,
     TargetSetError,
+    fraction_bits,
     solve_pair,
     sweep_pair,
 )
@@ -146,7 +148,7 @@ def test_matches_exact_oracle_all_states():
     ctx = make_context(working)
     e_tab, p_tab = dp_tables(SQUARES, 100, 0)
     for s, e, p in sweep_pair(SQUARES, D6, 100, 0, ctx):
-        e, p = Enclosure.from_fixed(e, p, D6, ctx).lower_decimals(ctx)
+        e, p = Enclosure.from_fixed(e, p, 100 - s + 1, D6, ctx).lower_decimals(ctx)
         e_ref = rational_to_decimal(e_tab[s], ctx)
         p_ref = rational_to_decimal(p_tab[s], ctx)
         assert agreed_digits(e, e_ref, working) >= working - 5
@@ -186,8 +188,8 @@ def test_one_step_consistency():
     c = ctx.context()
     n = 300
     e_fix, p_fix = dp_tables(SQUARES, n, 0, D6, ctx)
-    lowers = [Enclosure.from_fixed(e, p, D6, ctx).lower_decimals(ctx)
-              for e, p in zip(e_fix, p_fix)]
+    lowers = [Enclosure.from_fixed(e, p, n - s + 1, D6, ctx).lower_decimals(ctx)
+              for s, (e, p) in enumerate(zip(e_fix, p_fix))]
     e_arr = [e for e, _ in lowers]
     p_arr = [p for _, p in lowers]
     e_ext = e_arr + [Decimal(0)] * 6
@@ -246,6 +248,15 @@ def test_sweep_argument_validation():
         list(sweep_pair(SQUARES, D6, 10, 11, ctx))
 
 
+def test_enclosure_needs_states_times_sides_below_scale():
+    ctx = make_context(30)
+    bits = fraction_bits(ctx)
+    limit = (1 << bits) // 6  # the most states with states * 6 < 2^b
+    assert Enclosure.from_fixed(0, (0, bits), limit, D6, ctx).p_hi == 0
+    with pytest.raises(ValueError):
+        Enclosure.from_fixed(0, (0, bits), limit + 1, D6, ctx)
+
+
 def test_streamed_order_is_descending():
     ctx = make_context(30)
     states = [s for s, _, _ in sweep_pair(SQUARES, D6, 50, 10, ctx)]
@@ -298,7 +309,7 @@ def test_sweep_matches_materialized_tables(problem, sides, data):
         states.append(s)
         assert e == e_fix[i]
         assert p == p_fix[i]
-        e, p = Enclosure.from_fixed(e, p, die, ctx).lower_decimals(ctx)
+        e, p = Enclosure.from_fixed(e, p, n - s + 1, die, ctx).lower_decimals(ctx)
         assert abs(Fraction(e) - e_tab[i]) <= tolerance * e_tab[i]
         assert abs(Fraction(p) - p_tab[i]) <= tolerance * p_tab[i]
     assert states == list(range(n, s_min - 1, -1))
@@ -315,12 +326,36 @@ def test_sweep_encloses_exact_values(problem, sides, data):
     e_tab, p_tab = dp_tables(target, n, s_min, die)
     relative_width = Fraction(1, 10 ** working)
     for s, e, p in sweep_pair(target, die, n, s_min, ctx):
-        enc = Enclosure.from_fixed(e, p, die, ctx)
+        enc = Enclosure.from_fixed(e, p, n - s + 1, die, ctx)
         e_exact, p_exact = e_tab[s - s_min], p_tab[s - s_min]
         assert enc.e_lo <= e_exact <= enc.e_hi
         assert enc.p_lo <= p_exact <= enc.p_hi
         assert (enc.p_hi == 0) == (p_exact == 0)
         assert enc.p_hi - enc.p_lo <= relative_width * p_exact
+
+
+@settings(deadline=None)
+@given(problem=finite_targets(), sides=st.integers(2, 9), data=st.data())
+def test_monotone_in_cutoff_property(problem, sides, data):
+    # cutoffs N and N + 1, with the target answerable up to N + 1
+    big_n, target = problem
+    assume(big_n >= 1)
+    n = big_n - 1
+    s_min = data.draw(st.integers(0, n), label="s_min")
+    die = DieModel(sides)
+    ctx = make_context(30)
+    e_small, p_small = dp_tables(target, n, s_min, die)
+    e_big, p_big = dp_tables(target, big_n, s_min, die)
+    for i in range(n - s_min + 1):
+        assert e_small[i] <= e_big[i]
+        assert p_big[i] <= p_small[i]
+    small = [Enclosure.from_fixed(e, p, n - s + 1, die, ctx)
+             for s, e, p in sweep_pair(target, die, n, s_min, ctx)]
+    big = [Enclosure.from_fixed(e, p, big_n - s + 1, die, ctx)
+           for s, e, p in sweep_pair(target, die, big_n, s_min, ctx)][1:]
+    for at_n, at_big_n in zip(small, big, strict=True):
+        assert at_n.e_lo <= at_big_n.e_hi
+        assert at_big_n.p_lo <= at_n.p_hi
 
 
 @settings(deadline=None)
