@@ -2,10 +2,11 @@
 
 A cumulative sum of fair die rolls is run until it enters a target set of
 nonnegative integers.  This package computes the expected number of rolls
-by a constant-memory truncated backward recursion and, for the
-perfect-square target, wraps the result in a rigorously bounded two-sided
-error interval so that a stated number of leading decimal digits is
-provably correct.
+by a constant-memory truncated recursion, solved forward with one jump
+across each long gap between targets, and, for the perfect-square
+target, wraps the result in a rigorously bounded two-sided error
+interval so that a stated number of leading decimal digits is provably
+correct.
 """
 
 __version__ = "0.1.0"

@@ -12,12 +12,15 @@ Exit codes: 0 success, 2 usage/config error (including a target or output
 path that cannot be read or written), 3 insufficient precision, 4 internal
 numeric failure.  All real numbers in JSON output are decimal
 digit strings, never binary floats, so reports are precision-lossless and
-diffable.  Progress for long sweeps goes to stderr only.
+diffable.  Progress for long solves goes to stderr only.  An ``--out``
+file is opened before any work, so a path that cannot be written fails
+at once.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -25,6 +28,7 @@ import sys
 import time
 from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal
 from fractions import Fraction
+from typing import Iterator, TextIO
 
 from . import __version__, certify, hitprob, oracle, walkmodel
 from .numerics import PrecisionTooLowError, digit_string, make_context, round_to_digits
@@ -39,7 +43,7 @@ EXIT_CONFIG = 2
 EXIT_PRECISION = 3
 EXIT_NUMERIC = 4
 
-# Sweeps below this many states never print progress.
+# Solves below this many states never print progress.
 _PROGRESS_MIN_STATES = 1 << 21
 
 
@@ -82,18 +86,22 @@ def _resolve_precision(args, default: int) -> int:
     return default
 
 
-def _emit(text: str, out_path: str | None) -> None:
+@contextlib.contextmanager
+def _output(out_path: str | None) -> Iterator[TextIO]:
+    """The ``--out`` file, opened before any work so a bad path fails at once."""
     if out_path is None or out_path == "-":
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        yield sys.stdout
     else:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            yield fh
+
+
+def _emit(text: str, out: TextIO) -> None:
+    out.write(text if text.endswith("\n") else text + "\n")
 
 
 def _progress_printer(n: int, start: int):
-    """Stderr progress for a sweep from state ``n`` down to ``start``."""
+    """Stderr progress for a solve covering states ``start`` up to ``n``."""
     total_states = n - start + 1
     if total_states < _PROGRESS_MIN_STATES:
         return None
@@ -105,7 +113,7 @@ def _progress_printer(n: int, start: int):
         if now - last[0] < 2.0:
             return
         last[0] = now
-        done = n - s + 1
+        done = s - start + 1
         rate = done / max(now - t0, 1e-9)
         eta = (total_states - done) / rate
         print(f"swept {done}/{total_states} states ({rate:,.0f}/s, ETA {eta:,.0f} s)",
@@ -114,7 +122,7 @@ def _progress_printer(n: int, start: int):
     return progress
 
 
-def cmd_certify(args) -> int:
+def cmd_certify(args, out: TextIO) -> int:
     n, k = _resolve_cutoff(args)
     if k is None:
         raise ConfigError(f"--N {args.N} is not a perfect square; certify needs N = K^2")
@@ -132,7 +140,7 @@ def cmd_certify(args) -> int:
     runtime = time.monotonic() - t0
     report = certification_report(est, runtime)
     if args.format == "json":
-        _emit(json.dumps(report, indent=2), args.out)
+        _emit(json.dumps(report, indent=2), out)
     else:
         w = est.working_digits
         lines = [
@@ -146,7 +154,7 @@ def cmd_certify(args) -> int:
             f"certified_digits = {est.certified_digits}",
             f"runtime_seconds = {runtime:.2f}",
         ]
-        _emit("\n".join(lines), args.out)
+        _emit("\n".join(lines), out)
     return EXIT_OK
 
 
@@ -181,7 +189,7 @@ def certification_report(est: certify.CertifiedEstimate, runtime: float) -> dict
     }
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args, out: TextIO) -> int:
     n, k = _resolve_cutoff(args)
     target = _parse_target(args.target)
     die = walkmodel.DieModel(args.die)
@@ -209,7 +217,7 @@ def cmd_solve(args) -> int:
             "uncertified": uncertified,
             "runtime_seconds": f"{runtime:.3f}",
         }
-        _emit(json.dumps(payload, indent=2), args.out)
+        _emit(json.dumps(payload, indent=2), out)
     else:
         lines = []
         if uncertified:
@@ -219,11 +227,11 @@ def cmd_solve(args) -> int:
             f"E_N({sol.start}) = {digit_string(sol.e_n_value, w)}",
             f"P_{sol.start}(A_N) = {digit_string(sol.overshoot_prob, w)}",
         ]
-        _emit("\n".join(lines), args.out)
+        _emit("\n".join(lines), out)
     return EXIT_OK
 
 
-def cmd_pn(args) -> int:
+def cmd_pn(args, out: TextIO) -> int:
     if args.max < 1:
         raise ConfigError("--max must be >= 1")
     if args.exact:
@@ -234,10 +242,10 @@ def cmd_pn(args) -> int:
             payload = {"schema": SCHEMA_VERSION,
                        "rows": [{"n": n, "p_n": f"{p.numerator}/{p.denominator}"}
                                 for n, p in rows]}
-            _emit(json.dumps(payload, indent=2), args.out)
+            _emit(json.dumps(payload, indent=2), out)
         else:
             lines = ["n,p_n"] + [f"{n},{p.numerator}/{p.denominator}" for n, p in rows]
-            _emit("\n".join(lines), args.out)
+            _emit("\n".join(lines), out)
         return EXIT_OK
     precision = _resolve_precision(args, default=30)
     ctx = make_context(precision)
@@ -245,13 +253,13 @@ def cmd_pn(args) -> int:
         rows = hitprob.figure1_table(args.max, ctx)
         payload = {"schema": SCHEMA_VERSION,
                    "rows": [{"n": n, "p_n": digit_string(p, 15)} for n, p in rows]}
-        _emit(json.dumps(payload, indent=2), args.out)
+        _emit(json.dumps(payload, indent=2), out)
     else:
-        _emit(hitprob.figure1_csv(args.max, ctx), args.out)
+        _emit(hitprob.figure1_csv(args.max, ctx), out)
     return EXIT_OK
 
 
-def cmd_roots(args) -> int:
+def cmd_roots(args, out: TextIO) -> int:
     precision = _resolve_precision(args, default=50)
     ctx = make_context(precision)
     roots = hitprob.compute_roots(ctx)
@@ -274,7 +282,7 @@ def cmd_roots(args) -> int:
         "modulus_w": digit_string(roots.modulus_w, w),
     }
     if args.format == "json":
-        _emit(json.dumps(payload, indent=2), args.out)
+        _emit(json.dumps(payload, indent=2), out)
     else:
         lines = [f"characteristic roots at {w} digits"]
         for key in ("root_unit", "u", "v_plus", "v_minus", "w_plus", "w_minus",
@@ -285,11 +293,11 @@ def cmd_roots(args) -> int:
                 lines.append(f"{key:10s} = {val['re']} {sign} {mag} i")
             else:
                 lines.append(f"{key:10s} = {val}")
-        _emit("\n".join(lines), args.out)
+        _emit("\n".join(lines), out)
     return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args, out: TextIO) -> int:
     target = _parse_target(args.target)
     die = walkmodel.DieModel(args.die)
     cfg = oracle.McConfig(trials=args.trials, seed=args.seed, die=die,
@@ -312,7 +320,7 @@ def cmd_simulate(args) -> int:
         "runtime_seconds": f"{runtime:.3f}",
     }
     if args.format == "json":
-        _emit(json.dumps(payload, indent=2), args.out)
+        _emit(json.dumps(payload, indent=2), out)
     else:
         lines = [
             f"mean = {res.mean!r}  (std_error = {res.std_error:.3g}, "
@@ -320,7 +328,7 @@ def cmd_simulate(args) -> int:
         ]
         if res.flagged:
             lines.append("FLAGGED: capped trials present; mean is not a valid E[T] estimate")
-        _emit("\n".join(lines), args.out)
+        _emit("\n".join(lines), out)
     return EXIT_OK
 
 
@@ -383,7 +391,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with _output(args.out) as out:
+            return args.func(args, out)
     except (certify.PrecisionInsufficientError, PrecisionTooLowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECISION

@@ -32,7 +32,7 @@ __all__ = [
 MIN_WORKING_DIGITS = 30
 # Digits carried internally beyond the working precision: they keep the
 # roundoff of the decimal stages (roots, envelope) below the reported
-# resolution and, through internal_digits, widen the sweep's fixed point.
+# resolution and, through internal_digits, widen the solvers' fixed point.
 GUARD_DIGITS = 15
 
 # Generous exponent range: overshoot probabilities sit around 1e-1000 and

@@ -3,8 +3,8 @@
 ``dp_tables`` solves the two truncated recursions by backward substitution
 over dense arrays, in exact rational arithmetic (denominators divide
 M^(N-s)) or by the sweep's fixed-point rule (every division rounded down,
-P under a block exponent); the sweep's bounds must contain the first, and
-its swept values must reproduce the second exactly.  The Monte Carlo
+P under a block exponent); the solvers' bounds must contain the first, and
+the sweep's streamed values must reproduce the second exactly.  The Monte Carlo
 routines roll the raw process with a counter-based Philox generator, so
 runs are reproducible from the seed and trial batches can be partitioned
 across workers and merged exactly.

@@ -1,9 +1,8 @@
-"""Cumulative-sum walk, target sets, and the truncated backward recursions.
+"""Cumulative-sum walk, target sets, and the truncated recursions.
 
 The process adds i.i.d. uniform increments from ``{1, ..., M}`` to a running
 sum until the sum lies in a target set of nonnegative integers.  For a
-cutoff ``N`` two quantities are solved backward from ``s = N`` down to the
-requested start state:
+cutoff ``N`` two quantities are solved at a requested start state:
 
 * the truncated expected hitting time ``E_N(s)``, with value 0 on target
   states ``<= N`` and 0 beyond the cutoff, and otherwise
@@ -12,20 +11,30 @@ requested start state:
   the target, with value 0 on target states ``<= N``, 1 beyond the cutoff,
   and otherwise the plain average of the M forward neighbors.
 
-Both recursions depend only on the M states above ``s``, so a window of M
-values and its running sum suffice: O(1) memory, O(N) time.  The sweep
-works in fixed point: every value is a Python int standing for that int
-times ``2^-b`` (:func:`fraction_bits`).  Each window sum slides exactly,
-``S <- S + v(s) - v(s+M)``, so the one division by M per value is the only
-rounding step.  Each quantity is swept once, with every division rounded
-down, so the swept values are proven lower bounds; :class:`Enclosure`
-derives the matching upper bounds from them in closed form.
+Both recursions depend only on the M states above ``s``, and both solvers
+work in fixed point: every value is a Python int standing for that int
+times a power of 2, so every rounding step is explicit and directed.
+
+* :func:`solve_pair` walks forward from the start state, keeping the
+  value there as an affine function of an M-state window.  Between
+  targets the window map is one fixed matrix A, so a long run of g
+  non-target states is crossed in one jump by a cached power A^g, which
+  advances by two A-steps per run on the squares: O(K M^2) big-integer
+  operations for N = K^2, and O(1) per state for short runs.  A twin
+  rounding down and a twin rounding up enclose the exact values.
+* :func:`sweep_pair` streams every state from N down to the start with a
+  window of M values and its exactly sliding sum (O(1) memory, O(N)
+  time), rounding each division by M down; :class:`Enclosure` derives the
+  matching upper bounds from the swept values in closed form.
 """
 
 from __future__ import annotations
 
+import bisect
 import decimal
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -46,17 +55,23 @@ __all__ = [
     "solve_pair",
 ]
 
-# Progress callbacks fire every this many states during a sweep.
+# Progress callbacks fire every this many states during a solve.
 PROGRESS_INTERVAL = 1 << 20
+
+# Runs of at least this many non-target states may be crossed in one jump
+# by a cached power of the window map (see solve_pair).
+JUMP_MIN = 128
 
 # Bits carried below the context's internal digits.  They absorb the
 # sweep's rounding: the upper bound on P is the lower one divided by
 # 1 - (N+1) M 2^-b at most (see Enclosure.from_fixed), so while
 # (N+1) M < 2^64 their gap stays below one unit in the last internal digit.
+# solve_pair carries GUARD_BITS more, so its twins, which round a few times
+# per state or per jump, end up no further apart than the sweep's bounds.
 GUARD_BITS = 64
 
-# Step, in bits, by which the P window is rescaled once its sum drops
-# below 1 (see sweep_pair).
+# Step, in bits, by which the P window (sweep_pair) or the row r
+# (solve_pair) is rescaled once its sum drops below 1.
 RESCALE_BITS = 64
 
 
@@ -305,7 +320,7 @@ class Enclosure:
 class TruncationSolution:
     """Solution pair at one start state for one cutoff.
 
-    ``enclosure`` holds the exact bounds the sweep proves; ``e_n_value``
+    ``enclosure`` holds the exact bounds the solve proves; ``e_n_value``
     and ``overshoot_prob`` are its lower endpoints rounded down to decimals
     (:meth:`Enclosure.lower_decimals`).
     """
@@ -395,18 +410,208 @@ def _fixed_sweep(members: list[int], m: int, n: int, s_min: int, bits: int,
 def solve_pair(target: TargetSet, die: DieModel, n: int, s_min: int,
                ctx: PrecisionContext,
                progress: Callable[[int], None] | None = None) -> TruncationSolution:
-    """Backward sweep returning the solution pair at ``s_min``.
+    """Forward fixed-point solve returning the solution pair at ``s_min``.
 
     Start states above the cutoff report the boundary values (0, 1)
-    exactly.  The fixed-point values are converted once, at the end.
+    exactly.  Otherwise the states ``s_min .. n`` are covered in ascending
+    order, ``progress(s)`` is called with the highest state covered about
+    every ``PROGRESS_INTERVAL`` states, and the result is converted once,
+    at the end.
+
+    The kernel keeps the value at ``s_min`` as an affine function of the
+    M-state window above the states covered so far::
+
+        v(s_min) = e + r[0] v(p) + ... + r[M-1] v(p+M-1),
+
+    starting from ``p = s_min``, ``r = (1, 0, ..., 0)`` and ``e = 0``.  The
+    same row r serves E_N and P, which differ only in their constant term
+    (1 and 0), carried by e for E_N alone.  Covering state p eliminates
+    v(p) from the window:
+
+    * a target state has ``v(p) = 0``, so r shifts left and its last entry
+      is 0;
+    * a non-target state has ``v(p) = mean(v(p+1), ..., v(p+M))``, plus 1
+      for E_N, so ``r <- r A`` with A the window map
+      (``r'[j] = r[j+1] + r[0]/M``, ``r'[M-1] = r[0]/M``) and
+      ``e <- e + r[0]``.
+
+    Once p passes the cutoff every window state is a boundary state, so
+    ``E_N(s_min) = e`` and ``P_s = r[0] + ... + r[M-1]``.
+
+    A run of g non-target states between targets applies A^g, and adds
+    ``r h_g`` to e with ``h_g = (I + A + ... + A^(g-1)) e_0`` (E's affine
+    column).  Runs of at least ``JUMP_MIN`` states use one cached power
+    ``A^span`` with its ``h_span``: when ``g >= span``, the power advances
+    toward g by at most ``max(g // M^2, JUMP_MIN)`` A-steps, and if it
+    reaches g the run is crossed in one jump, ``r <- r A^g``.  The power
+    only advances, so on the squares (runs of 2k states) it costs two
+    A-steps per run.  Every other run steps r state by state.  An A-step
+    of the power costs M state steps, so the cap keeps what is spent
+    advancing toward a run the power does not reach to about 1/M of the
+    cost of stepping that run.
+
+    The kernel works in fixed point on 2^-c, c = :func:`fraction_bits`
+    plus ``GUARD_BITS``, with two twins of every quantity: one that rounds
+    every division by M and every right shift (after a product, or onto
+    e's scale) down, and one that rounds them up.  r carries a block
+    exponent: after a target, while the upper twin's sum lies in
+    (0, 2^c), both twins are shifted left by ``RESCALE_BITS`` (exactly),
+    so P keeps its relative precision however small it gets.
+
+    The twins enclose the exact values.  Claim: at every stage
+    ``lo <= r <= hi`` entrywise, ``e_lo <= e <= e_hi``, and likewise for
+    the cached power and its column, all on their common scales.  It holds
+    at the start, where every quantity is exact.  Every operation the
+    kernel applies is built from sums and products of nonnegative numbers
+    (the entries of r, of A and its powers, of h, and the constant 1/M)
+    followed by one floor in the lower twin and one ceiling in the upper
+    twin; sums and products of nonnegative numbers are monotone in every
+    argument, so ordered inputs give ordered outputs, and the floor keeps
+    the lower result below the exact one and the ceiling keeps the upper
+    result above it.  Target shifts and rescaling shifts are exact.  So by
+    induction over the covered states the claim holds at the cutoff, where
+    ``e_lo <= E_N(s_min) <= e_hi`` and ``sum(lo) <= P_s <= sum(hi)``.
+    A ceiling maps positive to positive and 0 to 0, so the upper twin is 0
+    exactly where the exact value is: ``p_hi == 0`` exactly when P is 0.
     """
+    if s_min < 0:
+        raise ValueError("start state must be nonnegative")
     if s_min > n:
         enclosure = Enclosure(e_lo=Fraction(0), e_hi=Fraction(0),
                               p_lo=Fraction(1), p_hi=Fraction(1))
     else:
-        for _, e, p in sweep_pair(target, die, n, s_min, ctx, progress):
-            pass
-        enclosure = Enclosure.from_fixed(e, p, n - s_min + 1, die, ctx)
+        members = target.members_upto(n)
+        members = members[bisect.bisect_left(members, s_min):]
+        enclosure = _forward(members, die.sides, n, s_min,
+                             fraction_bits(ctx) + GUARD_BITS, progress)
     e_val, p_val = enclosure.lower_decimals(ctx)
     return TruncationSolution(cutoff=n, start=s_min, e_n_value=e_val,
                               overshoot_prob=p_val, enclosure=enclosure)
+
+
+def _forward(members: list[int], m: int, n: int, s_min: int, bits: int,
+             progress: Callable[[int], None] | None) -> Enclosure:
+    one = 1 << bits
+    unit = [[one if j == i else 0 for j in range(m)] for i in range(m)]
+    r = _Twins(unit[0], unit[0], m)
+    e_lo = e_hi = 0
+    shift = 0  # r stands on the scale 2^-(bits + shift), e on 2^-bits
+    # The cached power A^span, one row per ring, and its column h_span.
+    span = 0
+    power = [_Twins(row, row, m) for row in unit]
+    h_lo = [0] * m
+    h_hi = [0] * m
+    p = s_min
+    report_at = s_min + PROGRESS_INTERVAL - 1
+
+    def covered(s: int) -> None:
+        nonlocal report_at
+        if progress is not None and s >= report_at:
+            report_at = s + PROGRESS_INTERVAL
+            progress(s)
+
+    for t in members + [n + 1]:
+        g = t - p
+        if JUMP_MIN <= g and span <= g:
+            # Row i of A^span is e_i stepped span times, and h_span[i] sums
+            # that row's r[0] over the steps.
+            d = min(g - span, max(g // (m * m), JUMP_MIN))
+            for i, row in enumerate(power):
+                add_lo, add_hi = row.step(d)
+                h_lo[i] += add_lo
+                h_hi[i] += add_hi
+            span += d
+        if JUMP_MIN <= g == span:
+            lo, hi = r.rows()
+            pow_lo, pow_hi = zip(*(row.rows() for row in power))
+            e_lo += _dot(lo, h_lo) >> (bits + shift)
+            e_hi -= -_dot(hi, h_hi) >> (bits + shift)
+            r = _Twins([_dot(lo, col) >> bits for col in zip(*pow_lo)],
+                       [-(-_dot(hi, col) >> bits) for col in zip(*pow_hi)], m)
+        else:
+            while g:  # in pieces, so long stretches report progress
+                run = min(g, PROGRESS_INTERVAL)
+                add_lo, add_hi = r.step(run)
+                e_lo += add_lo >> shift
+                e_hi -= -add_hi >> shift
+                g -= run
+                covered(t - g - 1)
+        if t > n:
+            break
+        r.drop()
+        total = r.upper_sum()
+        if not total:
+            break  # no walk survives: e is final and P is 0
+        while total < one:
+            r.rescale(RESCALE_BITS)
+            total <<= RESCALE_BITS
+            shift += RESCALE_BITS
+        p = t + 1
+        covered(t)
+    lo, hi = r.rows()
+    return Enclosure(e_lo=Fraction(e_lo, one), e_hi=Fraction(e_hi, one),
+                     p_lo=Fraction(sum(lo), one << shift),
+                     p_hi=Fraction(sum(hi), one << shift))
+
+
+def _dot(a: list[int], b) -> int:
+    return sum(map(operator.mul, a, b))
+
+
+class _Twins:
+    """A row r of M fixed-point values as a lower and an upper twin.
+
+    Each twin lives in a ring buffer whose slots hold the entries' shortfall
+    from one common offset: entry j is ``off - buf[(head + j) % M]``.  So a
+    step of the window map costs O(1): r[0] leaves, every remaining entry
+    gains q = r[0] / M through the offset (rounded down in the lower twin,
+    up in the upper one), and the freed slot becomes the new last entry, q,
+    by storing the old offset there.
+    """
+
+    def __init__(self, lo: list[int], hi: list[int], m: int):
+        self.lo = [-v for v in lo]
+        self.hi = [-v for v in hi]
+        self.m = m
+        self.head = 0
+        self.off_lo = self.off_hi = 0
+
+    def step(self, g: int) -> tuple[int, int]:
+        """Apply the window map g times; return each twin's sum of r[0].
+
+        A step takes r[0] = off - buf[head] and stores the old offset in
+        its slot, so it raises the buffer's plain sum by exactly r[0].
+        """
+        lo, hi, m = self.lo, self.hi, self.m
+        off_lo, off_hi = self.off_lo, self.off_hi
+        before_lo, before_hi = sum(lo), sum(hi)
+        for i in itertools.islice(itertools.cycle(range(m)), self.head, self.head + g):
+            x = off_lo - lo[i]
+            lo[i] = off_lo
+            off_lo += x // m
+            y = hi[i] - off_hi  # -r[0], so -(y // m) is r[0] / M rounded up
+            hi[i] = off_hi
+            off_hi -= y // m
+        self.head = (self.head + g) % m
+        self.off_lo, self.off_hi = off_lo, off_hi
+        return sum(lo) - before_lo, sum(hi) - before_hi
+
+    def drop(self) -> None:
+        """Shift r left past a target state; the new last entry is 0."""
+        self.lo[self.head] = self.off_lo
+        self.hi[self.head] = self.off_hi
+        self.head = (self.head + 1) % self.m
+
+    def upper_sum(self) -> int:
+        return self.m * self.off_hi - sum(self.hi)
+
+    def rescale(self, k: int) -> None:
+        """Multiply both twins by 2^k, exactly, folding in the offsets."""
+        self.lo = [(v - self.off_lo) << k for v in self.lo]
+        self.hi = [(v - self.off_hi) << k for v in self.hi]
+        self.off_lo = self.off_hi = 0
+
+    def rows(self) -> tuple[list[int], list[int]]:
+        h = self.head
+        return ([self.off_lo - v for v in self.lo[h:] + self.lo[:h]],
+                [self.off_hi - v for v in self.hi[h:] + self.hi[:h]])

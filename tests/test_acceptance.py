@@ -199,3 +199,13 @@ def test_criterion_10_rolling_window_equivalence():
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
     report(10, "streaming solver digit-identical to full array", elapsed)
+
+
+def test_certified_digit_floors_near_k1200(capsys):
+    # default precision (about 0.15 K + 60 digits); every certified place
+    # of the printed point must match the reference value
+    for k, digits in zip(range(1198, 1203), (170, 171, 171, 171, 171)):
+        assert main(["certify", "--K", str(k)]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["certified_digits"] == digits
+        assert rep["point_value"][:2 + digits] == REFERENCE_E0[:2 + digits]

@@ -152,6 +152,14 @@ def test_certified_digit_count_examples():
         certified_digit_count(Fraction(1), Fraction("0.9"))
 
 
+def test_certified_digit_count_run_of_nines():
+    # the width allows about 50 places, but 7.07979...9 and 7.0798... part
+    # at the fourth, so the walk descends from there to 3
+    nines = Fraction("7.0798") - Fraction(1, 10**50)
+    assert certified_digit_count(nines, Fraction("7.0798") + Fraction(1, 10**60)) == 3
+    assert certified_digit_count(Fraction(1) - Fraction(1, 10**50), Fraction(1)) == 0
+
+
 def test_certified_digit_count_integer_part_mismatch():
     assert certified_digit_count(Fraction("1.94"), Fraction("2.14")) == 0
 

@@ -7,7 +7,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 from conftest import agreed_digits
-from hittime import certify, cli
+from hittime import certify, cli, walkmodel
 from hittime.cli import main
 from hittime.numerics import make_context, rational_to_decimal
 from hittime.oracle import exact_dp
@@ -187,6 +187,18 @@ def test_unusable_paths_are_usage_errors(capsys, tmp_path):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_unwritable_out_fails_before_solving(capsys, monkeypatch, tmp_path):
+    def solve_pair(*args, **kwargs):
+        raise AssertionError("solved before opening --out")
+
+    monkeypatch.setattr(walkmodel, "solve_pair", solve_pair)
+    code, out, err = run_cli(capsys, "certify", "--K", "50",
+                             "--out", str(tmp_path / "missing" / "x.json"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_pn_exact_listing(capsys):
     code, out, _ = run_cli(capsys, "pn", "--max", "8", "--exact")
     assert code == 0
@@ -293,13 +305,13 @@ def test_output_file(capsys, tmp_path):
 def test_progress_printer_reports_rate_and_eta(capsys, monkeypatch):
     clock = [100.0]
     monkeypatch.setattr(cli.time, "monotonic", lambda: clock[0])
-    assert cli._progress_printer(1000, 0) is None  # short sweeps stay quiet
+    assert cli._progress_printer(1000, 0) is None  # short solves stay quiet
     n = 4_000_000
     progress = cli._progress_printer(n, 0)
     clock[0] = 101.0
-    progress(n - 1_000_000)  # under 2 s since the last line: nothing
+    progress(1_000_000)  # under 2 s since the last line: nothing
     clock[0] = 110.0
-    progress(n - 1_000_000)  # 1,000,001 of 4,000,001 states in 10 s
+    progress(1_000_000)  # 1,000,001 of 4,000,001 states in 10 s
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == "swept 1000001/4000001 states (100,000/s, ETA 30 s)\n"

@@ -3,12 +3,14 @@
 import random
 from decimal import Decimal
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import agreed_digits
+from hittime import walkmodel
 from hittime.numerics import make_context, rational_to_decimal
 from hittime.oracle import dp_tables, exact_dp
 from hittime.walkmodel import (
@@ -332,6 +334,50 @@ def test_sweep_encloses_exact_values(problem, sides, data):
         assert enc.p_lo <= p_exact <= enc.p_hi
         assert (enc.p_hi == 0) == (p_exact == 0)
         assert enc.p_hi - enc.p_lo <= relative_width * p_exact
+
+
+@pytest.mark.parametrize("jump_min", [1, 10**9], ids=["jumping", "stepping"])
+@settings(deadline=None)
+@given(problem=finite_targets() | st.integers(0, 300).map(lambda n: (n, SQUARES)),
+       sides=st.integers(2, 9), data=st.data())
+def test_kernel_encloses_exact_values(jump_min, problem, sides, data):
+    # jump_min 1 jumps every run of non-target states the cached power
+    # reaches; 10**9 steps every state.
+    n, target = problem
+    s_min = data.draw(st.integers(0, n), label="s_min")
+    die = DieModel(sides)
+    working = 30
+    e_tab, p_tab = dp_tables(target, n, s_min, die)
+    with mock.patch.object(walkmodel, "JUMP_MIN", jump_min):
+        enc = solve_pair(target, die, n, s_min, make_context(working)).enclosure
+    assert enc.e_lo <= e_tab[0] <= enc.e_hi
+    assert enc.p_lo <= p_tab[0] <= enc.p_hi
+    assert (enc.p_hi == 0) == (p_tab[0] == 0)
+    assert enc.p_hi - enc.p_lo <= Fraction(1, 10 ** working) * p_tab[0]
+
+
+def test_kernel_no_wider_than_sweep_on_squares():
+    ctx = make_context(100)
+    n = 10**4
+    kernel = solve_pair(SQUARES, D6, n, 0, ctx).enclosure
+    for _, e, p in sweep_pair(SQUARES, D6, n, 0, ctx):
+        pass
+    sweep = Enclosure.from_fixed(e, p, n + 1, D6, ctx)
+    assert max(kernel.e_lo, sweep.e_lo) <= min(kernel.e_hi, sweep.e_hi)
+    assert max(kernel.p_lo, sweep.p_lo) <= min(kernel.p_hi, sweep.p_hi)
+    assert kernel.e_hi - kernel.e_lo <= sweep.e_hi - sweep.e_lo
+    assert kernel.p_hi - kernel.p_lo <= sweep.p_hi - sweep.p_lo
+
+
+def test_progress_reports_ascending_states(monkeypatch):
+    # about every 1000 states covered, also inside a long target-free stretch
+    monkeypatch.setattr(walkmodel, "PROGRESS_INTERVAL", 1000)
+    for target in (SQUARES, TargetSet.from_list([3, 7, 20])):
+        seen = []
+        solve_pair(target, D6, 10**4, 50, make_context(30), progress=seen.append)
+        assert len(seen) >= 8
+        assert seen[0] - 50 + 1 >= 1000 and seen[-1] <= 10**4
+        assert all(b - a >= 1000 for a, b in zip(seen, seen[1:]))
 
 
 @settings(deadline=None)
