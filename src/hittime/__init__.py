@@ -50,7 +50,6 @@ from .walkmodel import (
     TargetSet,
     TruncationSolution,
     solve_pair,
-    sweep_pair,
 )
 
 __all__ = [
@@ -65,7 +64,6 @@ __all__ = [
     "TargetSet",
     "TruncationSolution",
     "solve_pair",
-    "sweep_pair",
     "pn_exact",
     "pn_decimal",
     "compute_roots",

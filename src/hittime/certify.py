@@ -19,7 +19,8 @@ Combining with the truncated solve at start state s,
     0 < E(s) - (E_N(s) + L_N * P_s) < (U_N - L_N) * P_s.
 
 Every quantity here is an exact rational, never a rounded approximation:
-the truncated solve encloses E_N(s) and P_s between exact rationals
+the forward solve (:func:`~hittime.walkmodel.solve_pair`) encloses E_N(s)
+and P_s between the exact rationals of its floor and ceiling twins
 (:class:`~hittime.walkmodel.Enclosure`), L_N and U_N are the exact series
 values at an upper bound on eps, and the composed endpoints
 
@@ -194,11 +195,11 @@ def recommended_digits(k: int) -> int:
     P_0, and with it the radius (U_N - L_N) P_0, decays roughly like
     10^(-0.146 K), so about 0.15 K digits are what the interval can certify.  The point must be
     carried that deep and beyond: the solve's enclosure of E_N(0) has
-    width about K * 2^-c, c = fraction_bits(ctx) + walkmodel.GUARD_BITS
-    (measured at K = 500, 1200 and 2000; each of the K gaps between
-    squares rounds each twin of E_N once), which with the 60 digits of
-    slack, the guard digits and the guard bits stays many orders below the
-    radius, so rounding never costs a certified digit.
+    width about K * 2^-c, c = walkmodel.fraction_bits(ctx) (measured at
+    K = 500, 1200 and 2000; each of the K gaps between squares rounds each
+    twin of E_N once), which with the 60 digits of slack, the guard digits
+    and the guard bits stays many orders below the radius, so rounding
+    never costs a certified digit.
     """
     return math.ceil(0.15 * k) + 60
 

@@ -32,7 +32,7 @@ __all__ = [
 MIN_WORKING_DIGITS = 30
 # Digits carried internally beyond the working precision: they keep the
 # roundoff of the decimal stages (roots, envelope) below the reported
-# resolution and, through internal_digits, widen the solvers' fixed point.
+# resolution and, through internal_digits, widen the solver's fixed point.
 GUARD_DIGITS = 15
 
 # Generous exponent range: overshoot probabilities sit around 1e-1000 and
@@ -68,8 +68,8 @@ class PrecisionContext:
     def context(self, rounding: str = decimal.ROUND_HALF_EVEN) -> decimal.Context:
         """A fresh decimal context at internal precision.
 
-        Callers typically bind this once per sweep; contexts are cheap to
-        create and immutable by convention here.
+        Callers typically bind this once per computation; contexts are
+        cheap to create and immutable by convention here.
         """
         return decimal.Context(
             prec=self.internal_digits, rounding=rounding, Emax=_EMAX, Emin=_EMIN

@@ -1,10 +1,8 @@
 """Independent verification paths: materialized DP and Monte Carlo.
 
 ``dp_tables`` solves the two truncated recursions by backward substitution
-over dense arrays, in exact rational arithmetic (denominators divide
-M^(N-s)) or by the sweep's fixed-point rule (every division rounded down,
-P under a block exponent); the solvers' bounds must contain the first, and
-the sweep's streamed values must reproduce the second exactly.  The Monte Carlo
+over dense arrays in exact rational arithmetic (denominators divide
+M^(N-s)); the solver's bounds must contain its values.  The Monte Carlo
 routines roll the raw process with a counter-based Philox generator, so
 runs are reproducible from the seed and trial batches can be partitioned
 across workers and merged exactly.
@@ -18,8 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .numerics import PrecisionContext
-from .walkmodel import RESCALE_BITS, DieModel, TargetSet, fraction_bits
+from .walkmodel import DieModel, TargetSet
 
 __all__ = [
     "EXACT_DP_MAX_N",
@@ -52,23 +49,16 @@ class AllTrialsCappedError(RuntimeError):
 
 
 def dp_tables(target: TargetSet, n: int, s_min: int = 0,
-              die: DieModel = DieModel(6), ctx: PrecisionContext | None = None,
-              ) -> tuple[list, list]:
-    """Materialized (E, P) tables for all states s_min .. n, index ``s - s_min``.
+              die: DieModel = DieModel(6)) -> tuple[list[Fraction], list[Fraction]]:
+    """Exact (E, P) tables for all states s_min .. n, index ``s - s_min``.
 
-    Without ``ctx`` the values are exact ``Fraction``s.  With ``ctx`` they
-    follow the fixed-point rule of :func:`hittime.walkmodel.sweep_pair`:
-    E as an int on the scale 2^-b, b = ``fraction_bits(ctx)``, and P as a
-    ``(p_lo, p_bits)`` pair, so the sweep's ``e`` and ``p`` must
-    match them exactly.  Dense arrays, full M-neighbor sums and
-    :meth:`TargetSet.membership` keep this solver independent of the
-    sweep's sliding window sums and member pointer.
+    Dense arrays, full M-neighbor sums and :meth:`TargetSet.membership`
+    keep this solver independent of the forward kernel's window map and
+    member list.
     """
     if n < 0 or s_min < 0 or s_min > n:
         raise ValueError("need 0 <= s_min <= N")
     target.ensure_bound(n)
-    if ctx is not None:
-        return _fixed_tables(target, n, s_min, die.sides, fraction_bits(ctx))
     m = die.sides
     # Dense arrays covering s_min .. n + m with the boundary rows appended.
     size = n - s_min + 1
@@ -88,37 +78,14 @@ def dp_tables(target: TargetSet, n: int, s_min: int = 0,
     return e_arr[:size], p_arr[:size]
 
 
-def _fixed_tables(target: TargetSet, n: int, s_min: int, m: int, bits: int,
-                  ) -> tuple[list[int], list[tuple[int, int]]]:
-    one = 1 << bits
-    size = n - s_min + 1
-    e_arr = [0] * (size + m)
-    lo_arr = [0] * size + [one] * m
-    # P block exponent of each state: its P values stand on 2^-(bits + shift).
-    shift = [0] * (size + m)
-    x = 0
-    for s in range(n, s_min - 1, -1):
-        idx = s - s_min
-        window = range(idx + 1, idx + m + 1)
-        lo_sum = sum(lo_arr[j] << (x - shift[j]) for j in window)
-        while 0 < lo_sum < one:
-            x += RESCALE_BITS
-            lo_sum <<= RESCALE_BITS
-        shift[idx] = x
-        if target.membership(s):
-            continue  # arrays already hold exact zeros
-        e_arr[idx] = one + sum(e_arr[j] for j in window) // m
-        lo_arr[idx] = lo_sum // m
-    p_rows = [(lo_arr[i], bits + shift[i]) for i in range(size)]
-    return e_arr[:size], p_rows
-
-
 def exact_dp(target: TargetSet, n: int, s: int,
              die: DieModel = DieModel(6)) -> tuple[Fraction, Fraction]:
     """Exact rational (E_N(s), P_s) by backward substitution.
 
     States above the cutoff report the boundary pair (0, 1).
     """
+    if n < 0:
+        raise ValueError("cutoff must be nonnegative")
     if s > n:
         return Fraction(0), Fraction(1)
     if n > EXACT_DP_MAX_N:

@@ -11,21 +11,16 @@ cutoff ``N`` two quantities are solved at a requested start state:
   the target, with value 0 on target states ``<= N``, 1 beyond the cutoff,
   and otherwise the plain average of the M forward neighbors.
 
-Both recursions depend only on the M states above ``s``, and both solvers
-work in fixed point: every value is a Python int standing for that int
-times a power of 2, so every rounding step is explicit and directed.
-
-* :func:`solve_pair` walks forward from the start state, keeping the
-  value there as an affine function of an M-state window.  Between
-  targets the window map is one fixed matrix A, so a long run of g
-  non-target states is crossed in one jump by a cached power A^g, which
-  advances by two A-steps per run on the squares: O(K M^2) big-integer
-  operations for N = K^2, and O(1) per state for short runs.  A twin
-  rounding down and a twin rounding up enclose the exact values.
-* :func:`sweep_pair` streams every state from N down to the start with a
-  window of M values and its exactly sliding sum (O(1) memory, O(N)
-  time), rounding each division by M down; :class:`Enclosure` derives the
-  matching upper bounds from the swept values in closed form.
+Both recursions depend only on the M states above ``s``.
+:func:`solve_pair` walks forward from the start state, keeping the value
+there as an affine function of an M-state window.  Between targets the
+window map is one fixed matrix A, so a long run of g non-target states is
+crossed in one jump by a cached power A^g, which advances by two A-steps
+per run on the squares: O(K M^2) big-integer operations for N = K^2, and
+O(1) per state for short runs.  It works in fixed point: every value is a
+Python int standing for that int times a power of 2, so every rounding
+step is explicit and directed, and a twin rounding down and a twin
+rounding up enclose the exact values.
 """
 
 from __future__ import annotations
@@ -39,7 +34,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable
 
 from .numerics import PrecisionContext, rational_to_decimal
 
@@ -51,7 +46,6 @@ __all__ = [
     "Enclosure",
     "TruncationSolution",
     "fraction_bits",
-    "sweep_pair",
     "solve_pair",
 ]
 
@@ -62,16 +56,13 @@ PROGRESS_INTERVAL = 1 << 20
 # by a cached power of the window map (see solve_pair).
 JUMP_MIN = 128
 
-# Bits carried below the context's internal digits.  They absorb the
-# sweep's rounding: the upper bound on P is the lower one divided by
-# 1 - (N+1) M 2^-b at most (see Enclosure.from_fixed), so while
-# (N+1) M < 2^64 their gap stays below one unit in the last internal digit.
-# solve_pair carries GUARD_BITS more, so its twins, which round a few times
-# per state or per jump, end up no further apart than the sweep's bounds.
-GUARD_BITS = 64
+# Bits carried below the context's internal digits.  solve_pair's twins
+# round a few times per state or per jump, so on the squares the width of
+# E_N's enclosure grows like K units of 2^-c; these bits keep it far below
+# one unit in the last internal digit.
+GUARD_BITS = 128
 
-# Step, in bits, by which the P window (sweep_pair) or the row r
-# (solve_pair) is rescaled once its sum drops below 1.
+# Step, in bits, by which the row r is rescaled once its sum drops below 1.
 RESCALE_BITS = 64
 
 
@@ -231,10 +222,10 @@ class TargetSet:
 
 
 def fraction_bits(ctx: PrecisionContext) -> int:
-    """Fraction bits b of the sweep's fixed point for a context.
+    """Fraction bits c of the solver's fixed point for a context.
 
-    b = ceil(internal_digits * log2(10)) + GUARD_BITS; a sweep value v
-    stands for v * 2^-b.
+    c = ceil(internal_digits * log2(10)) + GUARD_BITS; a value v stands
+    for v * 2^-c.
     """
     return (10 ** ctx.internal_digits).bit_length() + GUARD_BITS
 
@@ -247,68 +238,6 @@ class Enclosure:
     e_hi: Fraction
     p_lo: Fraction
     p_hi: Fraction
-
-    @classmethod
-    def from_fixed(cls, e: int, p: tuple[int, int], states: int, die: DieModel,
-                   ctx: PrecisionContext) -> "Enclosure":
-        """The bounds proven by one state ``(s, e, p)`` of :func:`sweep_pair`.
-
-        ``states`` is the number of states swept down to this one,
-        ``n - s + 1``.  The lower bounds are the swept values themselves,
-        ``e_lo = e / 2^b`` with b = :func:`fraction_bits` and
-        ``p_lo / 2^p_bits`` from ``p = (p_lo, p_bits)``: every division by
-        M rounds down and the recursions' coefficients are nonnegative, so
-        by backward induction each stays below the exact value.  Both upper
-        bounds follow from the same values in closed form.
-
-        E.  Write ``d(s) = 2^b E_N(s) - e(s)``.  The sweep sets
-        ``e(s) = 2^b + floor(S / M)`` with S the integer sum of the window's
-        e values, and floor(S/M) falls short of S/M by one of
-        0, 1/M, ..., (M-1)/M.  Subtracting this from the exact recursion
-        scaled by 2^b gives::
-
-            d(s) = (d(s+1) + ... + d(s+M)) / M + f(s),   0 <= f(s) <= (M-1)/M,
-
-        with d = 0 on target states and beyond the cutoff.  So
-        ``M d / (M-1)`` satisfies E_N's own recursion with ``<=`` in place
-        of ``=``, and backward induction from the cutoff gives
-        ``0 <= d(s) <= (M-1)/M * E_N(s)``.  Solving
-        ``2^b E_N - e <= (M-1)/M * E_N`` for E_N::
-
-            E_N(s) <= M e / (M 2^b - (M-1)) = (e + (M-1) e / (M 2^b - (M-1))) / 2^b,
-
-        and rounding that correction up gives ``e_hi``.
-
-        P.  Let ``delta = M 2^-b`` and ``q(s) = p_lo(s) / 2^p_bits(s)``.
-        The sweep keeps the integer window sum S of P either 0 or at least
-        2^b (its rescale rule).  Beyond the cutoff ``q = P = 1``.  At a
-        non-target state ``p_lo = floor(S / M)``:
-
-        * if S = 0, every window value is 0.  A non-target p_lo is 0 only
-          when its own S is (S < M < 2^b), so by induction from the cutoff
-          P is 0 wherever p_lo is, and P_s = 0;
-        * otherwise ``p_lo > S/M - 1 >= (S/M)(1 - delta)``, and shifts are
-          exact, so ``q(s) > (1 - delta)`` times the window mean of q.
-
-        Backward induction on ``k = n - s + 1`` then gives
-        ``P_s <= q(s) (1 - delta)^-k``, and Bernoulli's inequality
-        ``(1 - delta)^k >= 1 - k delta`` turns that into::
-
-            P_s <= q(s) / (1 - k M 2^-b),
-
-        valid while ``k M < 2^b`` (checked).  ``p_hi`` is this bound,
-        exactly; it is 0 exactly when ``p_lo`` is.
-        """
-        m = die.sides
-        bits = fraction_bits(ctx)
-        p_lo, p_bits = p
-        slack = (1 << bits) - states * m
-        if slack <= 0:
-            raise ValueError(f"bound on P needs states * M < 2^{bits}, got {states} * {m}")
-        e_hi = e - (-(m - 1) * e // ((m << bits) - (m - 1)))
-        return cls(e_lo=Fraction(e, 1 << bits), e_hi=Fraction(e_hi, 1 << bits),
-                   p_lo=Fraction(p_lo, 1 << p_bits),
-                   p_hi=Fraction(p_lo << bits, slack << p_bits))
 
     def lower_decimals(self, ctx: PrecisionContext) -> tuple[Decimal, Decimal]:
         """``(e_lo, p_lo)`` rounded down at the context's internal precision."""
@@ -330,81 +259,6 @@ class TruncationSolution:
     e_n_value: Decimal
     overshoot_prob: Decimal
     enclosure: Enclosure
-
-
-def sweep_pair(target: TargetSet, die: DieModel, n: int, s_min: int,
-               ctx: PrecisionContext,
-               progress: Callable[[int], None] | None = None,
-               ) -> Iterator[tuple[int, int, tuple[int, int]]]:
-    """Backward fixed-point solve streaming ``(s, e, (p_lo, p_bits))``.
-
-    States are yielded in descending order ``s = n .. s_min``; pass ``e``,
-    ``p`` and the swept-state count ``n - s + 1`` to
-    :meth:`Enclosure.from_fixed` for the bounds they prove.  ``e`` is
-    E_N(s) on the scale 2^-b, b = :func:`fraction_bits`, and ``p_lo`` is
-    P_s on the scale 2^-p_bits, each from one sweep that rounds every
-    division by M down.
-
-    P falls to 10^-1000 and below at full scale, so its window carries a
-    block exponent: whenever the window sum drops below 2^b (but not to
-    0), every P window value and the sum are shifted left by
-    ``RESCALE_BITS``, which is exact, and ``p_bits`` is b plus the total
-    shift.  The window sum is thus 0 or at least 2^b at every state, which
-    the closed-form upper bound on P relies on.
-
-    Target states are met by a pointer descending through
-    :meth:`TargetSet.members_upto`.  The arguments are checked on the
-    call, before the first state is requested.
-    """
-    if n < 0:
-        raise ValueError("cutoff must be nonnegative")
-    if s_min < 0:
-        raise ValueError("start state must be nonnegative")
-    if s_min > n:
-        raise ValueError("sweep requires s_min <= N; states above N are boundary")
-    members = target.members_upto(n)
-    return _fixed_sweep(members, die.sides, n, s_min, fraction_bits(ctx), progress)
-
-
-def _fixed_sweep(members: list[int], m: int, n: int, s_min: int, bits: int,
-                 progress: Callable[[int], None] | None,
-                 ) -> Iterator[tuple[int, int, tuple[int, int]]]:
-    one = 1 << bits
-    # Slot s % M holds the values for state s + M; beyond the cutoff E = 0
-    # and P = 1 exactly.
-    ew = [0] * m
-    lw = [one] * m
-    e_sum = 0
-    lo_sum = m * one
-    p_bits = bits
-    next_member = members.pop() if members else -1
-
-    countdown = PROGRESS_INTERVAL
-    for s in range(n, s_min - 1, -1):
-        if s == next_member:
-            next_member = members.pop() if members else -1
-            e = lo = 0
-        else:
-            e = one + e_sum // m
-            lo = lo_sum // m
-
-        if progress is not None:
-            countdown -= 1
-            if countdown == 0:
-                countdown = PROGRESS_INTERVAL
-                progress(s)
-
-        yield s, e, (lo, p_bits)
-
-        i = s % m
-        e_sum += e - ew[i]
-        ew[i] = e
-        lo_sum += lo - lw[i]
-        lw[i] = lo
-        while 0 < lo_sum < one:
-            lw = [v << RESCALE_BITS for v in lw]
-            lo_sum <<= RESCALE_BITS
-            p_bits += RESCALE_BITS
 
 
 def solve_pair(target: TargetSet, die: DieModel, n: int, s_min: int,
@@ -450,10 +304,10 @@ def solve_pair(target: TargetSet, die: DieModel, n: int, s_min: int,
     advancing toward a run the power does not reach to about 1/M of the
     cost of stepping that run.
 
-    The kernel works in fixed point on 2^-c, c = :func:`fraction_bits`
-    plus ``GUARD_BITS``, with two twins of every quantity: one that rounds
-    every division by M and every right shift (after a product, or onto
-    e's scale) down, and one that rounds them up.  r carries a block
+    The kernel works in fixed point on 2^-c, c = :func:`fraction_bits`,
+    with two twins of every quantity: one that rounds every division by M
+    and every right shift (after a product, or onto e's scale) down, and
+    one that rounds them up.  r carries a block
     exponent: after a target, while the upper twin's sum lies in
     (0, 2^c), both twins are shifted left by ``RESCALE_BITS`` (exactly),
     so P keeps its relative precision however small it gets.
@@ -474,6 +328,8 @@ def solve_pair(target: TargetSet, die: DieModel, n: int, s_min: int,
     A ceiling maps positive to positive and 0 to 0, so the upper twin is 0
     exactly where the exact value is: ``p_hi == 0`` exactly when P is 0.
     """
+    if n < 0:
+        raise ValueError("cutoff must be nonnegative")
     if s_min < 0:
         raise ValueError("start state must be nonnegative")
     if s_min > n:
@@ -482,8 +338,7 @@ def solve_pair(target: TargetSet, die: DieModel, n: int, s_min: int,
     else:
         members = target.members_upto(n)
         members = members[bisect.bisect_left(members, s_min):]
-        enclosure = _forward(members, die.sides, n, s_min,
-                             fraction_bits(ctx) + GUARD_BITS, progress)
+        enclosure = _forward(members, die.sides, n, s_min, fraction_bits(ctx), progress)
     e_val, p_val = enclosure.lower_decimals(ctx)
     return TruncationSolution(cutoff=n, start=s_min, e_n_value=e_val,
                               overshoot_prob=p_val, enclosure=enclosure)

@@ -11,15 +11,18 @@ import time
 from decimal import Decimal
 from fractions import Fraction
 
+from unittest import mock
+
 import pytest
 
-from conftest import agreed_digits
+from conftest import agreed_digits, forward_reference
+from hittime import walkmodel
 from hittime.certify import certify_squares, overshoot_bounds_zero_epsilon, recommended_digits
 from hittime.cli import main
 from hittime.hitprob import compute_roots, epsilon, pn_exact, pn_series
 from hittime.numerics import digit_string, make_context, rational_to_decimal
 from hittime.oracle import McConfig, dp_tables, simulate_hitting
-from hittime.walkmodel import DieModel, Enclosure, TargetSet, sweep_pair
+from hittime.walkmodel import DieModel, TargetSet, solve_pair
 
 # Published reference values for the perfect-square expected hitting time.
 # independently published 21-digit reference value for the squares target
@@ -147,8 +150,9 @@ def test_criterion_07_oracle_equivalence():
         targets = [SQUARES, TargetSet.from_list([3, 7, 20]), TargetSet.dense_from(1, n)]
         for target in targets:
             e_tab, p_tab = dp_tables(target, n, 0)
-            for s, e, p in sweep_pair(target, D6, n, 0, ctx):
-                e, p = Enclosure.from_fixed(e, p, n - s + 1, D6, ctx).lower_decimals(ctx)
+            for s in range(n + 1):
+                sol = solve_pair(target, D6, n, s, ctx)
+                e, p = sol.e_n_value, sol.overshoot_prob
                 assert agreed_digits(e, rational_to_decimal(e_tab[s], ctx),
                                      working) >= working - 5
                 assert agreed_digits(p, rational_to_decimal(p_tab[s], ctx),
@@ -163,9 +167,7 @@ def test_criterion_08_monotonicity_and_nesting():
     ctx = make_context(60)
     values = []
     for n in (16, 100, 400, 2500, 10000):
-        for _, e, p in sweep_pair(SQUARES, D6, n, 0, ctx):
-            pass
-        values.append(Enclosure.from_fixed(e, p, n + 1, D6, ctx).lower_decimals(ctx)[0])
+        values.append(solve_pair(SQUARES, D6, n, 0, ctx).e_n_value)
     assert all(a <= b for a, b in zip(values, values[1:]))
     est50 = certify_squares(50, make_context(recommended_digits(50)))
     est200 = certify_squares(200, make_context(recommended_digits(200)))
@@ -190,15 +192,16 @@ def test_criterion_09_monte_carlo():
 
 def test_criterion_10_rolling_window_equivalence():
     t0 = time.perf_counter()
+    # the kernel's ring buffers with lazy offsets, stepping every state,
+    # equal the plain-list forward reference bit for bit
     ctx = make_context(100)
     n = 10**4
-    e_ref, p_ref = dp_tables(SQUARES, n, 0, D6, ctx)
-    for s, e, p in sweep_pair(SQUARES, D6, n, 0, ctx):
-        assert e == e_ref[s]
-        assert p == p_ref[s]
+    with mock.patch.object(walkmodel, "JUMP_MIN", 10**9):
+        enc = solve_pair(SQUARES, D6, n, 0, ctx).enclosure
+    assert enc == forward_reference(SQUARES, D6, n, 0, ctx)
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
-    report(10, "streaming solver digit-identical to full array", elapsed)
+    report(10, "rolling window equals plain-list reference exactly", elapsed)
 
 
 def test_certified_digit_floors_near_k1200(capsys):

@@ -1,10 +1,15 @@
 """End-to-end command-line behavior: formats, exit codes, self-consistency."""
 
+import contextlib
 import dataclasses
 import decimal
+import io
 import json
 from decimal import Decimal
 from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import agreed_digits
 from hittime import certify, cli, walkmodel
@@ -315,3 +320,66 @@ def test_progress_printer_reports_rate_and_eta(capsys, monkeypatch):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == "swept 1000001/4000001 states (100,000/s, ETA 30 s)\n"
+
+
+@st.composite
+def cli_argv(draw, targets, outs):
+    """Type-valid argv for one subcommand: small sizes, precision 10 to 80."""
+    command = draw(st.sampled_from(["certify", "solve", "pn", "roots", "simulate"]))
+    argv = [command]
+
+    def option(flag, values):
+        value = draw(st.none() | values)
+        if value is not None:
+            argv.extend([flag, str(value)])
+
+    option("--precision", st.integers(10, 80))
+    option("--out", st.sampled_from(outs))
+    formats = ["csv", "json"] if command == "pn" else ["json", "text"]
+    option("--format", st.sampled_from(formats))
+    if command in ("certify", "solve"):
+        flags = draw(st.sampled_from([["--K"], ["--K"], ["--N"], ["--K", "--N"], []]))
+        for flag in flags:
+            root = draw(st.integers(-1, 40))
+            size = root if flag == "--K" else draw(st.sampled_from([root * root, root + 1]))
+            argv.extend([flag, str(size)])
+    if command in ("certify", "solve", "simulate"):
+        option("--s", st.integers(-1, 60))
+        option("--die", st.sampled_from([6, 6, 6, 0, 1, 9]))
+        if command == "solve":
+            argv.extend(["--target", draw(st.sampled_from(targets))])
+        else:
+            option("--target", st.sampled_from(targets))
+    if command == "pn":
+        argv.extend(["--max", str(draw(st.integers(-1, 200)))])
+        if draw(st.booleans()):
+            argv.append("--exact")
+    if command == "simulate":
+        argv.extend(["--trials", str(draw(st.integers(-1, 200)))])
+        option("--seed", st.integers(-1, 2**70))
+        option("--max-steps", st.integers(-1, 30))
+    return argv
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_fuzzed_argv_exits_with_documented_code(tmp_path_factory, data):
+    # every run exits 0, 2, 3 or 4, and a failing run says why on one
+    # stderr line
+    base = tmp_path_factory.getbasetemp()
+    complete, bounded, origin = base / "complete.txt", base / "bounded.txt", base / "origin.txt"
+    complete.write_text("3\n7\n20\n")
+    bounded.write_text("# bound 100\n5\n50\n")
+    origin.write_text("0\n")  # no walk from s > 0 can hit it: simulate exits 4
+    targets = ["squares", "squares", str(complete), f"file:{bounded}", str(origin),
+               str(base / "missing.txt")]
+    outs = ["-", str(base / "out.txt"), str(base / "out.txt"), str(base / "missing" / "out.txt")]
+    argv = data.draw(cli_argv(targets, outs), label="argv")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4)
+    errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+    assert len(errors) == (1 if code else 0)
+    if code:
+        assert err.getvalue() == errors[0] + "\n"

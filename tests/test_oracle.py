@@ -1,11 +1,15 @@
 """Exact-rational ground truth and Monte Carlo cross-checks."""
 
 from fractions import Fraction
+from functools import reduce
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import agreed_digits
 from hittime.numerics import make_context, rational_to_decimal
+from hittime import oracle
 from hittime.oracle import (
     EXACT_DP_MAX_N,
     AllTrialsCappedError,
@@ -18,7 +22,7 @@ from hittime.oracle import (
     simulate_hitting,
 )
 from hittime.hitprob import pn_exact
-from hittime.walkmodel import DieModel, Enclosure, TargetSet, sweep_pair
+from hittime.walkmodel import DieModel, TargetSet, solve_pair
 
 SQUARES = TargetSet.perfect_squares()
 
@@ -56,8 +60,9 @@ def test_grid_decimal_matches_exact():
     for target in targets:
         for n in (10, 16, 100):
             e_tab, p_tab = dp_tables(target, n, 0)
-            for s, e, p in sweep_pair(target, DieModel(6), n, 0, ctx):
-                e, p = Enclosure.from_fixed(e, p, n - s + 1, DieModel(6), ctx).lower_decimals(ctx)
+            for s in range(n + 1):
+                sol = solve_pair(target, DieModel(6), n, s, ctx)
+                e, p = sol.e_n_value, sol.overshoot_prob
                 assert agreed_digits(e, rational_to_decimal(e_tab[s], ctx), working) >= working - 5
                 assert agreed_digits(p, rational_to_decimal(p_tab[s], ctx), working) >= working - 5
 
@@ -121,6 +126,28 @@ def test_merge_is_order_independent():
     assert merged_fwd.trials_completed == whole.trials_completed == 40000
     # the partitioned estimate is statistically consistent with one stream
     assert abs(merged_fwd.mean - whole.mean) < 5 * (whole.std_error + merged_fwd.std_error)
+
+
+@given(times=st.lists(st.integers(1, 10**6), min_size=1, max_size=40),
+       data=st.data())
+def test_merge_is_order_independent_and_associative(times, data):
+    # random trial sums, split into random parts, merged in any order and
+    # any bracketing, give one result, field for field
+    labels = data.draw(st.lists(st.integers(0, 4), min_size=len(times),
+                                max_size=len(times)), label="labels")
+    parts = []
+    for label in sorted(set(labels)):
+        part = [t for t, at in zip(times, labels) if at == label]
+        capped = data.draw(st.integers(0, 3), label="capped")
+        parts.append(oracle._result_from_sums(len(part), capped, sum(part),
+                                              sum(t * t for t in part)))
+    shuffled = data.draw(st.permutations(parts), label="order")
+    left = reduce(merge_results, parts)
+    right = reduce(lambda acc, part: merge_results(part, acc), reversed(parts))
+    assert left == right == reduce(merge_results, shuffled)
+    assert (left.trials_completed, left.sum_t, left.sum_t_sq) == (
+        len(times), sum(times), sum(t * t for t in times))
+    assert left.capped_trials == sum(part.capped_trials for part in parts)
 
 
 def test_ever_hit_small_n_matches_exact():

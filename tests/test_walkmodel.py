@@ -1,4 +1,4 @@
-"""Target sets, boundary behavior, and the backward sweeps."""
+"""Target sets, boundary behavior, and the forward kernel."""
 
 import random
 from decimal import Decimal
@@ -9,19 +9,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import agreed_digits
+from conftest import agreed_digits, forward_reference
 from hittime import walkmodel
 from hittime.numerics import make_context, rational_to_decimal
 from hittime.oracle import dp_tables, exact_dp
 from hittime.walkmodel import (
     CutoffExceedsBoundError,
     DieModel,
-    Enclosure,
     TargetSet,
     TargetSetError,
-    fraction_bits,
     solve_pair,
-    sweep_pair,
 )
 
 SQUARES = TargetSet.perfect_squares()
@@ -149,8 +146,9 @@ def test_matches_exact_oracle_all_states():
     working = 50
     ctx = make_context(working)
     e_tab, p_tab = dp_tables(SQUARES, 100, 0)
-    for s, e, p in sweep_pair(SQUARES, D6, 100, 0, ctx):
-        e, p = Enclosure.from_fixed(e, p, 100 - s + 1, D6, ctx).lower_decimals(ctx)
+    for s in range(101):
+        sol = solve_pair(SQUARES, D6, 100, s, ctx)
+        e, p = sol.e_n_value, sol.overshoot_prob
         e_ref = rational_to_decimal(e_tab[s], ctx)
         p_ref = rational_to_decimal(p_tab[s], ctx)
         assert agreed_digits(e, e_ref, working) >= working - 5
@@ -158,12 +156,13 @@ def test_matches_exact_oracle_all_states():
 
 
 def test_streaming_matches_full_array_reference():
-    working = 60
-    ctx = make_context(working)
-    e_ref, p_ref = dp_tables(SQUARES, 1000, 0, D6, ctx)
-    for s, e, p in sweep_pair(SQUARES, D6, 1000, 0, ctx):
-        assert e == e_ref[s]
-        assert p == p_ref[s]
+    # the ring-buffer stepping equals the plain-list reference exactly,
+    # from every start state
+    ctx = make_context(60)
+    with mock.patch.object(walkmodel, "JUMP_MIN", 10**9):
+        for s in range(1001):
+            enc = solve_pair(SQUARES, D6, 1000, s, ctx).enclosure
+            assert enc == forward_reference(SQUARES, D6, 1000, s, ctx)
 
 
 def test_monotone_in_cutoff_decimal():
@@ -189,11 +188,9 @@ def test_one_step_consistency():
     ctx = make_context(working)
     c = ctx.context()
     n = 300
-    e_fix, p_fix = dp_tables(SQUARES, n, 0, D6, ctx)
-    lowers = [Enclosure.from_fixed(e, p, n - s + 1, D6, ctx).lower_decimals(ctx)
-              for s, (e, p) in enumerate(zip(e_fix, p_fix))]
-    e_arr = [e for e, _ in lowers]
-    p_arr = [p for _, p in lowers]
+    sols = [solve_pair(SQUARES, D6, n, s, ctx) for s in range(n + 1)]
+    e_arr = [sol.e_n_value for sol in sols]
+    p_arr = [sol.overshoot_prob for sol in sols]
     e_ext = e_arr + [Decimal(0)] * 6
     p_ext = p_arr + [Decimal(1)] * 6
     for s in range(n + 1):
@@ -235,34 +232,14 @@ def test_general_die_sizes():
 
 def test_sweep_argument_validation():
     ctx = make_context(30)
-    # checked on the call itself, before any state is requested
     with pytest.raises(ValueError):
-        sweep_pair(SQUARES, D6, -1, 0, ctx)
+        solve_pair(SQUARES, D6, -1, 0, ctx)
     with pytest.raises(ValueError):
-        sweep_pair(SQUARES, D6, 10, 11, ctx)
+        solve_pair(SQUARES, D6, 10, -2, ctx)
     with pytest.raises(CutoffExceedsBoundError):
-        sweep_pair(TargetSet.from_list([3, 7], bound=50), D6, 100, 0, ctx)
+        solve_pair(TargetSet.from_list([3, 7], bound=50), D6, 100, 0, ctx)
     with pytest.raises(ValueError):
-        list(sweep_pair(SQUARES, D6, -1, 0, ctx))
-    with pytest.raises(ValueError):
-        list(sweep_pair(SQUARES, D6, 10, -2, ctx))
-    with pytest.raises(ValueError):
-        list(sweep_pair(SQUARES, D6, 10, 11, ctx))
-
-
-def test_enclosure_needs_states_times_sides_below_scale():
-    ctx = make_context(30)
-    bits = fraction_bits(ctx)
-    limit = (1 << bits) // 6  # the most states with states * 6 < 2^b
-    assert Enclosure.from_fixed(0, (0, bits), limit, D6, ctx).p_hi == 0
-    with pytest.raises(ValueError):
-        Enclosure.from_fixed(0, (0, bits), limit + 1, D6, ctx)
-
-
-def test_streamed_order_is_descending():
-    ctx = make_context(30)
-    states = [s for s, _, _ in sweep_pair(SQUARES, D6, 50, 10, ctx)]
-    assert states == list(range(50, 9, -1))
+        exact_dp(SQUARES, -1, 0)
 
 
 @st.composite
@@ -297,43 +274,20 @@ def finite_targets(draw):
 @settings(deadline=None)
 @given(problem=finite_targets(), sides=st.integers(2, 9), data=st.data())
 def test_sweep_matches_materialized_tables(problem, sides, data):
+    # the stepping kernel equals the plain-list reference exactly, and its
+    # lower ends lie within a relative 10^-(working - 5) of the exact values
     n, target = problem
     s_min = data.draw(st.integers(0, n), label="s_min")
     die = DieModel(sides)
     working = 30
     ctx = make_context(working)
-    e_fix, p_fix = dp_tables(target, n, s_min, die, ctx)
     e_tab, p_tab = dp_tables(target, n, s_min, die)
+    with mock.patch.object(walkmodel, "JUMP_MIN", 10**9):
+        sol = solve_pair(target, die, n, s_min, ctx)
+    assert sol.enclosure == forward_reference(target, die, n, s_min, ctx)
     tolerance = Fraction(1, 10 ** (working - 5))
-    states = []
-    for s, e, p in sweep_pair(target, die, n, s_min, ctx):
-        i = s - s_min
-        states.append(s)
-        assert e == e_fix[i]
-        assert p == p_fix[i]
-        e, p = Enclosure.from_fixed(e, p, n - s + 1, die, ctx).lower_decimals(ctx)
-        assert abs(Fraction(e) - e_tab[i]) <= tolerance * e_tab[i]
-        assert abs(Fraction(p) - p_tab[i]) <= tolerance * p_tab[i]
-    assert states == list(range(n, s_min - 1, -1))
-
-
-@settings(deadline=None)
-@given(problem=finite_targets(), sides=st.integers(2, 9), data=st.data())
-def test_sweep_encloses_exact_values(problem, sides, data):
-    n, target = problem
-    s_min = data.draw(st.integers(0, n), label="s_min")
-    die = DieModel(sides)
-    working = 30
-    ctx = make_context(working)
-    e_tab, p_tab = dp_tables(target, n, s_min, die)
-    relative_width = Fraction(1, 10 ** working)
-    for s, e, p in sweep_pair(target, die, n, s_min, ctx):
-        enc = Enclosure.from_fixed(e, p, n - s + 1, die, ctx)
-        e_exact, p_exact = e_tab[s - s_min], p_tab[s - s_min]
-        assert enc.e_lo <= e_exact <= enc.e_hi
-        assert enc.p_lo <= p_exact <= enc.p_hi
-        assert (enc.p_hi == 0) == (p_exact == 0)
-        assert enc.p_hi - enc.p_lo <= relative_width * p_exact
+    assert abs(Fraction(sol.e_n_value) - e_tab[0]) <= tolerance * e_tab[0]
+    assert abs(Fraction(sol.overshoot_prob) - p_tab[0]) <= tolerance * p_tab[0]
 
 
 @pytest.mark.parametrize("jump_min", [1, 10**9], ids=["jumping", "stepping"])
@@ -356,17 +310,17 @@ def test_kernel_encloses_exact_values(jump_min, problem, sides, data):
     assert enc.p_hi - enc.p_lo <= Fraction(1, 10 ** working) * p_tab[0]
 
 
-def test_kernel_no_wider_than_sweep_on_squares():
-    ctx = make_context(100)
+def test_jumping_and_stepping_kernels_intersect_on_squares():
+    working = 100
+    ctx = make_context(working)
     n = 10**4
-    kernel = solve_pair(SQUARES, D6, n, 0, ctx).enclosure
-    for _, e, p in sweep_pair(SQUARES, D6, n, 0, ctx):
-        pass
-    sweep = Enclosure.from_fixed(e, p, n + 1, D6, ctx)
-    assert max(kernel.e_lo, sweep.e_lo) <= min(kernel.e_hi, sweep.e_hi)
-    assert max(kernel.p_lo, sweep.p_lo) <= min(kernel.p_hi, sweep.p_hi)
-    assert kernel.e_hi - kernel.e_lo <= sweep.e_hi - sweep.e_lo
-    assert kernel.p_hi - kernel.p_lo <= sweep.p_hi - sweep.p_lo
+    jumping = solve_pair(SQUARES, D6, n, 0, ctx).enclosure
+    with mock.patch.object(walkmodel, "JUMP_MIN", 10**9):
+        stepping = solve_pair(SQUARES, D6, n, 0, ctx).enclosure
+    assert max(jumping.e_lo, stepping.e_lo) <= min(jumping.e_hi, stepping.e_hi)
+    assert max(jumping.p_lo, stepping.p_lo) <= min(jumping.p_hi, stepping.p_hi)
+    for enc in (jumping, stepping):
+        assert enc.p_hi - enc.p_lo <= Fraction(1, 10 ** working) * enc.p_lo
 
 
 def test_progress_reports_ascending_states(monkeypatch):
@@ -395,13 +349,10 @@ def test_monotone_in_cutoff_property(problem, sides, data):
     for i in range(n - s_min + 1):
         assert e_small[i] <= e_big[i]
         assert p_big[i] <= p_small[i]
-    small = [Enclosure.from_fixed(e, p, n - s + 1, die, ctx)
-             for s, e, p in sweep_pair(target, die, n, s_min, ctx)]
-    big = [Enclosure.from_fixed(e, p, big_n - s + 1, die, ctx)
-           for s, e, p in sweep_pair(target, die, big_n, s_min, ctx)][1:]
-    for at_n, at_big_n in zip(small, big, strict=True):
-        assert at_n.e_lo <= at_big_n.e_hi
-        assert at_big_n.p_lo <= at_n.p_hi
+    at_n = solve_pair(target, die, n, s_min, ctx).enclosure
+    at_big_n = solve_pair(target, die, big_n, s_min, ctx).enclosure
+    assert at_n.e_lo <= at_big_n.e_hi
+    assert at_big_n.p_lo <= at_n.p_hi
 
 
 @settings(deadline=None)
