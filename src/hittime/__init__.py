@@ -46,7 +46,6 @@ from .oracle import (
 )
 from .walkmodel import (
     DieModel,
-    Enclosure,
     TargetSet,
     TruncationSolution,
     solve_pair,
@@ -60,7 +59,6 @@ __all__ = [
     "rational_to_decimal",
     "digit_string",
     "DieModel",
-    "Enclosure",
     "TargetSet",
     "TruncationSolution",
     "solve_pair",

@@ -21,8 +21,8 @@ Combining with the truncated solve at start state s,
 Every quantity here is an exact rational, never a rounded approximation:
 the forward solve (:func:`~hittime.walkmodel.solve_pair`) encloses E_N(s)
 and P_s between the exact rationals of its floor and ceiling twins
-(:class:`~hittime.walkmodel.Enclosure`), L_N and U_N are the exact series
-values at an upper bound on eps, and the composed endpoints
+(:class:`~hittime.walkmodel.TruncationSolution`), L_N and U_N are the
+exact series values at an upper bound on eps, and the composed endpoints
 
     lower = E_lo + L_N * P_lo,    upper = E_hi + U_N * P_hi
 
@@ -213,16 +213,15 @@ def compose_estimate(solution: walkmodel.TruncationSolution,
     the estimate is flagged ``exact`` with radius 0, and its certified
     digits are those the solve's enclosure ``[E_lo, E_hi]`` pins down.
     """
-    enc = solution.enclosure
-    lower = enc.e_lo + bounds.lower * enc.p_lo
-    upper = enc.e_hi + bounds.upper * enc.p_hi
-    exact = enc.p_hi == 0
+    lower = solution.e_lo + bounds.lower * solution.p_lo
+    upper = solution.e_hi + bounds.upper * solution.p_hi
+    exact = solution.p_hi == 0
     cap = max(ctx.working_digits - GUARD_DIGITS, 0)
     digits = cap if upper == lower else min(certified_digit_count(lower, upper), cap)
     return CertifiedEstimate(
         point_value=lower, error_radius=Fraction(0) if exact else upper - lower,
         certified_digits=digits,
-        e_n_value=enc.e_lo, overshoot_prob=enc.p_lo,
+        e_n_value=solution.e_lo, overshoot_prob=solution.p_lo,
         lower_bound=bounds.lower, upper_bound=bounds.upper,
         K=bounds.K, N=solution.cutoff, start=solution.start,
         working_digits=ctx.working_digits, exact=exact)

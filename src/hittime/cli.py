@@ -43,9 +43,6 @@ EXIT_CONFIG = 2
 EXIT_PRECISION = 3
 EXIT_NUMERIC = 4
 
-# Solves below this many states never print progress.
-_PROGRESS_MIN_STATES = 1 << 21
-
 
 class ConfigError(ValueError):
     """Invalid command-line configuration."""
@@ -75,7 +72,7 @@ def _resolve_cutoff(args) -> tuple[int, int | None]:
 
 
 def _resolve_precision(args, default: int) -> int:
-    if getattr(args, "precision", None) is not None:
+    if args.precision is not None:
         return args.precision
     env = os.environ.get(PRECISION_ENV_VAR)
     if env:
@@ -103,8 +100,6 @@ def _emit(text: str, out: TextIO) -> None:
 def _progress_printer(n: int, start: int):
     """Stderr progress for a solve covering states ``start`` up to ``n``."""
     total_states = n - start + 1
-    if total_states < _PROGRESS_MIN_STATES:
-        return None
     t0 = time.monotonic()
     last = [t0]
 
@@ -123,20 +118,16 @@ def _progress_printer(n: int, start: int):
 
 
 def cmd_certify(args, out: TextIO) -> int:
-    n, k = _resolve_cutoff(args)
+    k = args.K
     if k is None:
-        raise ConfigError(f"--N {args.N} is not a perfect square; certify needs N = K^2")
-    if args.target != "squares":
-        raise ConfigError("certify supports only --target squares")
-    if args.die != 6:
-        raise ConfigError("certify supports only --die 6")
+        raise ConfigError("certify needs --K")
     if k < certify.MIN_K:
         raise ConfigError(f"certify needs K >= {certify.MIN_K}, got {k}")
     precision = _resolve_precision(args, default=certify.recommended_digits(k))
     ctx = make_context(precision)
     t0 = time.monotonic()
     est = certify.certify_squares(k, ctx, start=args.s,
-                                  progress=_progress_printer(n, args.s))
+                                  progress=_progress_printer(k * k, args.s))
     runtime = time.monotonic() - t0
     report = certification_report(est, runtime)
     if args.format == "json":
@@ -339,18 +330,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, formats=("json", "text"), default_format="json"):
+    def add_precision(p):
         p.add_argument("--precision", type=int, default=None,
                        help=f"working decimal digits (default: heuristic or ${PRECISION_ENV_VAR})")
+
+    def add_common(p, formats=("json", "text"), default_format="json"):
         p.add_argument("--format", choices=formats, default=default_format)
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
     p = sub.add_parser("certify", help="certified estimate for the perfect squares")
     p.add_argument("--K", type=int, default=None, help="cutoff root; N = K^2")
-    p.add_argument("--N", type=int, default=None, help="cutoff (must be a perfect square)")
     p.add_argument("--s", type=int, default=0, help="start state (default 0)")
-    p.add_argument("--target", default="squares")
-    p.add_argument("--die", type=int, default=6)
+    add_precision(p)
     add_common(p)
     p.set_defaults(func=cmd_certify)
 
@@ -360,6 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, default=None)
     p.add_argument("--s", type=int, default=0)
     p.add_argument("--die", type=int, default=6)
+    add_precision(p)
     add_common(p)
     p.set_defaults(func=cmd_solve)
 
@@ -367,10 +359,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max", type=int, required=True, help="largest n")
     p.add_argument("--exact", action="store_true",
                    help=f"emit exact fractions (n <= {hitprob.PN_EXACT_MAX})")
+    add_precision(p)
     add_common(p, formats=("csv", "json"), default_format="csv")
     p.set_defaults(func=cmd_pn)
 
     p = sub.add_parser("roots", help="characteristic roots and moduli")
+    add_precision(p)
     add_common(p)
     p.set_defaults(func=cmd_roots)
 

@@ -178,21 +178,6 @@ def _newton_complex(c: decimal.Context, seed: complex) -> DecimalComplex:
     raise RootRefinementError("complex Newton refinement did not converge")
 
 
-def _newton_real(c: decimal.Context, seed: float) -> Decimal:
-    x = Decimal(seed)
-    for _ in range(_NEWTON_MAX_ITER):
-        f = fp = Decimal(0)
-        for k in _POLY:
-            f = c.add(c.multiply(f, x), Decimal(k))
-        for k in _DPOLY:
-            fp = c.add(c.multiply(fp, x), Decimal(k))
-        step = c.divide(f, fp)
-        x = c.subtract(x, step)
-        if _step_negligible(step, x, c.prec):
-            return x
-    raise RootRefinementError("real Newton refinement did not converge")
-
-
 def _modulus(c: decimal.Context, z: DecimalComplex) -> Decimal:
     return c.sqrt(c.add(c.multiply(z.re, z.re), c.multiply(z.im, z.im)))
 
@@ -212,7 +197,7 @@ def compute_roots(ctx: PrecisionContext) -> CharacteristicRoots:
         raise RootRefinementError("unexpected companion-matrix root layout")
 
     c = ctx.context()
-    u = _newton_real(c, real_negative[0])
+    u = _newton_complex(c, complex(real_negative[0], 0)).re
     v_plus = _newton_complex(c, complex_seeds[0])
     w_plus = _newton_complex(c, complex_seeds[1])
     v_minus = DecimalComplex(v_plus.re, c.minus(v_plus.im))

@@ -20,30 +20,29 @@ per run on the squares: O(K M^2) big-integer operations for N = K^2, and
 O(1) per state for short runs.  It works in fixed point: every value is a
 Python int standing for that int times a power of 2, so every rounding
 step is explicit and directed, and a twin rounding down and a twin
-rounding up enclose the exact values.
+rounding up enclose the exact values.  The result, a
+:class:`TruncationSolution`, holds both enclosures as exact
+:class:`~fractions.Fraction` bounds; nothing is rounded to decimals here.
 """
 
 from __future__ import annotations
 
 import bisect
-import decimal
 import itertools
 import math
 import operator
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable
 
-from .numerics import PrecisionContext, rational_to_decimal
+from .numerics import PrecisionContext
 
 __all__ = [
     "DieModel",
     "TargetSet",
     "TargetSetError",
     "CutoffExceedsBoundError",
-    "Enclosure",
     "TruncationSolution",
     "fraction_bits",
     "solve_pair",
@@ -231,34 +230,27 @@ def fraction_bits(ctx: PrecisionContext) -> int:
 
 
 @dataclass(frozen=True)
-class Enclosure:
-    """Exact rational bounds ``e_lo <= E_N(s) <= e_hi``, ``p_lo <= P_s <= p_hi``."""
+class TruncationSolution:
+    """Exact bounds ``e_lo <= E_N(s) <= e_hi`` and ``p_lo <= P_s <= p_hi``.
 
+    One solve's result at start state ``start`` for cutoff ``cutoff``;
+    ``e_n_value`` and ``overshoot_prob`` name the lower ends.
+    """
+
+    cutoff: int
+    start: int
     e_lo: Fraction
     e_hi: Fraction
     p_lo: Fraction
     p_hi: Fraction
 
-    def lower_decimals(self, ctx: PrecisionContext) -> tuple[Decimal, Decimal]:
-        """``(e_lo, p_lo)`` rounded down at the context's internal precision."""
-        return (rational_to_decimal(self.e_lo, ctx, decimal.ROUND_FLOOR),
-                rational_to_decimal(self.p_lo, ctx, decimal.ROUND_FLOOR))
+    @property
+    def e_n_value(self) -> Fraction:
+        return self.e_lo
 
-
-@dataclass(frozen=True)
-class TruncationSolution:
-    """Solution pair at one start state for one cutoff.
-
-    ``enclosure`` holds the exact bounds the solve proves; ``e_n_value``
-    and ``overshoot_prob`` are its lower endpoints rounded down to decimals
-    (:meth:`Enclosure.lower_decimals`).
-    """
-
-    cutoff: int
-    start: int
-    e_n_value: Decimal
-    overshoot_prob: Decimal
-    enclosure: Enclosure
+    @property
+    def overshoot_prob(self) -> Fraction:
+        return self.p_lo
 
 
 def solve_pair(target: TargetSet, die: DieModel, n: int, s_min: int,
@@ -268,9 +260,8 @@ def solve_pair(target: TargetSet, die: DieModel, n: int, s_min: int,
 
     Start states above the cutoff report the boundary values (0, 1)
     exactly.  Otherwise the states ``s_min .. n`` are covered in ascending
-    order, ``progress(s)`` is called with the highest state covered about
-    every ``PROGRESS_INTERVAL`` states, and the result is converted once,
-    at the end.
+    order, and ``progress(s)`` is called with the highest state covered
+    about every ``PROGRESS_INTERVAL`` states.
 
     The kernel keeps the value at ``s_min`` as an affine function of the
     M-state window above the states covered so far::
@@ -333,19 +324,15 @@ def solve_pair(target: TargetSet, die: DieModel, n: int, s_min: int,
     if s_min < 0:
         raise ValueError("start state must be nonnegative")
     if s_min > n:
-        enclosure = Enclosure(e_lo=Fraction(0), e_hi=Fraction(0),
-                              p_lo=Fraction(1), p_hi=Fraction(1))
-    else:
-        members = target.members_upto(n)
-        members = members[bisect.bisect_left(members, s_min):]
-        enclosure = _forward(members, die.sides, n, s_min, fraction_bits(ctx), progress)
-    e_val, p_val = enclosure.lower_decimals(ctx)
-    return TruncationSolution(cutoff=n, start=s_min, e_n_value=e_val,
-                              overshoot_prob=p_val, enclosure=enclosure)
+        return TruncationSolution(cutoff=n, start=s_min, e_lo=Fraction(0),
+                                  e_hi=Fraction(0), p_lo=Fraction(1), p_hi=Fraction(1))
+    members = target.members_upto(n)
+    members = members[bisect.bisect_left(members, s_min):]
+    return _forward(members, die.sides, n, s_min, fraction_bits(ctx), progress)
 
 
 def _forward(members: list[int], m: int, n: int, s_min: int, bits: int,
-             progress: Callable[[int], None] | None) -> Enclosure:
+             progress: Callable[[int], None] | None) -> TruncationSolution:
     one = 1 << bits
     unit = [[one if j == i else 0 for j in range(m)] for i in range(m)]
     r = _Twins(unit[0], unit[0], m)
@@ -404,9 +391,10 @@ def _forward(members: list[int], m: int, n: int, s_min: int, bits: int,
         p = t + 1
         covered(t)
     lo, hi = r.rows()
-    return Enclosure(e_lo=Fraction(e_lo, one), e_hi=Fraction(e_hi, one),
-                     p_lo=Fraction(sum(lo), one << shift),
-                     p_hi=Fraction(sum(hi), one << shift))
+    return TruncationSolution(cutoff=n, start=s_min,
+                              e_lo=Fraction(e_lo, one), e_hi=Fraction(e_hi, one),
+                              p_lo=Fraction(sum(lo), one << shift),
+                              p_hi=Fraction(sum(hi), one << shift))
 
 
 def _dot(a: list[int], b) -> int:

@@ -11,7 +11,7 @@ from fractions import Fraction
 from hypothesis import settings
 
 from hittime.numerics import round_to_digits
-from hittime.walkmodel import RESCALE_BITS, Enclosure, fraction_bits
+from hittime.walkmodel import RESCALE_BITS, TruncationSolution, fraction_bits
 
 settings.register_profile("ci", derandomize=True, print_blob=True)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
@@ -45,7 +45,7 @@ def agreed_digits(a: Decimal, b: Decimal, digits: int) -> int:
     return n
 
 
-def forward_reference(target, die, n, s_min, ctx) -> Enclosure:
+def forward_reference(target, die, n, s_min, ctx) -> TruncationSolution:
     """The forward kernel's stepping rule on plain lists, for 0 <= s_min <= n.
 
     The row r is a floor twin and a ceiling twin, each a list of M ints on
@@ -81,6 +81,7 @@ def forward_reference(target, die, n, s_min, ctx) -> Enclosure:
             lo = [v << RESCALE_BITS for v in lo]
             hi = [v << RESCALE_BITS for v in hi]
             shift += RESCALE_BITS
-    return Enclosure(e_lo=Fraction(e_lo, one), e_hi=Fraction(e_hi, one),
-                     p_lo=Fraction(sum(lo), one << shift),
-                     p_hi=Fraction(sum(hi), one << shift))
+    return TruncationSolution(cutoff=n, start=s_min,
+                              e_lo=Fraction(e_lo, one), e_hi=Fraction(e_hi, one),
+                              p_lo=Fraction(sum(lo), one << shift),
+                              p_hi=Fraction(sum(hi), one << shift))

@@ -197,7 +197,7 @@ def test_criterion_10_rolling_window_equivalence():
     ctx = make_context(100)
     n = 10**4
     with mock.patch.object(walkmodel, "JUMP_MIN", 10**9):
-        enc = solve_pair(SQUARES, D6, n, 0, ctx).enclosure
+        enc = solve_pair(SQUARES, D6, n, 0, ctx)
     assert enc == forward_reference(SQUARES, D6, n, 0, ctx)
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0

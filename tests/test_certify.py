@@ -247,7 +247,7 @@ def test_degenerate_composition_has_zero_radius():
     est = compose_estimate(sol, bounds, ctx)
     assert est.exact
     assert est.error_radius == 0
-    assert est.point_value == sol.enclosure.e_lo
+    assert est.point_value == sol.e_lo
     assert est.certified_digits == ctx.working_digits - GUARD_DIGITS
 
 

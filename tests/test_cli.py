@@ -4,10 +4,13 @@ import contextlib
 import dataclasses
 import decimal
 import io
+import itertools
 import json
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -97,6 +100,10 @@ def test_certify_rejects_small_k(capsys):
     code, _, err = run_cli(capsys, "certify", "--K", "3")
     assert code == 2
     assert "K" in err
+    code, out, err = run_cli(capsys, "certify")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "--K" in err and err.count("\n") == 1
 
 
 def test_certify_rejects_bad_precision(capsys):
@@ -123,21 +130,30 @@ def test_inverted_interval_is_internal_failure(capsys, monkeypatch):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_certify_rejects_non_square_n(capsys):
-    code, _, _ = run_cli(capsys, "certify", "--N", "250001")
-    assert code == 2
+@pytest.mark.parametrize("argv", [
+    ["certify", "--N", "100"],
+    ["certify", "--K", "10", "--target", "squares"],
+    ["certify", "--K", "10", "--die", "6"],
+    ["simulate", "--precision", "40"],
+], ids=["certify-N", "certify-target", "certify-die", "simulate-precision"])
+def test_removed_options_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_certify_rejects_both_k_and_n(capsys):
-    code, _, _ = run_cli(capsys, "certify", "--K", "10", "--N", "100")
-    assert code == 2
-
-
-def test_certify_rejects_other_targets(capsys):
-    code, _, _ = run_cli(capsys, "certify", "--K", "10", "--target", "primes")
-    assert code == 2
-    code, _, _ = run_cli(capsys, "certify", "--K", "10", "--die", "5")
-    assert code == 2
+def test_readme_cli_lines_parse():
+    # every command the README's CLI block shows is accepted by the parser
+    # (parsed only, never run)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = [line.split("#", 1)[0].split() for line in block.splitlines()
+                if line.startswith("hittime ")]
+    assert len(commands) >= 8
+    parser = cli.build_parser()
+    for words in commands:
+        parser.parse_args(words[1:])
 
 
 def test_solve_matches_exact_oracle(capsys):
@@ -308,9 +324,13 @@ def test_output_file(capsys, tmp_path):
 
 
 def test_progress_printer_reports_rate_and_eta(capsys, monkeypatch):
+    ticks = itertools.count(100.0, 10.0)
+    monkeypatch.setattr(cli.time, "monotonic", lambda: next(ticks))
+    code, _, err = run_cli(capsys, "certify", "--K", "40")
+    assert code == 0
+    assert err == ""  # short solves stay quiet, however slow the clock says they are
     clock = [100.0]
     monkeypatch.setattr(cli.time, "monotonic", lambda: clock[0])
-    assert cli._progress_printer(1000, 0) is None  # short solves stay quiet
     n = 4_000_000
     progress = cli._progress_printer(n, 0)
     clock[0] = 101.0
@@ -324,7 +344,7 @@ def test_progress_printer_reports_rate_and_eta(capsys, monkeypatch):
 
 @st.composite
 def cli_argv(draw, targets, outs):
-    """Type-valid argv for one subcommand: small sizes, precision 10 to 80."""
+    """Argv the parser accepts for one subcommand: small sizes, precision 10 to 80."""
     command = draw(st.sampled_from(["certify", "solve", "pn", "roots", "simulate"]))
     argv = [command]
 
@@ -333,18 +353,22 @@ def cli_argv(draw, targets, outs):
         if value is not None:
             argv.extend([flag, str(value)])
 
-    option("--precision", st.integers(10, 80))
+    if command != "simulate":
+        option("--precision", st.integers(10, 80))
     option("--out", st.sampled_from(outs))
     formats = ["csv", "json"] if command == "pn" else ["json", "text"]
     option("--format", st.sampled_from(formats))
     if command in ("certify", "solve"):
-        flags = draw(st.sampled_from([["--K"], ["--K"], ["--N"], ["--K", "--N"], []]))
-        for flag in flags:
+        choices = [["--K"], ["--K"], []]
+        if command == "solve":
+            choices += [["--N"], ["--K", "--N"]]
+        for flag in draw(st.sampled_from(choices)):
             root = draw(st.integers(-1, 40))
             size = root if flag == "--K" else draw(st.sampled_from([root * root, root + 1]))
             argv.extend([flag, str(size)])
     if command in ("certify", "solve", "simulate"):
         option("--s", st.integers(-1, 60))
+    if command in ("solve", "simulate"):
         option("--die", st.sampled_from([6, 6, 6, 0, 1, 9]))
         if command == "solve":
             argv.extend(["--target", draw(st.sampled_from(targets))])

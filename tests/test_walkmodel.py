@@ -1,7 +1,7 @@
 """Target sets, boundary behavior, and the forward kernel."""
 
 import random
-from decimal import Decimal
+from decimal import ROUND_FLOOR, Decimal
 from fractions import Fraction
 from unittest import mock
 
@@ -161,7 +161,7 @@ def test_streaming_matches_full_array_reference():
     ctx = make_context(60)
     with mock.patch.object(walkmodel, "JUMP_MIN", 10**9):
         for s in range(1001):
-            enc = solve_pair(SQUARES, D6, 1000, s, ctx).enclosure
+            enc = solve_pair(SQUARES, D6, 1000, s, ctx)
             assert enc == forward_reference(SQUARES, D6, 1000, s, ctx)
 
 
@@ -189,8 +189,8 @@ def test_one_step_consistency():
     c = ctx.context()
     n = 300
     sols = [solve_pair(SQUARES, D6, n, s, ctx) for s in range(n + 1)]
-    e_arr = [sol.e_n_value for sol in sols]
-    p_arr = [sol.overshoot_prob for sol in sols]
+    e_arr = [rational_to_decimal(sol.e_n_value, ctx, ROUND_FLOOR) for sol in sols]
+    p_arr = [rational_to_decimal(sol.overshoot_prob, ctx, ROUND_FLOOR) for sol in sols]
     e_ext = e_arr + [Decimal(0)] * 6
     p_ext = p_arr + [Decimal(1)] * 6
     for s in range(n + 1):
@@ -284,7 +284,7 @@ def test_sweep_matches_materialized_tables(problem, sides, data):
     e_tab, p_tab = dp_tables(target, n, s_min, die)
     with mock.patch.object(walkmodel, "JUMP_MIN", 10**9):
         sol = solve_pair(target, die, n, s_min, ctx)
-    assert sol.enclosure == forward_reference(target, die, n, s_min, ctx)
+    assert sol == forward_reference(target, die, n, s_min, ctx)
     tolerance = Fraction(1, 10 ** (working - 5))
     assert abs(Fraction(sol.e_n_value) - e_tab[0]) <= tolerance * e_tab[0]
     assert abs(Fraction(sol.overshoot_prob) - p_tab[0]) <= tolerance * p_tab[0]
@@ -303,7 +303,7 @@ def test_kernel_encloses_exact_values(jump_min, problem, sides, data):
     working = 30
     e_tab, p_tab = dp_tables(target, n, s_min, die)
     with mock.patch.object(walkmodel, "JUMP_MIN", jump_min):
-        enc = solve_pair(target, die, n, s_min, make_context(working)).enclosure
+        enc = solve_pair(target, die, n, s_min, make_context(working))
     assert enc.e_lo <= e_tab[0] <= enc.e_hi
     assert enc.p_lo <= p_tab[0] <= enc.p_hi
     assert (enc.p_hi == 0) == (p_tab[0] == 0)
@@ -314,9 +314,9 @@ def test_jumping_and_stepping_kernels_intersect_on_squares():
     working = 100
     ctx = make_context(working)
     n = 10**4
-    jumping = solve_pair(SQUARES, D6, n, 0, ctx).enclosure
+    jumping = solve_pair(SQUARES, D6, n, 0, ctx)
     with mock.patch.object(walkmodel, "JUMP_MIN", 10**9):
-        stepping = solve_pair(SQUARES, D6, n, 0, ctx).enclosure
+        stepping = solve_pair(SQUARES, D6, n, 0, ctx)
     assert max(jumping.e_lo, stepping.e_lo) <= min(jumping.e_hi, stepping.e_hi)
     assert max(jumping.p_lo, stepping.p_lo) <= min(jumping.p_hi, stepping.p_hi)
     for enc in (jumping, stepping):
@@ -349,8 +349,8 @@ def test_monotone_in_cutoff_property(problem, sides, data):
     for i in range(n - s_min + 1):
         assert e_small[i] <= e_big[i]
         assert p_big[i] <= p_small[i]
-    at_n = solve_pair(target, die, n, s_min, ctx).enclosure
-    at_big_n = solve_pair(target, die, big_n, s_min, ctx).enclosure
+    at_n = solve_pair(target, die, n, s_min, ctx)
+    at_big_n = solve_pair(target, die, big_n, s_min, ctx)
     assert at_n.e_lo <= at_big_n.e_hi
     assert at_big_n.p_lo <= at_n.p_hi
 
