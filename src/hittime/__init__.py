@@ -17,15 +17,12 @@ from .certify import (
     certified_digit_count,
     certify_squares,
     overshoot_bounds,
-    overshoot_bounds_zero_epsilon,
     sigma_series,
 )
 from .hitprob import (
     CharacteristicRoots,
     compute_roots,
     epsilon,
-    figure1_table,
-    pn_decimal,
     pn_exact,
 )
 from .numerics import (
@@ -63,14 +60,11 @@ __all__ = [
     "TruncationSolution",
     "solve_pair",
     "pn_exact",
-    "pn_decimal",
     "compute_roots",
     "epsilon",
-    "figure1_table",
     "CharacteristicRoots",
     "sigma_series",
     "overshoot_bounds",
-    "overshoot_bounds_zero_epsilon",
     "certify_squares",
     "certified_digit_count",
     "OvershootBounds",

@@ -50,7 +50,6 @@ __all__ = [
     "CertifiedEstimate",
     "sigma_series",
     "overshoot_bounds",
-    "overshoot_bounds_zero_epsilon",
     "compose_estimate",
     "certify_squares",
     "certified_digit_count",
@@ -149,19 +148,6 @@ def overshoot_bounds(k: int, roots: hitprob.CharacteristicRoots) -> OvershootBou
     return OvershootBounds(K=k, epsilon_n=eps,
                            lower=sigma_series(5, r_minus, t_minus, k) / 6,
                            upper=sigma_series(1, r_plus, t_plus, k))
-
-
-def overshoot_bounds_zero_epsilon(k: int) -> tuple[Fraction, Fraction]:
-    """Exact rational (L, U) with the envelope forced to zero.
-
-    These are the linear forms 7K/6 + 8/3 and 7K + 20, evaluated through
-    the same closed-form series as :func:`overshoot_bounds`.
-    """
-    if k < MIN_K:
-        raise ValueError(f"K must be >= {MIN_K}, got {k}")
-    lower = sigma_series(5, Fraction(5, 7), Fraction(2, 7), k) / 6
-    upper = sigma_series(1, Fraction(5, 7), Fraction(2, 7), k)
-    return lower, upper
 
 
 def certified_digit_count(lower: Fraction, upper: Fraction) -> int:

@@ -4,7 +4,7 @@ Subcommands::
 
     certify    certified expected hitting time to the perfect squares
     solve      raw truncated solve (E_N(s), P_s) for any target
-    pn         table of ever-hit probabilities p_n (CSV; --exact for fractions)
+    pn         table of ever-hit probabilities p_n to 15 digits (--exact for fractions)
     roots      characteristic roots and their moduli
     simulate   Monte Carlo estimate of the hitting time
 
@@ -12,9 +12,11 @@ Exit codes: 0 success, 2 usage/config error (including a target or output
 path that cannot be read or written), 3 insufficient precision, 4 internal
 numeric failure.  All real numbers in JSON output are decimal
 digit strings, never binary floats, so reports are precision-lossless and
-diffable.  Progress for long solves goes to stderr only.  An ``--out``
-file is opened before any work, so a path that cannot be written fails
-at once.
+diffable.  Working precision is set by ``--precision`` alone, on
+``certify``, ``solve`` and ``roots``; no environment variable is read.
+Progress for long solves, in gaps between targets covered, goes to
+stderr only.  An ``--out`` file is opened before any work, so a path
+that cannot be written fails at once.
 """
 
 from __future__ import annotations
@@ -31,12 +33,12 @@ from fractions import Fraction
 from typing import Iterator, TextIO
 
 from . import __version__, certify, hitprob, oracle, walkmodel
-from .numerics import PrecisionTooLowError, digit_string, make_context, round_to_digits
+from .numerics import (MIN_WORKING_DIGITS, PrecisionTooLowError, digit_string, make_context,
+                       round_to_digits)
 
 __all__ = ["main"]
 
 SCHEMA_VERSION = 1
-PRECISION_ENV_VAR = "HITTIME_PRECISION"
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -57,30 +59,8 @@ def _parse_target(selector: str) -> walkmodel.TargetSet:
     return walkmodel.TargetSet.from_file(path)
 
 
-def _resolve_cutoff(args) -> tuple[int, int | None]:
-    """Return (N, K); exactly one of --K/--N must be given."""
-    if (args.K is None) == (args.N is None):
-        raise ConfigError("give exactly one of --K or --N")
-    if args.K is not None:
-        if args.K < 0:
-            raise ConfigError("--K must be nonnegative")
-        return args.K * args.K, args.K
-    if args.N < 0:
-        raise ConfigError("--N must be nonnegative")
-    k = math.isqrt(args.N)
-    return args.N, (k if k * k == args.N else None)
-
-
 def _resolve_precision(args, default: int) -> int:
-    if args.precision is not None:
-        return args.precision
-    env = os.environ.get(PRECISION_ENV_VAR)
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"{PRECISION_ENV_VAR} must be an integer, got {env!r}")
-    return default
+    return default if args.precision is None else args.precision
 
 
 @contextlib.contextmanager
@@ -97,22 +77,23 @@ def _emit(text: str, out: TextIO) -> None:
     out.write(text if text.endswith("\n") else text + "\n")
 
 
-def _progress_printer(n: int, start: int):
-    """Stderr progress for a solve covering states ``start`` up to ``n``."""
-    total_states = n - start + 1
+def _progress_printer():
+    """Stderr progress for a solve, which reports gaps between targets covered.
+
+    The solve's cost per gap is roughly constant on the squares, while the
+    states per gap grow, so the ETA extrapolates the rate in gaps.
+    """
     t0 = time.monotonic()
     last = [t0]
 
-    def progress(s: int) -> None:
+    def progress(done: int, total: int) -> None:
         now = time.monotonic()
         if now - last[0] < 2.0:
             return
         last[0] = now
-        done = s - start + 1
         rate = done / max(now - t0, 1e-9)
-        eta = (total_states - done) / rate
-        print(f"swept {done}/{total_states} states ({rate:,.0f}/s, ETA {eta:,.0f} s)",
-              file=sys.stderr)
+        eta = f", ETA {(total - done) / rate:,.0f} s" if done else ""
+        print(f"covered {done}/{total} gaps ({rate:,.1f}/s{eta})", file=sys.stderr)
 
     return progress
 
@@ -126,8 +107,7 @@ def cmd_certify(args, out: TextIO) -> int:
     precision = _resolve_precision(args, default=certify.recommended_digits(k))
     ctx = make_context(precision)
     t0 = time.monotonic()
-    est = certify.certify_squares(k, ctx, start=args.s,
-                                  progress=_progress_printer(k * k, args.s))
+    est = certify.certify_squares(k, ctx, start=args.s, progress=_progress_printer())
     runtime = time.monotonic() - t0
     report = certification_report(est, runtime)
     if args.format == "json":
@@ -181,17 +161,21 @@ def certification_report(est: certify.CertifiedEstimate, runtime: float) -> dict
 
 
 def cmd_solve(args, out: TextIO) -> int:
-    n, k = _resolve_cutoff(args)
+    n = args.N
+    if n is None:
+        raise ConfigError("solve needs --N")
+    if n < 0:
+        raise ConfigError("--N must be nonnegative")
     target = _parse_target(args.target)
     die = walkmodel.DieModel(args.die)
+    k = math.isqrt(n)
     precision = _resolve_precision(
-        args, default=certify.recommended_digits(k) if k is not None else 60)
+        args, default=certify.recommended_digits(k) if k * k == n else 60)
     ctx = make_context(precision)
     if args.s < 0:
         raise ConfigError("--s must be nonnegative")
     t0 = time.monotonic()
-    sol = walkmodel.solve_pair(target, die, n, args.s, ctx,
-                               progress=_progress_printer(n, args.s))
+    sol = walkmodel.solve_pair(target, die, n, args.s, ctx, progress=_progress_printer())
     runtime = time.monotonic() - t0
     uncertified = not (args.target == "squares" and args.die == 6)
     w = ctx.working_digits
@@ -228,25 +212,17 @@ def cmd_pn(args, out: TextIO) -> int:
     if args.exact:
         if args.max > hitprob.PN_EXACT_MAX:
             raise ConfigError(f"--exact supports --max up to {hitprob.PN_EXACT_MAX}")
-        rows = [(n, hitprob.pn_exact(n)) for n in range(1, args.max + 1)]
-        if args.format == "json":
-            payload = {"schema": SCHEMA_VERSION,
-                       "rows": [{"n": n, "p_n": f"{p.numerator}/{p.denominator}"}
-                                for n, p in rows]}
-            _emit(json.dumps(payload, indent=2), out)
-        else:
-            lines = ["n,p_n"] + [f"{n},{p.numerator}/{p.denominator}" for n, p in rows]
-            _emit("\n".join(lines), out)
-        return EXIT_OK
-    precision = _resolve_precision(args, default=30)
-    ctx = make_context(precision)
+        exact = (hitprob.pn_exact(n) for n in range(1, args.max + 1))
+        rows = [f"{p.numerator}/{p.denominator}" for p in exact]
+    else:
+        series = hitprob.pn_series(args.max, make_context(MIN_WORKING_DIGITS))
+        rows = [digit_string(p, 15) for n, p in series if n >= 1]
     if args.format == "json":
-        rows = hitprob.figure1_table(args.max, ctx)
         payload = {"schema": SCHEMA_VERSION,
-                   "rows": [{"n": n, "p_n": digit_string(p, 15)} for n, p in rows]}
+                   "rows": [{"n": n, "p_n": p} for n, p in enumerate(rows, start=1)]}
         _emit(json.dumps(payload, indent=2), out)
     else:
-        _emit(hitprob.figure1_csv(args.max, ctx), out)
+        _emit("\n".join(["n,p_n"] + [f"{n},{p}" for n, p in enumerate(rows, start=1)]), out)
     return EXIT_OK
 
 
@@ -330,9 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_precision(p):
+    def add_precision(p, default):
         p.add_argument("--precision", type=int, default=None,
-                       help=f"working decimal digits (default: heuristic or ${PRECISION_ENV_VAR})")
+                       help=f"working decimal digits, at least 30 (default: {default})")
 
     def add_common(p, formats=("json", "text"), default_format="json"):
         p.add_argument("--format", choices=formats, default=default_format)
@@ -341,17 +317,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="certified estimate for the perfect squares")
     p.add_argument("--K", type=int, default=None, help="cutoff root; N = K^2")
     p.add_argument("--s", type=int, default=0, help="start state (default 0)")
-    add_precision(p)
+    add_precision(p, "ceil(0.15 K) + 60")
     add_common(p)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("solve", help="raw truncated solve (uncertified)")
     p.add_argument("--target", required=True, help="'squares' or a target file path")
-    p.add_argument("--K", type=int, default=None)
-    p.add_argument("--N", type=int, default=None)
+    p.add_argument("--N", type=int, default=None, help="cutoff state")
     p.add_argument("--s", type=int, default=0)
     p.add_argument("--die", type=int, default=6)
-    add_precision(p)
+    add_precision(p, "ceil(0.15 sqrt(N)) + 60 for a square N, else 60")
     add_common(p)
     p.set_defaults(func=cmd_solve)
 
@@ -359,12 +334,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max", type=int, required=True, help="largest n")
     p.add_argument("--exact", action="store_true",
                    help=f"emit exact fractions (n <= {hitprob.PN_EXACT_MAX})")
-    add_precision(p)
     add_common(p, formats=("csv", "json"), default_format="csv")
     p.set_defaults(func=cmd_pn)
 
     p = sub.add_parser("roots", help="characteristic roots and moduli")
-    add_precision(p)
+    add_precision(p, 50)
     add_common(p)
     p.set_defaults(func=cmd_roots)
 

@@ -31,7 +31,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .numerics import PrecisionContext, round_to_digits, ulp_up
+from .numerics import PrecisionContext, ulp_up
 
 __all__ = [
     "PN_EXACT_MAX",
@@ -39,11 +39,9 @@ __all__ = [
     "DecimalComplex",
     "CharacteristicRoots",
     "pn_exact",
-    "pn_decimal",
     "pn_series",
     "compute_roots",
     "epsilon",
-    "figure1_table",
 ]
 
 # Exact fractions have denominators 6^n; 64 keeps the oracle instantaneous
@@ -118,16 +116,6 @@ def pn_series(n_max: int, ctx: PrecisionContext) -> Iterator[tuple[int, Decimal]
         value = div(acc, six)
         window = [value] + window[:5]
         yield n, value
-
-
-def pn_decimal(n: int, ctx: PrecisionContext) -> Decimal:
-    """p_n evaluated by the same rolling-window recurrence in decimal mode."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    value = Decimal(1)
-    for _, value in pn_series(n, ctx):
-        pass
-    return value
 
 
 def _c_add(c: decimal.Context, a: DecimalComplex, b: DecimalComplex) -> DecimalComplex:
@@ -246,25 +234,3 @@ def epsilon(n: int, roots: CharacteristicRoots) -> Decimal:
     power = _pow_round_up(c_up, base, n)
     five_sevenths = c_up.divide(Decimal(5), Decimal(7))
     return c_up.multiply(five_sevenths, power)
-
-
-def figure1_table(n_max: int, ctx: PrecisionContext | None = None,
-                  ) -> list[tuple[int, Decimal]]:
-    """Rows (n, p_n) for n = 1 .. n_max in decimal mode.
-
-    The CSV emitted by the CLI limits these to 15 digits; the returned
-    decimals carry the context's full precision.
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    if ctx is None:
-        ctx = PrecisionContext(30)
-    return [(n, p) for n, p in pn_series(n_max, ctx) if n >= 1]
-
-
-def figure1_csv(n_max: int, ctx: PrecisionContext | None = None) -> str:
-    """CSV rendering of :func:`figure1_table` (header ``n,p_n``, 15 digits)."""
-    lines = ["n,p_n"]
-    for n, p in figure1_table(n_max, ctx):
-        lines.append(f"{n},{round_to_digits(p, 15)}")
-    return "\n".join(lines) + "\n"

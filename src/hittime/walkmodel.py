@@ -83,10 +83,6 @@ class DieModel:
         if self.sides < 2:
             raise ValueError(f"die must have at least 2 sides, got {self.sides}")
 
-    @property
-    def mean(self) -> Fraction:
-        return Fraction(self.sides + 1, 2)
-
 
 @dataclass(frozen=True)
 class TargetSet:
@@ -94,8 +90,7 @@ class TargetSet:
 
     ``elements`` of ``None`` means the perfect squares (unbounded,
     membership by integer square root, 0 excluded); otherwise it is the
-    finite set of target states, from an explicit list or a predicate
-    tabulated up to a bound.  A ``declared_bound`` of ``None`` means
+    finite set of target states.  A ``declared_bound`` of ``None`` means
     membership is answerable for every nonnegative integer: always for
     squares, and for explicit lists that enumerate the complete target set.
     A bounded target only answers membership up to its bound, and solves
@@ -130,19 +125,6 @@ class TargetSet:
                 f"declared bound {bound} is below the largest element {elements[-1]}"
             )
         return cls(elements=frozenset(elements), declared_bound=bound)
-
-    @classmethod
-    def from_predicate(cls, pred: Callable[[int], bool], bound: int) -> "TargetSet":
-        """The states ``0..bound`` satisfying ``pred``, bounded at ``bound``."""
-        if bound < 0:
-            raise TargetSetError("predicate table bound must be nonnegative")
-        return cls(elements=frozenset(h for h in range(bound + 1) if pred(h)),
-                   declared_bound=bound)
-
-    @classmethod
-    def dense_from(cls, start: int, bound: int) -> "TargetSet":
-        """All integers in ``[start, bound]`` -- handy degenerate target."""
-        return cls.from_predicate(lambda h: h >= start, bound)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "TargetSet":
@@ -255,13 +237,14 @@ class TruncationSolution:
 
 def solve_pair(target: TargetSet, die: DieModel, n: int, s_min: int,
                ctx: PrecisionContext,
-               progress: Callable[[int], None] | None = None) -> TruncationSolution:
+               progress: Callable[[int, int], None] | None = None) -> TruncationSolution:
     """Forward fixed-point solve returning the solution pair at ``s_min``.
 
     Start states above the cutoff report the boundary values (0, 1)
     exactly.  Otherwise the states ``s_min .. n`` are covered in ascending
-    order, and ``progress(s)`` is called with the highest state covered
-    about every ``PROGRESS_INTERVAL`` states.
+    order, and about every ``PROGRESS_INTERVAL`` states ``progress(d, G)``
+    is called with the number d of the G runs of non-target states (the
+    gaps before, between and after the targets) covered so far.
 
     The kernel keeps the value at ``s_min`` as an affine function of the
     M-state window above the states covered so far::
@@ -332,7 +315,7 @@ def solve_pair(target: TargetSet, die: DieModel, n: int, s_min: int,
 
 
 def _forward(members: list[int], m: int, n: int, s_min: int, bits: int,
-             progress: Callable[[int], None] | None) -> TruncationSolution:
+             progress: Callable[[int, int], None] | None) -> TruncationSolution:
     one = 1 << bits
     unit = [[one if j == i else 0 for j in range(m)] for i in range(m)]
     r = _Twins(unit[0], unit[0], m)
@@ -350,7 +333,7 @@ def _forward(members: list[int], m: int, n: int, s_min: int, bits: int,
         nonlocal report_at
         if progress is not None and s >= report_at:
             report_at = s + PROGRESS_INTERVAL
-            progress(s)
+            progress(bisect.bisect_right(members, s), len(members) + 1)
 
     for t in members + [n + 1]:
         g = t - p

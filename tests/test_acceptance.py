@@ -17,7 +17,7 @@ import pytest
 
 from conftest import agreed_digits, forward_reference
 from hittime import walkmodel
-from hittime.certify import certify_squares, overshoot_bounds_zero_epsilon, recommended_digits
+from hittime.certify import certify_squares, recommended_digits, sigma_series
 from hittime.cli import main
 from hittime.hitprob import compute_roots, epsilon, pn_exact, pn_series
 from hittime.numerics import digit_string, make_context, rational_to_decimal
@@ -111,11 +111,12 @@ def test_criterion_04_desk_scale_certification(capsys):
 
 def test_criterion_05_constants_at_zero_epsilon():
     t0 = time.perf_counter()
+    r, t = Fraction(5, 7), Fraction(2, 7)
     for k in (4, 17, 500, 7000):
-        lower, upper = overshoot_bounds_zero_epsilon(k)
+        lower, upper = sigma_series(5, r, t, k) / 6, sigma_series(1, r, t, k)
         assert lower == Fraction(7 * k, 6) + Fraction(8, 3)
         assert upper == 7 * k + 20
-    lower, upper = overshoot_bounds_zero_epsilon(7000)
+    lower, upper = sigma_series(5, r, t, 7000) / 6, sigma_series(1, r, t, 7000)
     assert lower == Fraction(49016, 6)  # = 8169.333... repeating
     assert upper == 49020
     elapsed = time.perf_counter() - t0
@@ -147,7 +148,8 @@ def test_criterion_07_oracle_equivalence():
     working = 60
     ctx = make_context(working)
     for n in (10, 16, 100, 1000):
-        targets = [SQUARES, TargetSet.from_list([3, 7, 20]), TargetSet.dense_from(1, n)]
+        targets = [SQUARES, TargetSet.from_list([3, 7, 20]),
+                   TargetSet.from_list(list(range(1, n + 1)), n)]
         for target in targets:
             e_tab, p_tab = dp_tables(target, n, 0)
             for s in range(n + 1):

@@ -16,7 +16,6 @@ from hittime.certify import (
     certify_squares,
     compose_estimate,
     overshoot_bounds,
-    overshoot_bounds_zero_epsilon,
     recommended_digits,
     sigma_series,
 )
@@ -68,7 +67,8 @@ def test_sigma_validation():
 
 
 def test_zero_epsilon_constants_at_7000():
-    lower, upper = overshoot_bounds_zero_epsilon(7000)
+    lower = sigma_series(5, Fraction(5, 7), Fraction(2, 7), 7000) / 6
+    upper = sigma_series(1, Fraction(5, 7), Fraction(2, 7), 7000)
     assert lower == Fraction(49016, 6)  # 8169.333...
     assert upper == 49020
     assert digit_string(rational_to_decimal(lower, make_context(30)), 10) == "8169.333333"
@@ -80,7 +80,8 @@ def test_overshoot_bounds_decimal_close_to_linear_forms():
     roots = compute_roots(ctx)
     for k in (10, 12, 50, 100):
         b = overshoot_bounds(k, roots)
-        l0, u0 = overshoot_bounds_zero_epsilon(k)
+        l0 = sigma_series(5, Fraction(5, 7), Fraction(2, 7), k) / 6
+        u0 = sigma_series(1, Fraction(5, 7), Fraction(2, 7), k)
         eps = Fraction(b.epsilon_n)
         # a growing envelope always lowers L and raises U
         assert Fraction(b.lower) <= l0
@@ -137,8 +138,6 @@ def test_overshoot_bounds_validation():
     roots = compute_roots(ctx)
     with pytest.raises(ValueError):
         overshoot_bounds(3, roots)
-    with pytest.raises(ValueError):
-        overshoot_bounds_zero_epsilon(3)
 
 
 def test_certified_digit_count_examples():
@@ -242,7 +241,7 @@ def test_degenerate_composition_has_zero_radius():
     ctx = make_context(60)
     roots = compute_roots(ctx)
     bounds = overshoot_bounds(10, roots)
-    dense = TargetSet.dense_from(1, 100)
+    dense = TargetSet.from_list(list(range(1, 101)), 100)
     sol = solve_pair(dense, DieModel(6), 100, 0, ctx)
     est = compose_estimate(sol, bounds, ctx)
     assert est.exact

@@ -6,6 +6,7 @@ import decimal
 import io
 import itertools
 import json
+import os
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from conftest import agreed_digits
 from hittime import certify, cli, walkmodel
 from hittime.cli import main
-from hittime.numerics import make_context, rational_to_decimal
+from hittime.numerics import digit_string, make_context, rational_to_decimal
 from hittime.oracle import exact_dp
 from hittime.walkmodel import TargetSet
 
@@ -135,7 +136,10 @@ def test_inverted_interval_is_internal_failure(capsys, monkeypatch):
     ["certify", "--K", "10", "--target", "squares"],
     ["certify", "--K", "10", "--die", "6"],
     ["simulate", "--precision", "40"],
-], ids=["certify-N", "certify-target", "certify-die", "simulate-precision"])
+    ["solve", "--target", "squares", "--N", "256", "--K", "16"],
+    ["pn", "--max", "5", "--precision", "40"],
+], ids=["certify-N", "certify-target", "certify-die", "simulate-precision", "solve-K",
+        "pn-precision"])
 def test_removed_options_are_rejected(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -231,12 +235,21 @@ def test_pn_exact_listing(capsys):
 
 
 def test_pn_figure_table(capsys):
+    # rows n = 1 .. 100 of p_n to 15 significant digits, the same in CSV
+    # and JSON, settling near 2/7
     code, out, _ = run_cli(capsys, "pn", "--max", "100")
     assert code == 0
     lines = out.strip().splitlines()
     assert len(lines) == 101
-    last = Fraction(lines[-1].split(",")[1])
-    assert abs(last - Fraction(2, 7)) < Fraction(1, 10**9)
+    assert lines[0] == "n,p_n"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [int(n) for n, _ in rows] == list(range(1, 101))
+    assert digit_string(Decimal(rows[0][1]), 10) == "0.1666666667"
+    assert all(len(p.replace("0.", "", 1)) <= 15 for _, p in rows)
+    assert abs(Fraction(rows[-1][1]) - Fraction(2, 7)) < Fraction(1, 10**10)
+    code, out, _ = run_cli(capsys, "pn", "--max", "100", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["rows"] == [{"n": int(n), "p_n": p} for n, p in rows]
 
 
 def test_pn_zero_rows_is_usage_error(capsys):
@@ -245,8 +258,6 @@ def test_pn_zero_rows_is_usage_error(capsys):
 
 
 def test_roots_output(capsys):
-    from hittime.numerics import digit_string
-
     code, out, _ = run_cli(capsys, "roots")
     assert code == 0
     payload = json.loads(out)
@@ -301,18 +312,43 @@ def test_simulate_empty_target_file(capsys, tmp_path):
     assert "empty" in err
 
 
-def test_precision_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("HITTIME_PRECISION", "44")
+class _RecordingEnviron(dict):
+    """``os.environ`` stand-in that records every variable looked up."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.reads = []
+
+    def __getitem__(self, key):
+        self.reads.append(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.reads.append(key)
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.reads.append(key)
+        return super().__contains__(key)
+
+
+def test_precision_ignores_environment(capsys, monkeypatch):
+    # the precision comes from --precision or the default alone: solve
+    # looks up no environment variable of its own (argparse's gettext may
+    # read the locale ones), and N = 16 = 4^2 gets recommended_digits(4)
+    environ = _RecordingEnviron(os.environ)
+    monkeypatch.setattr(os, "environ", environ)
     code, out, _ = run_cli(capsys, "solve", "--target", "squares", "--N", "16")
     assert code == 0
-    assert json.loads(out)["precision_digits"] == 44
-    monkeypatch.setenv("HITTIME_PRECISION", "not-a-number")
-    code, _, _ = run_cli(capsys, "solve", "--target", "squares", "--N", "16")
+    assert json.loads(out)["precision_digits"] == 61 == certify.recommended_digits(4)
+    assert not [key for key in environ.reads if key.startswith("HITTIME")]
+
+
+def test_solve_requires_n(capsys):
+    code, out, err = run_cli(capsys, "solve", "--target", "squares")
     assert code == 2
-    monkeypatch.setenv("HITTIME_PRECISION", "29")
-    code, _, err = run_cli(capsys, "solve", "--target", "squares", "--N", "16")
-    assert code == 3
-    assert "30" in err
+    assert out == ""
+    assert err == "error: solve needs --N\n"
 
 
 def test_output_file(capsys, tmp_path):
@@ -331,15 +367,21 @@ def test_progress_printer_reports_rate_and_eta(capsys, monkeypatch):
     assert err == ""  # short solves stay quiet, however slow the clock says they are
     clock = [100.0]
     monkeypatch.setattr(cli.time, "monotonic", lambda: clock[0])
-    n = 4_000_000
-    progress = cli._progress_printer(n, 0)
+    progress = cli._progress_printer()
     clock[0] = 101.0
-    progress(1_000_000)  # under 2 s since the last line: nothing
+    progress(1000, 5001)  # under 2 s since the last line: nothing
     clock[0] = 110.0
-    progress(1_000_000)  # 1,000,001 of 4,000,001 states in 10 s
+    progress(1000, 5001)  # 1,000 of 5,001 gaps in 10 s
+    clock[0] = 111.0
+    progress(1000, 5001)  # under 2 s since the last line: nothing
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err == "swept 1000001/4000001 states (100,000/s, ETA 30 s)\n"
+    assert out.err == "covered 1000/5001 gaps (100.0/s, ETA 40 s)\n"
+    # no gap done yet: a rate of 0 and no ETA, with no division by zero
+    progress = cli._progress_printer()
+    clock[0] = 120.0
+    progress(0, 5001)
+    assert capsys.readouterr().err == "covered 0/5001 gaps (0.0/s)\n"
 
 
 @st.composite
@@ -353,19 +395,17 @@ def cli_argv(draw, targets, outs):
         if value is not None:
             argv.extend([flag, str(value)])
 
-    if command != "simulate":
+    if command in ("certify", "solve", "roots"):
         option("--precision", st.integers(10, 80))
     option("--out", st.sampled_from(outs))
     formats = ["csv", "json"] if command == "pn" else ["json", "text"]
     option("--format", st.sampled_from(formats))
-    if command in ("certify", "solve"):
-        choices = [["--K"], ["--K"], []]
-        if command == "solve":
-            choices += [["--N"], ["--K", "--N"]]
-        for flag in draw(st.sampled_from(choices)):
-            root = draw(st.integers(-1, 40))
-            size = root if flag == "--K" else draw(st.sampled_from([root * root, root + 1]))
-            argv.extend([flag, str(size)])
+    if command in ("certify", "solve") and draw(st.sampled_from([True, True, False])):
+        root = draw(st.integers(-1, 40))
+        if command == "certify":
+            argv.extend(["--K", str(root)])
+        else:
+            argv.extend(["--N", str(draw(st.sampled_from([root * root, root - 1])))])
     if command in ("certify", "solve", "simulate"):
         option("--s", st.integers(-1, 60))
     if command in ("solve", "simulate"):

@@ -12,9 +12,6 @@ from hittime.hitprob import (
     DecimalComplex,
     compute_roots,
     epsilon,
-    figure1_csv,
-    figure1_table,
-    pn_decimal,
     pn_exact,
     pn_series,
 )
@@ -58,12 +55,14 @@ def test_pn_probability_range():
         assert 0 <= p <= 1
 
 
-def test_pn_decimal_matches_exact():
+def test_pn_series_matches_exact():
     ctx = make_context(50)
+    values = dict(pn_series(64, ctx))
     for n in (0, 1, 6, 13, 40, 64):
-        dec = pn_decimal(n, ctx)
         ref = rational_to_decimal(pn_exact(n), ctx)
-        assert agreed_digits(dec, ref, 50) >= 50 - 2
+        assert agreed_digits(values[n], ref, 50) >= 50 - 2
+    with pytest.raises(ValueError):
+        list(pn_series(-1, ctx))
 
 
 def test_pn_maximum_at_six():
@@ -77,7 +76,7 @@ def test_pn_maximum_at_six():
 
 def test_pn_limit_two_sevenths():
     ctx = make_context(60)
-    p200 = pn_decimal(200, ctx)
+    p200 = dict(pn_series(200, ctx))[200]
     eps = epsilon(200, compute_roots(ctx))
     assert abs(p200 - rational_to_decimal(Fraction(2, 7), ctx)) <= eps
 
@@ -214,25 +213,3 @@ def test_epsilon_never_understates():
     for n in (1, 5, 17, 100):
         lower = Fraction(5, 7) * w_lo**n
         assert Fraction(epsilon(n, roots)) >= lower
-
-
-def test_figure1_table():
-    rows = figure1_table(100)
-    assert len(rows) == 100
-    assert rows[0][0] == 1
-    assert digit_string(rows[0][1], 10) == "0.1666666667"
-    # the tail of the table has settled near 2/7
-    tail = rows[-1][1]
-    assert abs(tail - Decimal(2) / Decimal(7)) < Decimal("1e-10")
-    with pytest.raises(ValueError):
-        figure1_table(0)
-
-
-def test_figure1_csv_format():
-    text = figure1_csv(3)
-    lines = text.strip().splitlines()
-    assert lines[0] == "n,p_n"
-    assert len(lines) == 4
-    n, p = lines[1].split(",")
-    assert n == "1"
-    assert len(p.replace("0.", "")) <= 15

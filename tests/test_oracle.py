@@ -56,7 +56,8 @@ def test_grid_decimal_matches_exact():
     # small edition of the full acceptance grid
     working = 50
     ctx = make_context(working)
-    targets = [SQUARES, TargetSet.from_list([3, 7, 20]), TargetSet.dense_from(1, 100)]
+    targets = [SQUARES, TargetSet.from_list([3, 7, 20]),
+               TargetSet.from_list(list(range(1, 101)), 100)]
     for target in targets:
         for n in (10, 16, 100):
             e_tab, p_tab = dp_tables(target, n, 0)

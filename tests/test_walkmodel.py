@@ -26,8 +26,7 @@ D6 = DieModel(6)
 
 
 def test_die_model():
-    assert DieModel(6).mean == Fraction(7, 2)
-    assert DieModel(2).mean == Fraction(3, 2)
+    assert DieModel().sides == 6
     with pytest.raises(ValueError):
         DieModel(1)
 
@@ -71,7 +70,7 @@ def test_bounded_list_refuses_beyond_bound():
 
 
 def test_predicate_table():
-    t = TargetSet.from_predicate(lambda h: h % 5 == 0 and h > 0, bound=100)
+    t = TargetSet(frozenset(h for h in range(1, 101) if h % 5 == 0), 100)
     assert t.membership(10)
     assert not t.membership(11)
     assert t.horizon == 100
@@ -210,7 +209,7 @@ def test_one_step_consistency():
 def test_degenerate_dense_target_is_exact():
     # every state 1..N absorbing: no path can cross the cutoff
     ctx = make_context(40)
-    dense = TargetSet.dense_from(1, 200)
+    dense = TargetSet.from_list(list(range(1, 201)), 200)
     sol = solve_pair(dense, D6, 200, 0, ctx)
     assert sol.overshoot_prob == 0
     assert sol.e_n_value == 1  # first roll always absorbs
@@ -268,7 +267,7 @@ def finite_targets(draw):
         gap = draw(st.integers(2, 3))
         rnd = draw(st.randoms(use_true_random=False))
         flags = [h % gap != 0 and rnd.random() < 0.9 for h in range(bound + 1)]
-    return n, TargetSet.from_predicate(lambda h: flags[h], bound)
+    return n, TargetSet(frozenset(h for h, flag in enumerate(flags) if flag), bound)
 
 
 @settings(deadline=None)
@@ -324,14 +323,17 @@ def test_jumping_and_stepping_kernels_intersect_on_squares():
 
 
 def test_progress_reports_ascending_states(monkeypatch):
-    # about every 1000 states covered, also inside a long target-free stretch
+    # about every 1000 states covered, also inside a long target-free
+    # stretch, the solve reports the gaps between targets covered so far
     monkeypatch.setattr(walkmodel, "PROGRESS_INTERVAL", 1000)
-    for target in (SQUARES, TargetSet.from_list([3, 7, 20])):
+    for target, total in ((SQUARES, 94), (TargetSet.from_list([3, 7, 20]), 1)):
         seen = []
-        solve_pair(target, D6, 10**4, 50, make_context(30), progress=seen.append)
-        assert len(seen) >= 8
-        assert seen[0] - 50 + 1 >= 1000 and seen[-1] <= 10**4
-        assert all(b - a >= 1000 for a, b in zip(seen, seen[1:]))
+        solve_pair(target, D6, 10**4, 50, make_context(30),
+                   progress=lambda done, gaps: seen.append((done, gaps)))
+        assert 8 <= len(seen) <= (10**4 - 50 + 1) // 1000
+        assert {gaps for _, gaps in seen} == {total}
+        done = [d for d, _ in seen]
+        assert done == sorted(done) and 0 <= done[0] and done[-1] < total
 
 
 @settings(deadline=None)
