@@ -15,8 +15,10 @@ from hittime.hitprob import (
     pn_exact,
     pn_series,
 )
+from hittime.cli import main
 from hittime.numerics import (
     GUARD_DIGITS,
+    MIN_WORKING_DIGITS,
     digit_string,
     make_context,
     rational_to_decimal,
@@ -79,6 +81,31 @@ def test_pn_limit_two_sevenths():
     p200 = dict(pn_series(200, ctx))[200]
     eps = epsilon(200, compute_roots(ctx))
     assert abs(p200 - rational_to_decimal(Fraction(2, 7), ctx)) <= eps
+
+
+def test_figure1_table(capsys):
+    # Figure 1 plots p_n for n = 1 .. 100; the pn command builds its decimal
+    # table from pn_series at MIN_WORKING_DIGITS and refuses an empty table
+    series = pn_series(100, make_context(MIN_WORKING_DIGITS))
+    rows = [(n, p) for n, p in series if n >= 1]
+    assert len(rows) == 100
+    assert rows[0][0] == 1
+    assert digit_string(rows[0][1], 10) == "0.1666666667"
+    # the tail of the table has settled near 2/7
+    tail = rows[-1][1]
+    assert abs(tail - Decimal(2) / Decimal(7)) < Decimal("1e-10")
+    assert main(["pn", "--max", "0"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_figure1_csv_format(capsys):
+    assert main(["pn", "--max", "3"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0] == "n,p_n"
+    assert len(lines) == 4
+    n, p = lines[1].split(",")
+    assert n == "1"
+    assert len(p.replace("0.", "")) <= 15
 
 
 def test_root_moduli_ten_digits():
