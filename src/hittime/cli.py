@@ -81,19 +81,22 @@ def _progress_printer():
     """Stderr progress for a solve, which reports gaps between targets covered.
 
     The solve's cost per gap is roughly constant on the squares, while the
-    states per gap grow, so the ETA extrapolates the rate in gaps.
+    states per gap grow, so the ETA extrapolates the rate in gaps, taken
+    since the previous line.  The count includes the covered share of the
+    current gap, so the ETA also holds when one long gap takes most of the
+    time.
     """
-    t0 = time.monotonic()
-    last = [t0]
+    last = [time.monotonic(), 0.0]  # time and count of the previous line
 
-    def progress(done: int, total: int) -> None:
+    def progress(done: float, total: int) -> None:
         now = time.monotonic()
         if now - last[0] < 2.0:
             return
-        last[0] = now
-        rate = done / max(now - t0, 1e-9)
-        eta = f", ETA {(total - done) / rate:,.0f} s" if done else ""
-        print(f"covered {done}/{total} gaps ({rate:,.1f}/s{eta})", file=sys.stderr)
+        rate = (done - last[1]) / (now - last[0])
+        last[:] = now, done
+        eta = f", ETA {(total - done) / rate:,.0f} s" if rate > 0 else ""
+        count = f"{done:.2f}".rstrip("0").rstrip(".")
+        print(f"covered {count}/{total} gaps ({rate:,.1f}/s{eta})", file=sys.stderr)
 
     return progress
 

@@ -1,8 +1,8 @@
 """Independent verification paths: materialized DP and Monte Carlo.
 
 ``dp_tables`` solves the two truncated recursions by backward substitution
-over dense arrays in exact rational arithmetic (denominators divide
-M^(N-s)); the solver's bounds must contain its values.  The Monte Carlo
+over dense arrays in integers scaled by powers of M, and returns exact
+rationals; the solver's bounds must contain its values.  The Monte Carlo
 routines roll the raw process with a counter-based Philox generator, so
 runs are reproducible from the seed and trial batches can be partitioned
 across workers and merged exactly.
@@ -52,30 +52,54 @@ def dp_tables(target: TargetSet, n: int, s_min: int = 0,
               die: DieModel = DieModel(6)) -> tuple[list[Fraction], list[Fraction]]:
     """Exact (E, P) tables for all states s_min .. n, index ``s - s_min``.
 
+    The recursions run on the integers ``E'(s) = M^(n+1-s) E(s)`` and
+    ``P'(s) = M^(n+1-s) P(s)``.  Off the targets, with j = 1 .. M,
+
+        E'(s) = M^(n+1-s) + sum_j M^(j-1) E'(s+j),
+        P'(s) = sum_j M^(j-1) P'(s+j),
+
+    where a neighbor beyond the cutoff has E = 0 and P = 1, so it adds
+    nothing to E' and ``M^(j-1) M^(n+1-s-j) = M^(n-s)`` to P'.  Both are 0
+    on target states.  The values become :class:`Fraction` only on return.
     Dense arrays, full M-neighbor sums and :meth:`TargetSet.membership`
     keep this solver independent of the forward kernel's window map and
     member list.
     """
+    e_arr, p_arr, scales = _scaled_tables(target, n, s_min, die)
+    return ([Fraction(v, d) for v, d in zip(e_arr, scales)],
+            [Fraction(v, d) for v, d in zip(p_arr, scales)])
+
+
+def _scaled_tables(target: TargetSet, n: int, s_min: int,
+                   die: DieModel) -> tuple[list[int], list[int], list[int]]:
+    """``dp_tables``' integers E'(s) and P'(s), and their scales M^(n+1-s)."""
     if n < 0 or s_min < 0 or s_min > n:
         raise ValueError("need 0 <= s_min <= N")
     target.ensure_bound(n)
     m = die.sides
-    # Dense arrays covering s_min .. n + m with the boundary rows appended.
     size = n - s_min + 1
-    e_arr = [Fraction(0)] * (size + m)
-    p_arr = [Fraction(0)] * size + [Fraction(1)] * m
+    weights = [m ** j for j in range(m)]  # M^(j-1) for neighbor s + j
+    e_arr = [0] * size
+    p_arr = [0] * size
+    scales = [0] * size
+    scale = 1
     for s in range(n, s_min - 1, -1):
         idx = s - s_min
+        beyond, scale = scale, scale * m  # M^(n-s) and M^(n+1-s)
+        scales[idx] = scale
         if target.membership(s):
             continue  # arrays already hold exact zeros
-        acc_e = e_arr[idx + 1]
-        acc_p = p_arr[idx + 1]
-        for j in range(2, m + 1):
-            acc_e += e_arr[idx + j]
-            acc_p += p_arr[idx + j]
-        e_arr[idx] = 1 + acc_e / m
-        p_arr[idx] = acc_p / m
-    return e_arr[:size], p_arr[:size]
+        acc_e = scale
+        acc_p = 0
+        for j, w in enumerate(weights, 1):
+            if s + j > n:
+                acc_p += beyond
+            else:
+                acc_e += w * e_arr[idx + j]
+                acc_p += w * p_arr[idx + j]
+        e_arr[idx] = acc_e
+        p_arr[idx] = acc_p
+    return e_arr, p_arr, scales
 
 
 def exact_dp(target: TargetSet, n: int, s: int,
@@ -90,8 +114,8 @@ def exact_dp(target: TargetSet, n: int, s: int,
         return Fraction(0), Fraction(1)
     if n > EXACT_DP_MAX_N:
         raise SizeCapError(f"exact solve capped at N <= {EXACT_DP_MAX_N}, got {n}")
-    e_arr, p_arr = dp_tables(target, n, s_min=s, die=die)
-    return e_arr[0], p_arr[0]
+    e_arr, p_arr, scales = _scaled_tables(target, n, s, die)
+    return Fraction(e_arr[0], scales[0]), Fraction(p_arr[0], scales[0])
 
 
 @dataclass(frozen=True)

@@ -237,14 +237,16 @@ class TruncationSolution:
 
 def solve_pair(target: TargetSet, die: DieModel, n: int, s_min: int,
                ctx: PrecisionContext,
-               progress: Callable[[int, int], None] | None = None) -> TruncationSolution:
+               progress: Callable[[float, int], None] | None = None) -> TruncationSolution:
     """Forward fixed-point solve returning the solution pair at ``s_min``.
 
     Start states above the cutoff report the boundary values (0, 1)
     exactly.  Otherwise the states ``s_min .. n`` are covered in ascending
     order, and about every ``PROGRESS_INTERVAL`` states ``progress(d, G)``
     is called with the number d of the G runs of non-target states (the
-    gaps before, between and after the targets) covered so far.
+    gaps before, between and after the targets) covered so far, plus the
+    covered share of the current run and the target that ends it, so d
+    rises within one long run too.
 
     The kernel keeps the value at ``s_min`` as an affine function of the
     M-state window above the states covered so far::
@@ -277,6 +279,21 @@ def solve_pair(target: TargetSet, die: DieModel, n: int, s_min: int,
     of the power costs M state steps, so the cap keeps what is spent
     advancing toward a run the power does not reach to about 1/M of the
     cost of stepping that run.
+
+    A jump forms, for each column x of A^g (and for h_g), the exact sums
+    ``lo . x_lo`` and ``hi . x_hi`` with one full-size product, by two
+    identities on Python ints::
+
+        lo . x_lo = sum(lo) x_lo[0] + sum_{i>=1} lo[i] (x_lo[i] - x_lo[0])
+        hi . x_hi = lo . x_lo + lo . (x_hi - x_lo) + (hi - lo) . x_hi
+
+    A is a mixing stochastic matrix, so the rows of A^g agree to about
+    |w|^g, where |w| < 1 is the largest modulus of A's other eigenvalues
+    (about 2^-0.454 for M = 6): on long runs the row differences are
+    hundreds of bits shorter than the entries, and the twins differ by a
+    few words throughout.  Both sides of each identity are the same
+    integer, so the floor and ceiling that follow act on exactly the sums
+    of the plain products: the twins, and the proof below, are unchanged.
 
     The kernel works in fixed point on 2^-c, c = :func:`fraction_bits`,
     with two twins of every quantity: one that rounds every division by M
@@ -315,7 +332,7 @@ def solve_pair(target: TargetSet, die: DieModel, n: int, s_min: int,
 
 
 def _forward(members: list[int], m: int, n: int, s_min: int, bits: int,
-             progress: Callable[[int, int], None] | None) -> TruncationSolution:
+             progress: Callable[[float, int], None] | None) -> TruncationSolution:
     one = 1 << bits
     unit = [[one if j == i else 0 for j in range(m)] for i in range(m)]
     r = _Twins(unit[0], unit[0], m)
@@ -330,12 +347,13 @@ def _forward(members: list[int], m: int, n: int, s_min: int, bits: int,
     report_at = s_min + PROGRESS_INTERVAL - 1
 
     def covered(s: int) -> None:
+        # s lies in the run p .. t - 1 or is its closing state t
         nonlocal report_at
         if progress is not None and s >= report_at:
             report_at = s + PROGRESS_INTERVAL
-            progress(bisect.bisect_right(members, s), len(members) + 1)
+            progress(gap + (s - p + 1) / (t - p + 1), len(members) + 1)
 
-    for t in members + [n + 1]:
+    for gap, t in enumerate(members + [n + 1]):
         g = t - p
         if JUMP_MIN <= g and span <= g:
             # Row i of A^span is e_i stepped span times, and h_span[i] sums
@@ -349,10 +367,11 @@ def _forward(members: list[int], m: int, n: int, s_min: int, bits: int,
         if JUMP_MIN <= g == span:
             lo, hi = r.rows()
             pow_lo, pow_hi = zip(*(row.rows() for row in power))
-            e_lo += _dot(lo, h_lo) >> (bits + shift)
-            e_hi -= -_dot(hi, h_hi) >> (bits + shift)
-            r = _Twins([_dot(lo, col) >> bits for col in zip(*pow_lo)],
-                       [-(-_dot(hi, col) >> bits) for col in zip(*pow_hi)], m)
+            (add_lo, *new_lo), (add_hi, *new_hi) = _jump_products(
+                lo, hi, [h_lo, *zip(*pow_lo)], [h_hi, *zip(*pow_hi)])
+            e_lo += add_lo >> (bits + shift)
+            e_hi -= -add_hi >> (bits + shift)
+            r = _Twins([v >> bits for v in new_lo], [-(-v >> bits) for v in new_hi], m)
         else:
             while g:  # in pieces, so long stretches report progress
                 run = min(g, PROGRESS_INTERVAL)
@@ -371,8 +390,8 @@ def _forward(members: list[int], m: int, n: int, s_min: int, bits: int,
             r.rescale(RESCALE_BITS)
             total <<= RESCALE_BITS
             shift += RESCALE_BITS
-        p = t + 1
         covered(t)
+        p = t + 1
     lo, hi = r.rows()
     return TruncationSolution(cutoff=n, start=s_min,
                               e_lo=Fraction(e_lo, one), e_hi=Fraction(e_hi, one),
@@ -382,6 +401,22 @@ def _forward(members: list[int], m: int, n: int, s_min: int, bits: int,
 
 def _dot(a: list[int], b) -> int:
     return sum(map(operator.mul, a, b))
+
+
+def _jump_products(lo: list[int], hi: list[int], cols_lo, cols_hi) -> tuple[list[int], list[int]]:
+    """``lo . x_lo`` and ``hi . x_hi`` for each column pair, exactly.
+
+    Uses the two identities in :func:`solve_pair`, so each pair costs one
+    product of full-size factors.
+    """
+    lo_sum, rest = sum(lo), lo[1:]
+    slack = list(map(operator.sub, hi, lo))
+    out_lo, out_hi = [], []
+    for x_lo, x_hi in zip(cols_lo, cols_hi):
+        low = lo_sum * x_lo[0] + _dot(rest, [v - x_lo[0] for v in x_lo[1:]])
+        out_lo.append(low)
+        out_hi.append(low + _dot(lo, map(operator.sub, x_hi, x_lo)) + _dot(slack, x_hi))
+    return out_lo, out_hi
 
 
 class _Twins:

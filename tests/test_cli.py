@@ -377,6 +377,14 @@ def test_progress_printer_reports_rate_and_eta(capsys, monkeypatch):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == "covered 1000/5001 gaps (100.0/s, ETA 40 s)\n"
+    # the rate is taken since the previous line, and a count includes the
+    # covered share of the current gap
+    clock[0] = 113.0
+    progress(1000, 5001)
+    clock[0] = 117.0
+    progress(1000.4, 5001)
+    assert capsys.readouterr().err == ("covered 1000/5001 gaps (0.0/s)\n"
+                                       "covered 1000.4/5001 gaps (0.1/s, ETA 40,006 s)\n")
     # no gap done yet: a rate of 0 and no ETA, with no division by zero
     progress = cli._progress_printer()
     clock[0] = 120.0

@@ -4,10 +4,10 @@ from fractions import Fraction
 from functools import reduce
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import agreed_digits
+from conftest import agreed_digits, finite_targets, fraction_tables
 from hittime.numerics import make_context, rational_to_decimal
 from hittime import oracle
 from hittime.oracle import (
@@ -43,6 +43,19 @@ def test_exact_dp_size_cap():
 def test_exact_dp_values_are_probabilities():
     _, p_tab = dp_tables(SQUARES, 60, 0)
     assert all(0 <= p <= 1 for p in p_tab)
+
+
+@settings(deadline=None)
+@given(problem=finite_targets(), sides=st.integers(2, 9), data=st.data())
+def test_dp_tables_equal_fraction_recurrence(problem, sides, data):
+    # the scaled-integer tables equal the plain-Fraction recurrence exactly,
+    # and exact_dp reads their first entry
+    n, target = problem
+    s_min = data.draw(st.integers(0, n), label="s_min")
+    die = DieModel(sides)
+    e_tab, p_tab = fraction_tables(target, n, s_min, die)
+    assert dp_tables(target, n, s_min, die) == (e_tab, p_tab)
+    assert exact_dp(target, n, s_min, die) == (e_tab[0], p_tab[0])
 
 
 def test_neighbor_target_truncation():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import agreed_digits, forward_reference
+from conftest import agreed_digits, finite_targets, forward_reference
 from hittime import walkmodel
 from hittime.numerics import make_context, rational_to_decimal
 from hittime.oracle import dp_tables, exact_dp
@@ -241,35 +241,6 @@ def test_sweep_argument_validation():
         exact_dp(SQUARES, -1, 0)
 
 
-@st.composite
-def finite_targets(draw):
-    """A cutoff N <= 300 and a finite target answerable up to N.
-
-    Complete lists may run past N and include 0 and/or N; bounded lists
-    and predicate tables declare a bound at or above N.  Dense predicate
-    tables drive P far below 10^-20 at the larger cutoffs.
-    """
-    n = draw(st.integers(0, 300))
-    form = draw(st.sampled_from(["complete", "bounded", "predicate", "dense"]))
-    if form == "complete":
-        elements = draw(st.sets(st.integers(0, n + 20)))
-        elements |= draw(st.sets(st.sampled_from([0, n]), min_size=1))
-        return n, TargetSet.from_list(sorted(elements))
-    bound = draw(st.integers(n, n + 20))
-    if form == "bounded":
-        elements = draw(st.sets(st.integers(0, bound), min_size=1))
-        return n, TargetSet.from_list(sorted(elements), bound=bound)
-    if form == "predicate":
-        flags = draw(st.lists(st.booleans(), min_size=bound + 1, max_size=bound + 1))
-    else:
-        # Mostly targets, but every gap-th state is open, so walks keep
-        # surviving with ever smaller probability instead of none at all.
-        gap = draw(st.integers(2, 3))
-        rnd = draw(st.randoms(use_true_random=False))
-        flags = [h % gap != 0 and rnd.random() < 0.9 for h in range(bound + 1)]
-    return n, TargetSet(frozenset(h for h, flag in enumerate(flags) if flag), bound)
-
-
 @settings(deadline=None)
 @given(problem=finite_targets(), sides=st.integers(2, 9), data=st.data())
 def test_sweep_matches_materialized_tables(problem, sides, data):
@@ -309,6 +280,30 @@ def test_kernel_encloses_exact_values(jump_min, problem, sides, data):
     assert enc.p_hi - enc.p_lo <= Fraction(1, 10 ** working) * p_tab[0]
 
 
+@pytest.mark.parametrize("jump_min", [1, 2, 5, 64])
+@settings(deadline=None)
+@given(problem=finite_targets() | st.integers(0, 300).map(lambda n: (n, SQUARES)),
+       sides=st.integers(2, 9), data=st.data())
+def test_jumps_equal_full_product_reference(jump_min, problem, sides, data):
+    # the kernel's jumps, on row and twin differences, give the same
+    # integers as full products of both twins with the cached power
+    n, target = problem
+    s_min = data.draw(st.integers(0, n), label="s_min")
+    die = DieModel(sides)
+    ctx = make_context(30)
+    with mock.patch.object(walkmodel, "JUMP_MIN", jump_min):
+        sol = solve_pair(target, die, n, s_min, ctx)
+    assert sol == forward_reference(target, die, n, s_min, ctx, jump_min)
+
+
+def test_jumps_equal_full_product_reference_at_k500():
+    # certify's size K = 500 at 200 digits, with the default JUMP_MIN:
+    # the runs of 2k >= 128 states from k = 64 on are jumped
+    ctx = make_context(200)
+    sol = solve_pair(SQUARES, D6, 500**2, 0, ctx)
+    assert sol == forward_reference(SQUARES, D6, 500**2, 0, ctx, walkmodel.JUMP_MIN)
+
+
 def test_jumping_and_stepping_kernels_intersect_on_squares():
     working = 100
     ctx = make_context(working)
@@ -324,7 +319,8 @@ def test_jumping_and_stepping_kernels_intersect_on_squares():
 
 def test_progress_reports_ascending_states(monkeypatch):
     # about every 1000 states covered, also inside a long target-free
-    # stretch, the solve reports the gaps between targets covered so far
+    # stretch, the solve reports the gaps between targets covered so far,
+    # with the covered share of the current gap
     monkeypatch.setattr(walkmodel, "PROGRESS_INTERVAL", 1000)
     for target, total in ((SQUARES, 94), (TargetSet.from_list([3, 7, 20]), 1)):
         seen = []
@@ -334,6 +330,10 @@ def test_progress_reports_ascending_states(monkeypatch):
         assert {gaps for _, gaps in seen} == {total}
         done = [d for d, _ in seen]
         assert done == sorted(done) and 0 <= done[0] and done[-1] < total
+    # from s = 50 all of [3, 7, 20]'s states form one gap, which the count
+    # crosses in even steps
+    assert all(a < b for a, b in zip(done, done[1:]))
+    assert done == pytest.approx([i * 1000 / (10**4 - 50 + 2) for i in range(1, 10)])
 
 
 @settings(deadline=None)
