@@ -38,7 +38,6 @@ from .oracle import (
     dp_tables,
     exact_dp,
     merge_results,
-    simulate_ever_hit,
     simulate_hitting,
 )
 from .walkmodel import (
@@ -72,7 +71,6 @@ __all__ = [
     "dp_tables",
     "exact_dp",
     "simulate_hitting",
-    "simulate_ever_hit",
     "merge_results",
     "McConfig",
     "McResult",

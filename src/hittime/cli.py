@@ -84,17 +84,19 @@ def _progress_printer():
     states per gap grow, so the ETA extrapolates the rate in gaps, taken
     since the previous line.  The count includes the covered share of the
     current gap, so the ETA also holds when one long gap takes most of the
-    time.
+    time.  The first line has no ETA: its rate counts every gap covered
+    since the start, the cheap short ones too.
     """
-    last = [time.monotonic(), 0.0]  # time and count of the previous line
+    last = [time.monotonic(), None]  # time and count of the previous line
 
     def progress(done: float, total: int) -> None:
         now = time.monotonic()
         if now - last[0] < 2.0:
             return
-        rate = (done - last[1]) / (now - last[0])
+        first = last[1] is None
+        rate = (done - (last[1] or 0)) / (now - last[0])
         last[:] = now, done
-        eta = f", ETA {(total - done) / rate:,.0f} s" if rate > 0 else ""
+        eta = f", ETA {(total - done) / rate:,.0f} s" if rate > 0 and not first else ""
         count = f"{done:.2f}".rstrip("0").rstrip(".")
         print(f"covered {count}/{total} gaps ({rate:,.1f}/s{eta})", file=sys.stderr)
 

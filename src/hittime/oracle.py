@@ -2,10 +2,13 @@
 
 ``dp_tables`` solves the two truncated recursions by backward substitution
 over dense arrays in integers scaled by powers of M, and returns exact
-rationals; the solver's bounds must contain its values.  The Monte Carlo
-routines roll the raw process with a counter-based Philox generator, so
-runs are reproducible from the seed and trial batches can be partitioned
-across workers and merged exactly.
+rationals; the solver's bounds must contain its values.
+``simulate_hitting`` rolls the raw process with a counter-based Philox
+generator, so a run is reproducible from its seed.  It draws each walk's
+uniforms a block of rolls at a time but turns them into rolls, running
+sums and membership checks only until the walk hits or passes a finite
+target's horizon.  Its integer accumulators let ``merge_results`` combine
+partitioned runs exactly.
 """
 
 from __future__ import annotations
@@ -27,16 +30,20 @@ __all__ = [
     "dp_tables",
     "exact_dp",
     "simulate_hitting",
-    "simulate_ever_hit",
     "merge_results",
 ]
 
 EXACT_DP_MAX_N = 5000
 
-# Trials are simulated in blocks of this many rolls at a time, this many
-# trials at once.  Each block holds a few chunk x 64 arrays (8 MB apiece at
-# 1 << 14 trials), so the chunk sets peak memory, not the estimate.
+# Trials are simulated this many at once, their uniforms drawn one
+# (running walks) x _ROLL_BLOCK array per block; these two sizes fix which
+# uniform drives which roll, so changing either changes every seed's
+# estimate.  A block's columns are read in the slices _ROLL_SLICES marks,
+# which change no estimate: on the squares E[T] is about 7 and only a tenth
+# of the walks outlast 16 rolls, so most of a block is never read.  The
+# first block's uniforms (8 MB at 1 << 14 trials) set peak memory.
 _ROLL_BLOCK = 64
+_ROLL_SLICES = (0, 8, 16, 32, _ROLL_BLOCK)
 _TRIAL_CHUNK = 1 << 14
 
 
@@ -205,6 +212,13 @@ def simulate_hitting(cfg: McConfig) -> McResult:
     ``max_steps`` rolls, or that pass the target's horizon without hitting
     (after which the monotone walk provably never hits), are counted in
     ``capped_trials`` and excluded from the mean.
+
+    A walk's uniforms are drawn a block at a time, but a walk that hits or
+    passes the horizon within a block leaves at the end of the slice it
+    did so in; the rest of its row is never read.  Walks leave in order
+    and the next block draws one row per walk still running, so every
+    uniform drives the same roll of the same trial as when whole blocks
+    are rolled.
     """
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     m = cfg.die.sides
@@ -227,57 +241,40 @@ def simulate_hitting(cfg: McConfig) -> McResult:
     while remaining > 0:
         chunk = min(remaining, _TRIAL_CHUNK)
         remaining -= chunk
-        sums = np.full(chunk, cfg.start, dtype=np.int64)
-        alive = np.arange(chunk)
+        sums = np.full(chunk, cfg.start, dtype=np.int64)  # the running walks' sums
         steps_done = 0
-        while alive.size > 0 and steps_done < cfg.max_steps:
+        while sums.size > 0 and steps_done < cfg.max_steps:
             block = min(_ROLL_BLOCK, cfg.max_steps - steps_done)
-            rolls = 1 + np.floor(m * rng.random((alive.size, block))).astype(np.int64)
-            paths = sums[alive, None] + np.cumsum(rolls, axis=1)
-            hits = _membership_mask(table, paths)
-            hit_any = hits.any(axis=1)
-            first = np.argmax(hits, axis=1)
-            if hit_any.any():
-                t_vals = steps_done + first[hit_any] + 1
-                completed += int(hit_any.sum())
-                sum_t += int(t_vals.sum())
-                sum_t_sq += int((t_vals * t_vals).sum())
-            survivors = ~hit_any
-            sums[alive[survivors]] = paths[survivors, -1]
-            alive = alive[survivors]
-            if bound is not None and alive.size > 0:
-                # Past the declared bound the walk can never be seen to hit.
-                dead = sums[alive] > bound
-                capped += int(dead.sum())
-                alive = alive[~dead]
+            uniforms = rng.random((sums.size, block))
+            rows = None  # the running walks' rows of uniforms; None while all run
+            for lo, hi in zip(_ROLL_SLICES, _ROLL_SLICES[1:]):
+                if lo >= block or sums.size == 0:
+                    break
+                cols = slice(lo, min(hi, block))
+                part = uniforms[:, cols] if rows is None else uniforms[rows, cols]
+                # Rolls 1 + floor(M u); M u >= 0, so truncation is the floor.
+                paths = (m * part).astype(np.int64)
+                paths += 1
+                np.cumsum(paths, axis=1, out=paths)
+                paths += sums[:, None]
+                hits = _membership_mask(table, paths)
+                hit_any = hits.any(axis=1)
+                if hit_any.any():
+                    t_vals = steps_done + lo + 1 + np.argmax(hits[hit_any], axis=1)
+                    completed += t_vals.size
+                    sum_t += int(t_vals.sum())
+                    sum_t_sq += int((t_vals * t_vals).sum())
+                keep = ~hit_any
+                sums = paths[:, -1]
+                if bound is not None:
+                    # Past the declared bound the walk can never be seen to hit.
+                    dead = keep & (sums > bound)
+                    capped += int(dead.sum())
+                    keep &= ~dead
+                sums = sums[keep]
+                rows = np.flatnonzero(keep) if rows is None else rows[keep]
             steps_done += block
-        capped += alive.size
+        capped += sums.size
 
     return _result_from_sums(completed, capped, sum_t, sum_t_sq)
 
-
-def simulate_ever_hit(n: int, trials: int, seed: int,
-                      die: DieModel = DieModel(6)) -> float:
-    """Fraction of walks from 0 that visit ``n`` before exceeding it.
-
-    Each roll advances by at least 1, so ``n`` rolls always suffice to
-    reach or pass ``n``; one block of that many rolls decides every trial.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    m = die.sides
-    hits = 0
-    remaining = trials
-    chunk_size = max(1, min(_TRIAL_CHUNK, (1 << 21) // n))
-    while remaining > 0:
-        chunk = min(remaining, chunk_size)
-        remaining -= chunk
-        rolls = 1 + np.floor(m * rng.random((chunk, n))).astype(np.int64)
-        paths = np.cumsum(rolls, axis=1)
-        reached = paths >= n
-        first = np.argmax(reached, axis=1)
-        hits += int((paths[np.arange(chunk), first] == n).sum())
-    return hits / trials

@@ -9,11 +9,14 @@ import os
 from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
 
 from hittime.numerics import round_to_digits
-from hittime.walkmodel import RESCALE_BITS, TargetSet, TruncationSolution, fraction_bits
+from hittime.oracle import McResult, _membership_mask, _result_from_sums
+from hittime.walkmodel import (RESCALE_BITS, DieModel, TargetSet, TruncationSolution,
+                               fraction_bits)
 
 settings.register_profile("ci", derandomize=True, print_blob=True)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
@@ -170,3 +173,95 @@ def finite_targets(draw):
         rnd = draw(st.randoms(use_true_random=False))
         flags = [h % gap != 0 and rnd.random() < 0.9 for h in range(bound + 1)]
     return n, TargetSet(frozenset(h for h, flag in enumerate(flags) if flag), bound)
+
+
+# The Monte Carlo draw's shape: trials per chunk and rolls per block.
+# mc_reference keeps its own copy, so a change to the oracle's draw fails
+# the equality test instead of moving both sides.
+MC_TRIAL_CHUNK = 1 << 14
+MC_ROLL_BLOCK = 64
+
+
+def mc_reference(cfg) -> McResult:
+    """``simulate_hitting``'s block loop with every roll of a block processed.
+
+    Each block draws a (running walks) x 64 array of uniforms and turns all
+    of it into rolls, running sums and membership checks.  Walks that hit
+    leave at the block's end, and so do walks past a finite target's
+    horizon, which count as capped.
+    """
+    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
+    m = cfg.die.sides
+    target = cfg.target
+    bound = target.horizon
+    table = None
+    if bound is not None:
+        table = np.zeros(bound + 2, dtype=bool)
+        table[target.members_upto(bound)] = True
+
+    start_in_target = (bound is None or cfg.start <= bound) and target.membership(cfg.start)
+    if start_in_target:
+        return _result_from_sums(cfg.trials, 0, 0, 0)
+
+    completed = 0
+    capped = 0
+    sum_t = 0
+    sum_t_sq = 0
+    remaining = cfg.trials
+    while remaining > 0:
+        chunk = min(remaining, MC_TRIAL_CHUNK)
+        remaining -= chunk
+        sums = np.full(chunk, cfg.start, dtype=np.int64)
+        alive = np.arange(chunk)
+        steps_done = 0
+        while alive.size > 0 and steps_done < cfg.max_steps:
+            block = min(MC_ROLL_BLOCK, cfg.max_steps - steps_done)
+            rolls = 1 + np.floor(m * rng.random((alive.size, block))).astype(np.int64)
+            paths = sums[alive, None] + np.cumsum(rolls, axis=1)
+            hits = _membership_mask(table, paths)
+            hit_any = hits.any(axis=1)
+            first = np.argmax(hits, axis=1)
+            if hit_any.any():
+                t_vals = steps_done + first[hit_any] + 1
+                completed += int(hit_any.sum())
+                sum_t += int(t_vals.sum())
+                sum_t_sq += int((t_vals * t_vals).sum())
+            survivors = ~hit_any
+            sums[alive[survivors]] = paths[survivors, -1]
+            alive = alive[survivors]
+            if bound is not None and alive.size > 0:
+                # Past the declared bound the walk can never be seen to hit.
+                dead = sums[alive] > bound
+                capped += int(dead.sum())
+                alive = alive[~dead]
+            steps_done += block
+        capped += alive.size
+
+    return _result_from_sums(completed, capped, sum_t, sum_t_sq)
+
+
+def simulate_ever_hit(n: int, trials: int, seed: int,
+                      die: DieModel = DieModel(6)) -> float:
+    """Fraction of walks from 0 that visit ``n`` before exceeding it.
+
+    Each roll advances by at least 1, so ``n`` rolls always suffice to
+    reach or pass ``n``; one block of that many rolls decides every trial.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    m = die.sides
+    hits = 0
+    remaining = trials
+    chunk_size = max(1, min(MC_TRIAL_CHUNK, (1 << 21) // n))
+    while remaining > 0:
+        chunk = min(remaining, chunk_size)
+        remaining -= chunk
+        rolls = 1 + np.floor(m * rng.random((chunk, n))).astype(np.int64)
+        paths = np.cumsum(rolls, axis=1)
+        reached = paths >= n
+        first = np.argmax(reached, axis=1)
+        hits += int((paths[np.arange(chunk), first] == n).sum())
+    return hits / trials

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import agreed_digits, finite_targets, fraction_tables
+from conftest import (agreed_digits, finite_targets, fraction_tables, mc_reference,
+                      simulate_ever_hit)
 from hittime.numerics import make_context, rational_to_decimal
 from hittime import oracle
 from hittime.oracle import (
@@ -18,7 +19,6 @@ from hittime.oracle import (
     dp_tables,
     exact_dp,
     merge_results,
-    simulate_ever_hit,
     simulate_hitting,
 )
 from hittime.hitprob import pn_exact
@@ -79,6 +79,36 @@ def test_grid_decimal_matches_exact():
                 e, p = sol.e_n_value, sol.overshoot_prob
                 assert agreed_digits(e, rational_to_decimal(e_tab[s], ctx), working) >= working - 5
                 assert agreed_digits(p, rational_to_decimal(p_tab[s], ctx), working) >= working - 5
+
+
+MC_TARGETS = st.one_of(
+    st.just(SQUARES),
+    finite_targets().map(lambda problem: problem[1]),
+    # declared bounds ("# bound" in a file): walks past them come back capped
+    st.just(TargetSet.from_list([11], bound=11)),
+    st.builds(lambda elements, extra: TargetSet.from_list(sorted(elements),
+                                                          bound=max(elements) + extra),
+              st.sets(st.integers(1, 40), min_size=1, max_size=4), st.integers(0, 10)),
+)
+
+
+@settings(deadline=None)
+@given(target=MC_TARGETS, sides=st.integers(2, 9),
+       start=st.sampled_from([0, 10, 10**10 + 1]),
+       max_steps=st.sampled_from([1, 5, 63, 64, 65, 130]),
+       trials=st.sampled_from([1, 16384, 16385]), seed=st.integers(0, 2**63))
+def test_simulation_equals_reference_loop(target, sides, start, max_steps, trials, seed):
+    # taking a block's rolls slice by slice, for the running walks only,
+    # gives the full-block loop's result field for field, or its error
+    cfg = McConfig(trials=trials, seed=seed, die=DieModel(sides), target=target,
+                   start=start, max_steps=max_steps)
+    try:
+        expected = mc_reference(cfg)
+    except AllTrialsCappedError:
+        with pytest.raises(AllTrialsCappedError):
+            simulate_hitting(cfg)
+        return
+    assert simulate_hitting(cfg) == expected
 
 
 def test_simulation_deterministic():
