@@ -37,7 +37,6 @@ from .oracle import (
     McResult,
     dp_tables,
     exact_dp,
-    merge_results,
     simulate_hitting,
 )
 from .walkmodel import (
@@ -71,7 +70,6 @@ __all__ = [
     "dp_tables",
     "exact_dp",
     "simulate_hitting",
-    "merge_results",
     "McConfig",
     "McResult",
 ]

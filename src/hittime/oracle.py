@@ -4,15 +4,14 @@
 over dense arrays in integers scaled by powers of M, and returns exact
 rationals; the solver's bounds must contain its values.
 ``simulate_hitting`` rolls the raw process with a counter-based Philox
-generator, so a run is reproducible from its seed.  It draws each walk's
-uniforms a block of rolls at a time but turns them into rolls, running
-sums and membership checks only until the walk hits or passes a finite
-target's horizon.  Its integer accumulators let ``merge_results`` combine
-partitioned runs exactly.
+generator, so a run is reproducible from its seed.  It draws die faces
+directly as bounded integers, a short slice of rolls at a time and only
+for the walks still running, so it draws no roll that no walk reads.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,21 +29,23 @@ __all__ = [
     "dp_tables",
     "exact_dp",
     "simulate_hitting",
-    "merge_results",
 ]
 
 EXACT_DP_MAX_N = 5000
 
-# Trials are simulated this many at once, their uniforms drawn one
-# (running walks) x _ROLL_BLOCK array per block; these two sizes fix which
-# uniform drives which roll, so changing either changes every seed's
-# estimate.  A block's columns are read in the slices _ROLL_SLICES marks,
-# which change no estimate: on the squares E[T] is about 7 and only a tenth
-# of the walks outlast 16 rolls, so most of a block is never read.  The
-# first block's uniforms (8 MB at 1 << 14 trials) set peak memory.
-_ROLL_BLOCK = 64
-_ROLL_SLICES = (0, 8, 16, 32, _ROLL_BLOCK)
+# Trials are simulated this many at once, and each chunk's walks roll
+# slices of these widths in turn, drawing rolls only for the walks still
+# running.  On the squares E[T] is about 7 and only a tenth of the walks
+# outlast 16 rolls, so short first slices draw little that no walk reads.
+# Both sizes fix which draw drives which roll, so changing either changes
+# every seed's estimate.  A chunk's first slice, (1 << 14) x 8 int64 rolls
+# or 1 MB, is the largest array the loop holds.
 _TRIAL_CHUNK = 1 << 14
+_SLICE_WIDTHS = (8, 8, 16, 32)
+
+# Membership of every state below 2^16 in the squares (0 is not a target).
+_SQUARES_BELOW = np.zeros(1 << 16, dtype=bool)
+_SQUARES_BELOW[np.arange(1, 1 << 8) ** 2] = True
 
 
 class SizeCapError(ValueError):
@@ -143,6 +144,9 @@ class McConfig:
             raise ValueError("max_steps must be >= 1")
         if self.start < 0:
             raise ValueError("start must be nonnegative")
+        if self.start + self.max_steps * self.die.sides > np.iinfo(np.int64).max:
+            # The walks' int64 sums would wrap to negative values.
+            raise ValueError("start + max_steps * die sides must stay below 2^63")
 
 
 @dataclass(frozen=True)
@@ -182,23 +186,19 @@ def _result_from_sums(completed: int, capped: int, sum_t: int, sum_t_sq: int) ->
                     sum_t=sum_t, sum_t_sq=sum_t_sq)
 
 
-def merge_results(a: McResult, b: McResult) -> McResult:
-    """Combine partitioned batches; exact, hence order-independent."""
-    return _result_from_sums(a.trials_completed + b.trials_completed,
-                             a.capped_trials + b.capped_trials,
-                             a.sum_t + b.sum_t,
-                             a.sum_t_sq + b.sum_t_sq)
-
-
 def _membership_mask(table: np.ndarray | None, values: np.ndarray) -> np.ndarray:
     """Vectorized membership for nonnegative int64 ``values``.
 
-    ``table`` is ``None`` for the squares; for a finite target it covers
-    ``0 .. horizon + 1``, and values beyond the horizon read its last,
-    non-member slot.  The caller treats walks past the horizon as dead
-    (capped).
+    ``table`` is ``None`` for the squares, which are looked up in
+    ``_SQUARES_BELOW`` unless some value lies past it; only then is each
+    value checked through an exact float ``sqrt``.  For a finite target
+    ``table`` covers ``0 .. horizon + 1``, and values beyond the horizon
+    read its last, non-member slot.  The caller treats walks past the
+    horizon as dead (capped).
     """
     if table is None:
+        if values.max() < _SQUARES_BELOW.size:
+            return _SQUARES_BELOW[values]
         r = np.sqrt(values.astype(np.float64)).astype(np.int64)
         return ((r * r == values) | ((r + 1) * (r + 1) == values)) & (values >= 1)
     return table[np.minimum(values, table.size - 1)]
@@ -208,17 +208,16 @@ def simulate_hitting(cfg: McConfig) -> McResult:
     """Estimate the expected hitting time by rolling the raw process.
 
     Uses the counter-based Philox 4x64 generator keyed by ``cfg.seed``;
-    die rolls are ``1 + floor(M * uniform)``.  Trials that reach
-    ``max_steps`` rolls, or that pass the target's horizon without hitting
-    (after which the monotone walk provably never hits), are counted in
-    ``capped_trials`` and excluded from the mean.
+    die rolls are bounded integers drawn uniformly from 1 .. M by numpy's
+    unbiased (Lemire) method, so every roll is an exactly fair face.
+    Trials that reach ``max_steps`` rolls, or that pass the target's
+    horizon without hitting (after which the monotone walk provably never
+    hits), are counted in ``capped_trials`` and excluded from the mean.
 
-    A walk's uniforms are drawn a block at a time, but a walk that hits or
-    passes the horizon within a block leaves at the end of the slice it
-    did so in; the rest of its row is never read.  Walks leave in order
-    and the next block draws one row per walk still running, so every
-    uniform drives the same roll of the same trial as when whole blocks
-    are rolled.
+    Each chunk of trials is rolled in slices of ``_SLICE_WIDTHS`` rolls,
+    taken in turn; a slice draws rolls for the walks still running only,
+    and a walk that hits or passes the horizon within a slice leaves at
+    its end, so no roll is drawn that no walk reads.
     """
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     m = cfg.die.sides
@@ -243,38 +242,29 @@ def simulate_hitting(cfg: McConfig) -> McResult:
         remaining -= chunk
         sums = np.full(chunk, cfg.start, dtype=np.int64)  # the running walks' sums
         steps_done = 0
-        while sums.size > 0 and steps_done < cfg.max_steps:
-            block = min(_ROLL_BLOCK, cfg.max_steps - steps_done)
-            uniforms = rng.random((sums.size, block))
-            rows = None  # the running walks' rows of uniforms; None while all run
-            for lo, hi in zip(_ROLL_SLICES, _ROLL_SLICES[1:]):
-                if lo >= block or sums.size == 0:
-                    break
-                cols = slice(lo, min(hi, block))
-                part = uniforms[:, cols] if rows is None else uniforms[rows, cols]
-                # Rolls 1 + floor(M u); M u >= 0, so truncation is the floor.
-                paths = (m * part).astype(np.int64)
-                paths += 1
-                np.cumsum(paths, axis=1, out=paths)
-                paths += sums[:, None]
-                hits = _membership_mask(table, paths)
-                hit_any = hits.any(axis=1)
-                if hit_any.any():
-                    t_vals = steps_done + lo + 1 + np.argmax(hits[hit_any], axis=1)
-                    completed += t_vals.size
-                    sum_t += int(t_vals.sum())
-                    sum_t_sq += int((t_vals * t_vals).sum())
-                keep = ~hit_any
-                sums = paths[:, -1]
-                if bound is not None:
-                    # Past the declared bound the walk can never be seen to hit.
-                    dead = keep & (sums > bound)
-                    capped += int(dead.sum())
-                    keep &= ~dead
-                sums = sums[keep]
-                rows = np.flatnonzero(keep) if rows is None else rows[keep]
-            steps_done += block
+        for width in itertools.cycle(_SLICE_WIDTHS):
+            if sums.size == 0 or steps_done >= cfg.max_steps:
+                break
+            width = min(width, cfg.max_steps - steps_done)
+            paths = rng.integers(1, m + 1, size=(sums.size, width), dtype=np.int64)
+            np.cumsum(paths, axis=1, out=paths)
+            paths += sums[:, None]
+            hits = _membership_mask(table, paths)
+            hit_any = hits.any(axis=1)
+            if hit_any.any():
+                t_vals = steps_done + 1 + np.argmax(hits[hit_any], axis=1)
+                completed += t_vals.size
+                sum_t += int(t_vals.sum())
+                sum_t_sq += int((t_vals * t_vals).sum())
+            keep = ~hit_any
+            sums = paths[:, -1]
+            if bound is not None:
+                # Past the declared bound the walk can never be seen to hit.
+                dead = keep & (sums > bound)
+                capped += int(dead.sum())
+                keep &= ~dead
+            sums = sums[keep]
+            steps_done += width
         capped += sums.size
 
     return _result_from_sums(completed, capped, sum_t, sum_t_sq)
-

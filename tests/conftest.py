@@ -14,7 +14,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from hittime.numerics import round_to_digits
-from hittime.oracle import McResult, _membership_mask, _result_from_sums
+from hittime.oracle import McResult, _result_from_sums
 from hittime.walkmodel import (RESCALE_BITS, DieModel, TargetSet, TruncationSolution,
                                fraction_bits)
 
@@ -175,33 +175,31 @@ def finite_targets(draw):
     return n, TargetSet(frozenset(h for h, flag in enumerate(flags) if flag), bound)
 
 
-# The Monte Carlo draw's shape: trials per chunk and rolls per block.
-# mc_reference keeps its own copy, so a change to the oracle's draw fails
-# the equality test instead of moving both sides.
+# The Monte Carlo draw's shape: trials per chunk and the roll-slice widths
+# taken in turn.  mc_reference keeps its own copy, so a change to the
+# oracle's draw fails the equality test instead of moving both sides.
 MC_TRIAL_CHUNK = 1 << 14
-MC_ROLL_BLOCK = 64
+MC_SLICE_WIDTHS = (8, 8, 16, 32)
 
 
 def mc_reference(cfg) -> McResult:
-    """``simulate_hitting``'s block loop with every roll of a block processed.
+    """``simulate_hitting``'s draw, kept over walk indices into one sums array.
 
-    Each block draws a (running walks) x 64 array of uniforms and turns all
-    of it into rolls, running sums and membership checks.  Walks that hit
-    leave at the block's end, and so do walks past a finite target's
-    horizon, which count as capped.
+    Each chunk of at most ``MC_TRIAL_CHUNK`` walks rolls slices of
+    ``MC_SLICE_WIDTHS`` rolls in turn.  A slice draws a (running walks) x
+    width array of faces 1 .. M in walk order; a walk that hits in it
+    records the roll it hit on and leaves, and so does a walk whose sum
+    ends the slice past a finite target's horizon, counted as capped.
+    Targets are found by ``np.isin`` against the squares of the roots
+    ``math.isqrt`` brackets, or against the finite target's member list.
     """
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     m = cfg.die.sides
     target = cfg.target
     bound = target.horizon
-    table = None
-    if bound is not None:
-        table = np.zeros(bound + 2, dtype=bool)
-        table[target.members_upto(bound)] = True
-
-    start_in_target = (bound is None or cfg.start <= bound) and target.membership(cfg.start)
-    if start_in_target:
+    if (bound is None or cfg.start <= bound) and target.membership(cfg.start):
         return _result_from_sums(cfg.trials, 0, 0, 0)
+    members = None if bound is None else target.members_upto(bound)
 
     completed = 0
     capped = 0
@@ -214,11 +212,19 @@ def mc_reference(cfg) -> McResult:
         sums = np.full(chunk, cfg.start, dtype=np.int64)
         alive = np.arange(chunk)
         steps_done = 0
+        turn = 0
         while alive.size > 0 and steps_done < cfg.max_steps:
-            block = min(MC_ROLL_BLOCK, cfg.max_steps - steps_done)
-            rolls = 1 + np.floor(m * rng.random((alive.size, block))).astype(np.int64)
+            width = min(MC_SLICE_WIDTHS[turn % len(MC_SLICE_WIDTHS)],
+                        cfg.max_steps - steps_done)
+            turn += 1
+            rolls = rng.integers(1, m + 1, size=(alive.size, width), dtype=np.int64)
             paths = sums[alive, None] + np.cumsum(rolls, axis=1)
-            hits = _membership_mask(table, paths)
+            if members is None:
+                roots = np.arange(math.isqrt(int(paths.min())),
+                                  math.isqrt(int(paths.max())) + 1)
+                hits = np.isin(paths, roots * roots)
+            else:
+                hits = np.isin(paths, members)
             hit_any = hits.any(axis=1)
             first = np.argmax(hits, axis=1)
             if hit_any.any():
@@ -234,10 +240,18 @@ def mc_reference(cfg) -> McResult:
                 dead = sums[alive] > bound
                 capped += int(dead.sum())
                 alive = alive[~dead]
-            steps_done += block
+            steps_done += width
         capped += alive.size
 
     return _result_from_sums(completed, capped, sum_t, sum_t_sq)
+
+
+def merge_results(a: McResult, b: McResult) -> McResult:
+    """Combine partitioned batches; exact, hence order-independent."""
+    return _result_from_sums(a.trials_completed + b.trials_completed,
+                             a.capped_trials + b.capped_trials,
+                             a.sum_t + b.sum_t,
+                             a.sum_t_sq + b.sum_t_sq)
 
 
 def simulate_ever_hit(n: int, trials: int, seed: int,

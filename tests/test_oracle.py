@@ -3,12 +3,13 @@
 from fractions import Fraction
 from functools import reduce
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (agreed_digits, finite_targets, fraction_tables, mc_reference,
-                      simulate_ever_hit)
+                      merge_results, simulate_ever_hit)
 from hittime.numerics import make_context, rational_to_decimal
 from hittime import oracle
 from hittime.oracle import (
@@ -18,7 +19,6 @@ from hittime.oracle import (
     SizeCapError,
     dp_tables,
     exact_dp,
-    merge_results,
     simulate_hitting,
 )
 from hittime.hitprob import pn_exact
@@ -95,11 +95,12 @@ MC_TARGETS = st.one_of(
 @settings(deadline=None)
 @given(target=MC_TARGETS, sides=st.integers(2, 9),
        start=st.sampled_from([0, 10, 10**10 + 1]),
-       max_steps=st.sampled_from([1, 5, 63, 64, 65, 130]),
+       # both sides of each slice edge of the first cycle (8, 16, 32, 64), and the second cycle
+       max_steps=st.sampled_from([1, 7, 8, 9, 16, 17, 32, 33, 64, 65, 130]),
        trials=st.sampled_from([1, 16384, 16385]), seed=st.integers(0, 2**63))
 def test_simulation_equals_reference_loop(target, sides, start, max_steps, trials, seed):
-    # taking a block's rolls slice by slice, for the running walks only,
-    # gives the full-block loop's result field for field, or its error
+    # the oracle's slice loop gives the reference loop's result field for
+    # field, or its error
     cfg = McConfig(trials=trials, seed=seed, die=DieModel(sides), target=target,
                    start=start, max_steps=max_steps)
     try:
@@ -109,6 +110,45 @@ def test_simulation_equals_reference_loop(target, sides, start, max_steps, trial
             simulate_hitting(cfg)
         return
     assert simulate_hitting(cfg) == expected
+
+
+@pytest.mark.parametrize("sides", [2, 3, 6, 9])
+def test_simulation_matches_exact_mean_across_dice(sides, tmp_path):
+    # nine consecutive targets below the bound stop every walk of a die
+    # with at most nine faces, so exact_dp's E_N(0) is the full E[T] and
+    # no trial is capped; a face range off by one moves the mean by many s.e.
+    path = tmp_path / "bounded.txt"
+    path.write_text("# bound 40\n3\n7\n20\n" + "".join(f"{h}\n" for h in range(30, 39)))
+    target = TargetSet.from_file(path)
+    die = DieModel(sides)
+    e_exact, p_exact = exact_dp(target, 40, 0, die)
+    assert p_exact == 0
+    res = simulate_hitting(McConfig(trials=20000, seed=sides, die=die, target=target))
+    assert res.capped_trials == 0
+    assert abs(res.mean - float(e_exact)) < 5 * res.std_error
+
+
+def _near_squares(k):
+    return st.tuples(k, st.integers(-1, 1)).map(lambda kd: kd[0] * kd[0] + kd[1])
+
+
+# k^2 - 1, k^2 and k^2 + 1 around the squares table's edge (2^16 = (2^8)^2),
+# around 2^52 = (2^26)^2, where float64 still holds every integer, and anywhere
+SQUARE_PROBES = st.one_of(_near_squares(st.integers(2**8 - 3, 2**8 + 3)),
+                          _near_squares(st.integers(2**26 - 3, 2**26 + 3)),
+                          _near_squares(st.integers(1, 2**13)),
+                          st.integers(0, 2**17))
+
+
+@example(values=[0, 1, 254**2, 255**2 - 1, 255**2, 255**2 + 1, 2**16 - 1])  # table only
+@example(values=[2**16 - 1, 2**16])  # the first value past the table
+@example(values=[255**2, 2**16 + 1, 2**52 - 1, 2**52, 2**52 + 1])
+@given(values=st.lists(SQUARE_PROBES, min_size=1, max_size=40))
+def test_squares_mask_equals_membership(values):
+    # the table lookup and the sqrt check agree with exact isqrt
+    # membership, also when one array holds values on both sides of the table
+    mask = oracle._membership_mask(None, np.array(values, dtype=np.int64))
+    assert mask.tolist() == [SQUARES.membership(v) for v in values]
 
 
 def test_simulation_deterministic():
@@ -153,6 +193,10 @@ def test_simulate_config_validation():
         McConfig(trials=0, seed=1)
     with pytest.raises(ValueError):
         McConfig(trials=10, seed=1, max_steps=0)
+    # the walks' int64 sums must not wrap
+    McConfig(trials=10, seed=1, start=2**63 - 1 - 6 * 10**6)
+    with pytest.raises(ValueError):
+        McConfig(trials=10, seed=1, start=2**63 - 6 * 10**6)
 
 
 def test_merge_is_order_independent():
