@@ -30,7 +30,6 @@ from .numerics import (
     PrecisionTooLowError,
     digit_string,
     make_context,
-    rational_to_decimal,
 )
 from .oracle import (
     McConfig,
@@ -51,7 +50,6 @@ __all__ = [
     "PrecisionContext",
     "PrecisionTooLowError",
     "make_context",
-    "rational_to_decimal",
     "digit_string",
     "DieModel",
     "TargetSet",

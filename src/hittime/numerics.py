@@ -5,7 +5,7 @@ All modules in this package do their decimal arithmetic through a
 ``working_digits + GUARD_DIGITS`` significant digits.  Values are plain
 :class:`decimal.Decimal` objects; exact arithmetic uses
 :class:`fractions.Fraction`.  Each context names its rounding direction:
-bounds are rounded toward the side they bound (:func:`rational_to_decimal`,
+bounds are rounded toward the side they bound (:func:`round_to_digits`,
 :func:`digit_string`, :func:`ulp_up`), and identical operation sequences at
 identical precision reproduce identical digit strings.
 """
@@ -23,7 +23,6 @@ __all__ = [
     "PrecisionTooLowError",
     "PrecisionContext",
     "make_context",
-    "rational_to_decimal",
     "digit_string",
     "round_to_digits",
     "ulp_up",
@@ -79,18 +78,6 @@ class PrecisionContext:
 def make_context(working_digits: int) -> PrecisionContext:
     """Create a :class:`PrecisionContext`; refuses working_digits < 30."""
     return PrecisionContext(working_digits)
-
-
-def rational_to_decimal(q: Fraction, ctx: PrecisionContext,
-                        rounding: str = decimal.ROUND_HALF_EVEN) -> Decimal:
-    """Evaluate an exact rational at the context's internal precision.
-
-    The single division is correctly rounded in the given direction, so
-    ``ROUND_FLOOR`` gives a lower and ``ROUND_CEILING`` an upper bound on
-    ``q``; either way the result is within one unit in the last internal
-    digit.
-    """
-    return round_to_digits(q, ctx.internal_digits, rounding)
 
 
 def round_to_digits(x: Decimal | Fraction, digits: int,

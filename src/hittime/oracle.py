@@ -11,6 +11,7 @@ for the walks still running, so it draws no roll that no walk reads.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -42,10 +43,6 @@ EXACT_DP_MAX_N = 5000
 # or 1 MB, is the largest array the loop holds.
 _TRIAL_CHUNK = 1 << 14
 _SLICE_WIDTHS = (8, 8, 16, 32)
-
-# Membership of every state below 2^16 in the squares (0 is not a target).
-_SQUARES_BELOW = np.zeros(1 << 16, dtype=bool)
-_SQUARES_BELOW[np.arange(1, 1 << 8) ** 2] = True
 
 
 class SizeCapError(ValueError):
@@ -186,19 +183,28 @@ def _result_from_sums(completed: int, capped: int, sum_t: int, sum_t_sq: int) ->
                     sum_t=sum_t, sum_t_sq=sum_t_sq)
 
 
+@functools.cache
+def _squares_below() -> np.ndarray:
+    """Membership of every state below 2^16 in the squares, built on first use."""
+    table = np.zeros(1 << 16, dtype=bool)
+    table[np.arange(1, 1 << 8) ** 2] = True
+    return table
+
+
 def _membership_mask(table: np.ndarray | None, values: np.ndarray) -> np.ndarray:
     """Vectorized membership for nonnegative int64 ``values``.
 
     ``table`` is ``None`` for the squares, which are looked up in
-    ``_SQUARES_BELOW`` unless some value lies past it; only then is each
+    :func:`_squares_below` unless some value lies past it; only then is each
     value checked through an exact float ``sqrt``.  For a finite target
     ``table`` covers ``0 .. horizon + 1``, and values beyond the horizon
     read its last, non-member slot.  The caller treats walks past the
     horizon as dead (capped).
     """
     if table is None:
-        if values.max() < _SQUARES_BELOW.size:
-            return _SQUARES_BELOW[values]
+        below = _squares_below()
+        if values.max() < below.size:
+            return below[values]
         r = np.sqrt(values.astype(np.float64)).astype(np.int64)
         return ((r * r == values) | ((r + 1) * (r + 1) == values)) & (values >= 1)
     return table[np.minimum(values, table.size - 1)]

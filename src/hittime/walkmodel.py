@@ -15,12 +15,14 @@ Both recursions depend only on the M states above ``s``.
 :func:`solve_pair` walks forward from the start state, keeping the value
 there as an affine function of an M-state window.  Between targets the
 window map is one fixed matrix A, so a long run of g non-target states is
-crossed in one jump by a cached power A^g, which advances by two A-steps
-per run on the squares: O(K M^2) big-integer operations for N = K^2, and
-O(1) per state for short runs.  It works in fixed point: every value is a
-Python int standing for that int times a power of 2, so every rounding
-step is explicit and directed, and a twin rounding down and a twin
-rounding up enclose the exact values.  The result, a
+crossed in one jump by a cached power A^g.  A shifts unit rows,
+e_i A = e_(i-1), so row i of A^g is row 0 of A^(g-i), rounding included,
+and A^g is kept as the one scalar sequence that row 0 passes on, two
+values per run on the squares: O(K M^2) big-integer operations in constant
+memory for N = K^2, and O(1) per state for short runs.  It works in fixed
+point: every value is a Python int standing for that int times a power of
+2, so every rounding step is explicit and directed, and a twin rounding
+down and a twin rounding up enclose the exact values.  The result, a
 :class:`TruncationSolution`, holds both enclosures as exact
 :class:`~fractions.Fraction` bounds; nothing is rounded to decimals here.
 """
@@ -31,6 +33,7 @@ import bisect
 import itertools
 import math
 import operator
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -276,21 +279,39 @@ def solve_pair(target: TargetSet, die: DieModel, n: int, s_min: int,
     reaches g the run is crossed in one jump, ``r <- r A^g``.  The power
     only advances, so on the squares (runs of 2k states) it costs two
     A-steps per run.  Every other run steps r state by state.  An A-step
-    of the power costs M state steps, so the cap keeps what is spent
-    advancing toward a run the power does not reach to about 1/M of the
-    cost of stepping that run.
+    of the power costs about one state step, so the cap keeps what is
+    spent advancing toward a run the power does not reach to about 1/M^2
+    of the cost of stepping that run.
 
-    A jump forms, for each column x of A^g (and for h_g), the exact sums
-    ``lo . x_lo`` and ``hi . x_hi`` with one full-size product, by two
-    identities on Python ints::
+    The power is kept as one scalar sequence per twin.  Row i of A^span is
+    e_i stepped span times; its first i steps have r[0] = 0, so they are
+    exact shifts in either twin, and the row is e_0 stepped span - i times,
+    rounding included.  Step t of e_0 passes q_t = c_t / M (rounded down,
+    or up in the upper twin) to the window, with c_t its r[0], so, with q
+    and C zero before t = 0::
+
+        c_t = one [t = 0] + q_(t-1) + ... + q_(t-M),  C_t = c_0 + ... + c_t
+        A^span[i][j] = one [span-i+j = 0] + q_(span-i-1) + ... + q_(span-i-(M-j))
+        h_span[i] = C_(span-1-i)
+
+    Advancing the power by d steps appends d values of q and C per twin,
+    of which the last 2M - 1 and M are kept.  A jump forms
+    ``D_k = r . (q_k, ..., q_(k-M+1))`` for k = g-1 .. g-M and
+    ``r h_g = r . (C_(g-1), ..., C_(g-M))``; then
+    ``(r A^g)[j] = D_(g-1) + ... + D_(g-M+j) + one r[g+j]``, with r[g+j] = 0
+    past the window, is the same integer as the full product.
+
+    Each window x of q (and h_g) gives the exact sums ``lo . x_lo`` and
+    ``hi . x_hi`` with one full-size product, by two identities on Python
+    ints::
 
         lo . x_lo = sum(lo) x_lo[0] + sum_{i>=1} lo[i] (x_lo[i] - x_lo[0])
         hi . x_hi = lo . x_lo + lo . (x_hi - x_lo) + (hi - lo) . x_hi
 
-    A is a mixing stochastic matrix, so the rows of A^g agree to about
-    |w|^g, where |w| < 1 is the largest modulus of A's other eigenvalues
-    (about 2^-0.454 for M = 6): on long runs the row differences are
-    hundreds of bits shorter than the entries, and the twins differ by a
+    A is a mixing stochastic matrix, so q_t converges like |w|^t, where
+    |w| < 1 is the largest modulus of A's other eigenvalues (about
+    2^-0.454 for M = 6): on long runs the differences within a window are
+    hundreds of bits shorter than its entries, and the twins differ by a
     few words throughout.  Both sides of each identity are the same
     integer, so the floor and ceiling that follow act on exactly the sums
     of the plain products: the twins, and the proof below, are unchanged.
@@ -334,15 +355,16 @@ def solve_pair(target: TargetSet, die: DieModel, n: int, s_min: int,
 def _forward(members: list[int], m: int, n: int, s_min: int, bits: int,
              progress: Callable[[float, int], None] | None) -> TruncationSolution:
     one = 1 << bits
-    unit = [[one if j == i else 0 for j in range(m)] for i in range(m)]
-    r = _Twins(unit[0], unit[0], m)
+    unit = [one] + [0] * (m - 1)
+    r = _Twins(unit, unit, m)
     e_lo = e_hi = 0
     shift = 0  # r stands on the scale 2^-(bits + shift), e on 2^-bits
-    # The cached power A^span, one row per ring, and its column h_span.
+    # The cached power A^span, per twin (see solve_pair): c_span, and newest
+    # first q_(span-1) .. q_(span-2M+1) and C_(span-1) .. C_(span-M).
     span = 0
-    power = [_Twins(row, row, m) for row in unit]
-    h_lo = [0] * m
-    h_hi = [0] * m
+    c = [one, one]
+    qs = [deque([0] * (2 * m - 1), maxlen=2 * m - 1) for _ in c]
+    totals = [deque([0] * m, maxlen=m) for _ in c]
     p = s_min
     report_at = s_min + PROGRESS_INTERVAL - 1
 
@@ -356,22 +378,24 @@ def _forward(members: list[int], m: int, n: int, s_min: int, bits: int,
     for gap, t in enumerate(members + [n + 1]):
         g = t - p
         if JUMP_MIN <= g and span <= g:
-            # Row i of A^span is e_i stepped span times, and h_span[i] sums
-            # that row's r[0] over the steps.
             d = min(g - span, max(g // (m * m), JUMP_MIN))
-            for i, row in enumerate(power):
-                add_lo, add_hi = row.step(d)
-                h_lo[i] += add_lo
-                h_hi[i] += add_hi
+            for up in (False, True):
+                c[up] = _advance(qs[up], totals[up], c[up], span, d, up)
             span += d
         if JUMP_MIN <= g == span:
             lo, hi = r.rows()
-            pow_lo, pow_hi = zip(*(row.rows() for row in power))
-            (add_lo, *new_lo), (add_hi, *new_hi) = _jump_products(
-                lo, hi, [h_lo, *zip(*pow_lo)], [h_hi, *zip(*pow_hi)])
+            # per twin: h_g, then the q windows of D_(g-1) .. D_(g-M)
+            cols = [[list(tot), *(w[k:k + m] for k in range(m))]
+                    for tot, w in zip(totals, map(list, qs))]
+            (add_lo, *d_lo), (add_hi, *d_hi) = _jump_products(lo, hi, *cols)
             e_lo += add_lo >> (bits + shift)
             e_hi -= -add_hi >> (bits + shift)
-            r = _Twins([v >> bits for v in new_lo], [-(-v >> bits) for v in new_hi], m)
+            # r[j] <- (D_(g-1) + ... + D_(g-M+j) + one r[g+j]) / 2^c, where the
+            # multiple of 2^c passes the rounding whole and r[g+j] = 0 past M
+            sums_lo = list(itertools.accumulate(d_lo))[::-1]
+            sums_hi = list(itertools.accumulate(d_hi))[::-1]
+            r = _Twins([(v >> bits) + x for v, x in zip(sums_lo, lo[g:] + [0] * m)],
+                       [-(-v >> bits) + x for v, x in zip(sums_hi, hi[g:] + [0] * m)], m)
         else:
             while g:  # in pieces, so long stretches report progress
                 run = min(g, PROGRESS_INTERVAL)
@@ -397,6 +421,17 @@ def _forward(members: list[int], m: int, n: int, s_min: int, bits: int,
                               e_lo=Fraction(e_lo, one), e_hi=Fraction(e_hi, one),
                               p_lo=Fraction(sum(lo), one << shift),
                               p_hi=Fraction(sum(hi), one << shift))
+
+
+def _advance(q: deque, totals: deque, c: int, span: int, d: int, up: bool) -> int:
+    """Prepend q_t and C_t for t = span .. span + d - 1 to one twin; return c_(span+d)."""
+    m = len(totals)
+    for t in range(span, span + d):
+        x = -(-c // m) if up else c // m
+        totals.appendleft(totals[0] + c)
+        c = c + x - q[m - 1] if t else x  # c_(t+1) = q_t + ... + q_(t-M+1)
+        q.appendleft(x)
+    return c
 
 
 def _dot(a: list[int], b) -> int:

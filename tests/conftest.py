@@ -4,6 +4,7 @@
 blob reproducing any failing example, so a red CI run replays locally.
 """
 
+import decimal
 import math
 import os
 from decimal import Decimal
@@ -13,13 +14,25 @@ import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from hittime.numerics import round_to_digits
+from hittime.numerics import PrecisionContext, round_to_digits
 from hittime.oracle import McResult, _result_from_sums
 from hittime.walkmodel import (RESCALE_BITS, DieModel, TargetSet, TruncationSolution,
                                fraction_bits)
 
 settings.register_profile("ci", derandomize=True, print_blob=True)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
+
+def rational_to_decimal(q: Fraction, ctx: PrecisionContext,
+                        rounding: str = decimal.ROUND_HALF_EVEN) -> Decimal:
+    """Evaluate an exact rational at the context's internal precision.
+
+    The single division is correctly rounded in the given direction, so
+    ``ROUND_FLOOR`` gives a lower and ``ROUND_CEILING`` an upper bound on
+    ``q``; either way the result is within one unit in the last internal
+    digit.
+    """
+    return round_to_digits(q, ctx.internal_digits, rounding)
 
 
 def agreed_digits(a: Decimal, b: Decimal, digits: int) -> int:

@@ -16,12 +16,12 @@ from unittest import mock
 
 import pytest
 
-from conftest import agreed_digits, forward_reference
+from conftest import agreed_digits, forward_reference, rational_to_decimal
 from hittime import walkmodel
 from hittime.certify import certify_squares, recommended_digits, sigma_series
 from hittime.cli import main
 from hittime.hitprob import compute_roots, epsilon, pn_exact, pn_series
-from hittime.numerics import digit_string, make_context, rational_to_decimal
+from hittime.numerics import digit_string, make_context
 from hittime.oracle import McConfig, dp_tables, simulate_hitting
 from hittime.walkmodel import DieModel, TargetSet, solve_pair
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import agreed_digits
+from conftest import agreed_digits, rational_to_decimal
 from hittime.certify import (
     DivergentSeriesError,
     InvertedIntervalError,
@@ -24,7 +24,6 @@ from hittime.numerics import (
     GUARD_DIGITS,
     digit_string,
     make_context,
-    rational_to_decimal,
 )
 from hittime.oracle import exact_dp
 from hittime.walkmodel import DieModel, TargetSet, solve_pair

@@ -15,10 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import agreed_digits
+from conftest import agreed_digits, rational_to_decimal
 from hittime import certify, cli, walkmodel
 from hittime.cli import main
-from hittime.numerics import digit_string, make_context, rational_to_decimal
+from hittime.numerics import digit_string, make_context
 from hittime.oracle import exact_dp
 from hittime.walkmodel import TargetSet
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import agreed_digits
+from conftest import agreed_digits, rational_to_decimal
 from hittime.hitprob import (
     PN_EXACT_MAX,
     DecimalComplex,
@@ -21,7 +21,6 @@ from hittime.numerics import (
     MIN_WORKING_DIGITS,
     digit_string,
     make_context,
-    rational_to_decimal,
 )
 
 # The first eight ever-hit probabilities, exact.

@@ -6,12 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import agreed_digits
+from conftest import agreed_digits, rational_to_decimal
 from hittime.numerics import (
     PrecisionTooLowError,
     digit_string,
     make_context,
-    rational_to_decimal,
     round_to_digits,
     ulp_up,
 )

@@ -9,8 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (agreed_digits, finite_targets, fraction_tables, mc_reference,
-                      merge_results, simulate_ever_hit)
-from hittime.numerics import make_context, rational_to_decimal
+                      merge_results, rational_to_decimal, simulate_ever_hit)
+from hittime.numerics import make_context
 from hittime import oracle
 from hittime.oracle import (
     EXACT_DP_MAX_N,

@@ -1,6 +1,7 @@
 """Target sets, boundary behavior, and the forward kernel."""
 
 import random
+from collections import deque
 from decimal import ROUND_FLOOR, Decimal
 from fractions import Fraction
 from unittest import mock
@@ -9,9 +10,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import agreed_digits, finite_targets, forward_reference
+from conftest import agreed_digits, finite_targets, forward_reference, rational_to_decimal
 from hittime import walkmodel
-from hittime.numerics import make_context, rational_to_decimal
+from hittime.numerics import make_context
 from hittime.oracle import dp_tables, exact_dp
 from hittime.walkmodel import (
     CutoffExceedsBoundError,
@@ -294,6 +295,36 @@ def test_jumps_equal_full_product_reference(jump_min, problem, sides, data):
     with mock.patch.object(walkmodel, "JUMP_MIN", jump_min):
         sol = solve_pair(target, die, n, s_min, ctx)
     assert sol == forward_reference(target, die, n, s_min, ctx, jump_min)
+
+
+@settings(deadline=None)
+@given(sides=st.integers(2, 9), bits=st.integers(1, 160),
+       span=st.integers(0, 12) | st.integers(0, 300), data=st.data())
+def test_power_sequence_equals_stepped_unit_rows(sides, bits, span, data):
+    # the cached power's entries and h, built from the kernel's q and C by
+    # solve_pair's identities, equal M unit rows stepped span times in plain
+    # lists, in both twins; spans below M exercise the one [span-i+j = 0] term
+    m, one = sides, 1 << bits
+    cuts = sorted(data.draw(st.lists(st.integers(0, span), max_size=4), label="cuts"))
+    for up in (False, True):
+        q = deque([0] * (2 * m - 1), maxlen=2 * m - 1)
+        totals = deque([0] * m, maxlen=m)
+        c = one
+        for start, stop in zip([0, *cuts], [*cuts, span]):
+            c = walkmodel._advance(q, totals, c, start, stop - start, up)
+        rows = [[one if j == i else 0 for j in range(m)] for i in range(m)]
+        h = [0] * m
+        for _ in range(span):
+            for i, row in enumerate(rows):
+                h[i] += row[0]
+                x = -(-row[0] // m) if up else row[0] // m
+                rows[i] = [v + x for v in row[1:]] + [x]
+        # q[k] is q_(span-1-k) and totals[i] is C_(span-1-i)
+        entries = [[one * (span - i + j == 0) + sum(q[i + k] for k in range(m - j))
+                    for j in range(m)] for i in range(m)]
+        assert entries == rows
+        assert list(totals) == h
+        assert c == rows[0][0]
 
 
 def test_jumps_equal_full_product_reference_at_k500():
