@@ -299,22 +299,39 @@ def solve_pair(target: TargetSet, die: DieModel, n: int, s_min: int,
     ``D_k = r . (q_k, ..., q_(k-M+1))`` for k = g-1 .. g-M and
     ``r h_g = r . (C_(g-1), ..., C_(g-M))``; then
     ``(r A^g)[j] = D_(g-1) + ... + D_(g-M+j) + one r[g+j]``, with r[g+j] = 0
-    past the window, is the same integer as the full product.
+    past the window, is the same integer as the full product.  Only r[0]
+    includes D_(g-M), and a target closing the run drops r[0], so there
+    the jump skips that column.
 
-    Each window x of q (and h_g) gives the exact sums ``lo . x_lo`` and
-    ``hi . x_hi`` with one full-size product, by two identities on Python
-    ints::
+    Three identities on Python ints give these sums with three products of
+    full-size factors per jump, all in the lower twin; every other product
+    has a short or a few-word factor.  With S = sum(lo), base b = q_(g-1)
+    and delta_t = q_t - b in the lower twin, one product serves every q
+    window::
 
-        lo . x_lo = sum(lo) x_lo[0] + sum_{i>=1} lo[i] (x_lo[i] - x_lo[0])
-        hi . x_hi = lo . x_lo + lo . (x_hi - x_lo) + (hi - lo) . x_hi
+        D_k = S b + lo . (delta_k, ..., delta_(k-M+1))
+
+    E's column C_(g-1) .. C_(g-M) grows linearly in t, so its differences
+    are not short, but its increments c_t = C_t - C_(t-1) are as short as
+    q's.  With suffix sums R_j = lo[j] + ... + lo[M-1]::
+
+        lo . h_g = S C_(g-1) - c_(g-1) (R_1 + ... + R_(M-1))
+                   - sum_{j=1}^{M-2} R_(j+1) (c_(g-1-j) - c_(g-1))
+
+    The upper twin adds to each lower sum one fused dot, with slack =
+    hi - lo, x a q window or the column, and b_lo the lower twin's base
+    (q_(g-1), or C_(g-1) for the column)::
+
+        hi . x_hi = lo . x_lo + sum(slack) b_lo
+                    + (hi || slack) . (x_hi - x_lo || x_lo - b_lo)
 
     A is a mixing stochastic matrix, so q_t converges like |w|^t, where
     |w| < 1 is the largest modulus of A's other eigenvalues (about
-    2^-0.454 for M = 6): on long runs the differences within a window are
-    hundreds of bits shorter than its entries, and the twins differ by a
-    few words throughout.  Both sides of each identity are the same
-    integer, so the floor and ceiling that follow act on exactly the sums
-    of the plain products: the twins, and the proof below, are unchanged.
+    2^-0.454 for M = 6): on long runs delta and the differences of c are
+    hundreds of bits shorter than q and C, and the twins differ by a few
+    words throughout.  Both sides of each identity are the same integer,
+    so the floor and ceiling that follow act on exactly the sums of the
+    plain products: the twins, and the proof below, are unchanged.
 
     The kernel works in fixed point on 2^-c, c = :func:`fraction_bits`,
     with two twins of every quantity: one that rounds every division by M
@@ -384,16 +401,17 @@ def _forward(members: list[int], m: int, n: int, s_min: int, bits: int,
             span += d
         if JUMP_MIN <= g == span:
             lo, hi = r.rows()
-            # per twin: h_g, then the q windows of D_(g-1) .. D_(g-M)
-            cols = [[list(tot), *(w[k:k + m] for k in range(m))]
-                    for tot, w in zip(totals, map(list, qs))]
-            (add_lo, *d_lo), (add_hi, *d_hi) = _jump_products(lo, hi, *cols)
+            # a target closing the run drops r[0], the one entry that holds
+            # D_(g-M): that column is skipped and r[0] left 0 for the drop
+            closed = t <= n
+            (add_lo, *d_lo), (add_hi, *d_hi) = _jump_products(
+                lo, hi, *(list(w)[:2 * m - 1 - closed] for w in qs), *map(list, totals))
             e_lo += add_lo >> (bits + shift)
             e_hi -= -add_hi >> (bits + shift)
             # r[j] <- (D_(g-1) + ... + D_(g-M+j) + one r[g+j]) / 2^c, where the
             # multiple of 2^c passes the rounding whole and r[g+j] = 0 past M
-            sums_lo = list(itertools.accumulate(d_lo))[::-1]
-            sums_hi = list(itertools.accumulate(d_hi))[::-1]
+            sums_lo = [0] * closed + list(itertools.accumulate(d_lo))[::-1]
+            sums_hi = [0] * closed + list(itertools.accumulate(d_hi))[::-1]
             r = _Twins([(v >> bits) + x for v, x in zip(sums_lo, lo[g:] + [0] * m)],
                        [-(-v >> bits) + x for v, x in zip(sums_hi, hi[g:] + [0] * m)], m)
         else:
@@ -438,19 +456,35 @@ def _dot(a: list[int], b) -> int:
     return sum(map(operator.mul, a, b))
 
 
-def _jump_products(lo: list[int], hi: list[int], cols_lo, cols_hi) -> tuple[list[int], list[int]]:
-    """``lo . x_lo`` and ``hi . x_hi`` for each column pair, exactly.
+def _jump_products(lo: list[int], hi: list[int], q_lo: list[int], q_hi: list[int],
+                   tot_lo: list[int], tot_hi: list[int]) -> tuple[list[int], list[int]]:
+    """A jump's exact sums ``[r h_g, D_(g-1), D_(g-2), ...]``, per twin.
 
-    Uses the two identities in :func:`solve_pair`, so each pair costs one
-    product of full-size factors.
+    ``tot_*`` hold C_(g-1) .. C_(g-M) and ``q_*`` hold q_(g-1) onward,
+    newest first: 2M - 1 values give all M columns D_(g-1) .. D_(g-M), one
+    fewer skips D_(g-M).  Uses the three identities in :func:`solve_pair`,
+    so the jump costs three products of full-size factors.
     """
-    lo_sum, rest = sum(lo), lo[1:]
-    slack = list(map(operator.sub, hi, lo))
-    out_lo, out_hi = [], []
-    for x_lo, x_hi in zip(cols_lo, cols_hi):
-        low = lo_sum * x_lo[0] + _dot(rest, [v - x_lo[0] for v in x_lo[1:]])
-        out_lo.append(low)
-        out_hi.append(low + _dot(lo, map(operator.sub, x_hi, x_lo)) + _dot(slack, x_hi))
+    m = len(lo)
+    lo_sum = sum(lo)
+    slack_sum = sum(hi) - lo_sum
+    fused = hi + list(map(operator.sub, hi, lo))  # hi || slack
+    # lower twin: the q windows on the base q_(g-1), E's column on increments
+    b, c0 = q_lo[0], tot_lo[0]
+    delta = [0, *(v - b for v in q_lo[1:])]
+    inc = list(map(operator.sub, tot_lo, tot_lo[1:]))  # c_(g-1) .. c_(g-M+1)
+    suffix = list(itertools.accumulate(lo[:0:-1]))[::-1]  # R_1 .. R_(M-1)
+    out_lo = [lo_sum * c0 - inc[0] * sum(suffix)
+              - _dot(suffix[1:], [v - inc[0] for v in inc[1:]])]
+    base = lo_sum * b
+    out_lo += [base + _dot(lo, delta[k:k + m]) for k in range(len(q_lo) - m + 1)]
+    # upper twin: one fused dot per sum, on the lower twin's base
+    twin = list(map(operator.sub, q_hi, q_lo))
+    spread = [*map(operator.sub, tot_hi, tot_lo), *(v - c0 for v in tot_lo)]
+    out_hi = [out_lo[0] + slack_sum * c0 + _dot(fused, spread)]
+    base = slack_sum * b
+    out_hi += [low + base + _dot(fused, twin[k:k + m] + delta[k:k + m])
+               for k, low in enumerate(out_lo[1:])]
     return out_lo, out_hi
 
 

@@ -327,6 +327,34 @@ def test_power_sequence_equals_stepped_unit_rows(sides, bits, span, data):
         assert c == rows[0][0]
 
 
+@settings(deadline=None)
+@given(sides=st.integers(2, 9), bits=st.integers(1, 160),
+       span=st.integers(0, 12) | st.integers(0, 300), closed=st.booleans(), data=st.data())
+def test_jump_products_equal_plain_dots(sides, bits, span, closed, data):
+    # a jump's sums, from the shared base of the q windows, the increments
+    # of C and the upper twin's fused dots, equal plain dot products of each
+    # twin's row with its windows of q and C as _advance builds them; spans
+    # below 2M leave zero-padded windows, and a closed run skips D_(g-M)
+    m, one = sides, 1 << bits
+    windows = []
+    for up in (False, True):
+        q = deque([0] * (2 * m - 1), maxlen=2 * m - 1)
+        totals = deque([0] * m, maxlen=m)
+        walkmodel._advance(q, totals, one, 0, span, up)
+        windows.append((list(q)[:2 * m - 1 - closed], list(totals)))
+    entry = st.just(0) | st.integers(0, one << walkmodel.RESCALE_BITS)
+    lo = data.draw(st.lists(entry, min_size=m, max_size=m), label="lo")
+    slack = data.draw(st.lists(st.just(0) | st.integers(0, 1 << 80), min_size=m, max_size=m),
+                      label="slack")
+    hi = list(map(sum, zip(lo, slack)))
+    (q_lo, tot_lo), (q_hi, tot_hi) = windows
+    sums = walkmodel._jump_products(lo, hi, q_lo, q_hi, tot_lo, tot_hi)
+    for row, (q, tot), got in zip((lo, hi), windows, sums):
+        plain = [sum(x * y for x, y in zip(row, tot))]
+        plain += [sum(x * y for x, y in zip(row, q[k:k + m])) for k in range(m - closed)]
+        assert got == plain
+
+
 def test_jumps_equal_full_product_reference_at_k500():
     # certify's size K = 500 at 200 digits, with the default JUMP_MIN:
     # the runs of 2k >= 128 states from k = 64 on are jumped
