@@ -7,6 +7,10 @@ rationals; the solver's bounds must contain its values.
 generator, so a run is reproducible from its seed.  It draws die faces
 directly as bounded integers, a short slice of rolls at a time and only
 for the walks still running, so it draws no roll that no walk reads.
+Each slice is a (walks x width) array, and every pass over it runs down
+its long axis: prefix sums add one column into the next, the last column
+holds each walk's largest sum, and the first hit of each walk is read
+from its membership row taken as 64-bit words.
 """
 
 from __future__ import annotations
@@ -40,13 +44,17 @@ EXACT_DP_MAX_N = 5000
 # outlast 16 rolls, so short first slices draw little that no walk reads.
 # Both sizes fix which draw drives which roll, so changing either changes
 # every seed's estimate.  A chunk's first slice, (1 << 14) x 8 int64 rolls
-# or 1 MB, is the largest array the loop holds.
+# or 1 MB, is the largest array the loop holds; its prefix sums are 7
+# column adds and its first hits one 64-bit word per walk.  A finite
+# target's membership table (one bool per state up to the highest one a
+# walk can reach) is capped at _TABLE_MAX states.
 _TRIAL_CHUNK = 1 << 14
 _SLICE_WIDTHS = (8, 8, 16, 32)
+_TABLE_MAX = 1 << 27
 
 
 class SizeCapError(ValueError):
-    """Exact solve requested beyond the tractable cutoff cap."""
+    """Exact solve or simulation table requested beyond its size cap."""
 
 
 class AllTrialsCappedError(RuntimeError):
@@ -191,23 +199,53 @@ def _squares_below() -> np.ndarray:
     return table
 
 
-def _membership_mask(table: np.ndarray | None, values: np.ndarray) -> np.ndarray:
-    """Vectorized membership for nonnegative int64 ``values``.
+def _membership_mask(table: np.ndarray | None, values: np.ndarray, top: int) -> np.ndarray:
+    """Vectorized membership for nonnegative int64 ``values`` at most ``top``.
 
     ``table`` is ``None`` for the squares, which are looked up in
-    :func:`_squares_below` unless some value lies past it; only then is each
-    value checked through an exact float ``sqrt``.  For a finite target
-    ``table`` covers ``0 .. horizon + 1``, and values beyond the horizon
-    read its last, non-member slot.  The caller treats walks past the
-    horizon as dead (capped).
+    :func:`_squares_below` unless ``top`` lies past it; only then is each
+    value checked through an exact float ``sqrt``.  A finite target's
+    ``table`` ends in a non-member slot that every larger value reads.
+    The caller treats walks past the horizon as dead (capped).
     """
     if table is None:
         below = _squares_below()
-        if values.max() < below.size:
+        if top < below.size:
             return below[values]
         r = np.sqrt(values.astype(np.float64)).astype(np.int64)
         return ((r * r == values) | ((r + 1) * (r + 1) == values)) & (values >= 1)
+    if top < table.size:
+        return table[values]
     return table[np.minimum(values, table.size - 1)]
+
+
+def _first_hits(hits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of a 2-D bool array that hold a True, and each one's first column.
+
+    Returns a bool array over the rows and, for the rows it marks, in
+    order, the int64 column of their first True.  Each row is read as
+    little-endian 64-bit words of eight bools, padded with False to a
+    multiple of eight columns.  In a nonzero word x, x & -x keeps the
+    lowest set bit, bit 8b of the first True byte b, and multiplying it
+    by 0x0001020304050607 moves b into the top byte (the int64 product
+    wraps, and b <= 7 leaves the sign bit clear).  A row of several words
+    finds its first nonzero word the same way, from the row of
+    ``words != 0``.
+    """
+    rows, width = hits.shape
+    if width % 8:
+        padded = np.zeros((rows, width + (-width) % 8), dtype=bool)
+        padded[:, :width] = hits
+        hits = padded
+    words = hits.view("<i8")
+    if words.shape[1] == 1:
+        x = words[:, 0]
+        hit = x != 0
+        x = x[hit]
+        return hit, (x & -x) * 0x0001020304050607 >> 56
+    hit, k = _first_hits(words != 0)
+    x = words.reshape(-1)[np.flatnonzero(hit) * words.shape[1] + k]
+    return hit, ((x & -x) * 0x0001020304050607 >> 56) + 8 * k
 
 
 def simulate_hitting(cfg: McConfig) -> McResult:
@@ -223,21 +261,33 @@ def simulate_hitting(cfg: McConfig) -> McResult:
     Each chunk of trials is rolled in slices of ``_SLICE_WIDTHS`` rolls,
     taken in turn; a slice draws rolls for the walks still running only,
     and a walk that hits or passes the horizon within a slice leaves at
-    its end, so no roll is drawn that no walk reads.
+    its end, so no roll is drawn that no walk reads.  A slice's running
+    sums are formed by adding each column into the next, and its last
+    column, every walk's largest sum, decides whether the squares' lookup
+    table covers the slice.  :func:`_first_hits` reads which walks hit
+    and on which roll from the membership rows as 64-bit words.
+
+    A finite target is looked up in a bool table over the states up to
+    ``min(horizon, start + max_steps * M)``; :class:`SizeCapError` is
+    raised, before anything is allocated, when that passes ``_TABLE_MAX``.
     """
-    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     m = cfg.die.sides
     target = cfg.target
     bound = target.horizon
+    if (bound is None or cfg.start <= bound) and target.membership(cfg.start):
+        return _result_from_sums(cfg.trials, 0, 0, 0)
     table = None
     if bound is not None:
-        table = np.zeros(bound + 2, dtype=bool)
-        table[target.members_upto(bound)] = True
+        # No walk gets past start + max_steps * M, so members above that
+        # are never read; the extra slot stands for every larger state.
+        top = min(bound, cfg.start + cfg.max_steps * m)
+        if top >= _TABLE_MAX:
+            raise SizeCapError(f"simulation's membership table capped at {_TABLE_MAX} "
+                               f"states, but walks can reach state {top}")
+        table = np.zeros(top + 2, dtype=bool)
+        table[target.members_upto(top)] = True
 
-    start_in_target = (bound is None or cfg.start <= bound) and target.membership(cfg.start)
-    if start_in_target:
-        return _result_from_sums(cfg.trials, 0, 0, 0)
-
+    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     completed = 0
     capped = 0
     sum_t = 0
@@ -253,17 +303,18 @@ def simulate_hitting(cfg: McConfig) -> McResult:
                 break
             width = min(width, cfg.max_steps - steps_done)
             paths = rng.integers(1, m + 1, size=(sums.size, width), dtype=np.int64)
-            np.cumsum(paths, axis=1, out=paths)
-            paths += sums[:, None]
-            hits = _membership_mask(table, paths)
-            hit_any = hits.any(axis=1)
-            if hit_any.any():
-                t_vals = steps_done + 1 + np.argmax(hits[hit_any], axis=1)
+            # Prefix sums column by column: the columns are long and the rows short.
+            paths[:, 0] += sums
+            for j in range(1, width):
+                paths[:, j] += paths[:, j - 1]
+            sums = paths[:, -1]  # each walk's largest sum, since faces are at least 1
+            hit_any, first = _first_hits(_membership_mask(table, paths, int(sums.max())))
+            if first.size:
+                t_vals = steps_done + 1 + first
                 completed += t_vals.size
                 sum_t += int(t_vals.sum())
                 sum_t_sq += int((t_vals * t_vals).sum())
             keep = ~hit_any
-            sums = paths[:, -1]
             if bound is not None:
                 # Past the declared bound the walk can never be seen to hit.
                 dead = keep & (sums > bound)

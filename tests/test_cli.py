@@ -7,6 +7,7 @@ import io
 import itertools
 import json
 import os
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import agreed_digits, rational_to_decimal
-from hittime import certify, cli, walkmodel
+from hittime import certify, cli, oracle, walkmodel
 from hittime.cli import main
 from hittime.numerics import digit_string, make_context
 from hittime.oracle import exact_dp
@@ -310,6 +311,25 @@ def test_simulate_empty_target_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "simulate", "--target", f"file:{p}")
     assert code == 2
     assert "empty" in err
+
+
+def test_simulate_huge_horizon_is_usage_error(capsys, tmp_path):
+    # a finite target's membership table is sized by the highest state a
+    # walk can reach; past the cap the run exits 2 before allocating it
+    p = tmp_path / "huge.txt"
+    p.write_text("1000000000000\n")
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "simulate", "--target", f"file:{p}",
+                                 "--trials", "10", "--max-steps", str(10**12))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(oracle._TABLE_MAX) in err
+    assert peak < 10**6
 
 
 class _RecordingEnviron(dict):

@@ -1,5 +1,6 @@
 """Exact-rational ground truth and Monte Carlo cross-checks."""
 
+import tracemalloc
 from fractions import Fraction
 from functools import reduce
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import (agreed_digits, finite_targets, fraction_tables, mc_reference,
                       merge_results, rational_to_decimal, simulate_ever_hit)
@@ -147,8 +149,43 @@ SQUARE_PROBES = st.one_of(_near_squares(st.integers(2**8 - 3, 2**8 + 3)),
 def test_squares_mask_equals_membership(values):
     # the table lookup and the sqrt check agree with exact isqrt
     # membership, also when one array holds values on both sides of the table
-    mask = oracle._membership_mask(None, np.array(values, dtype=np.int64))
+    mask = oracle._membership_mask(None, np.array(values, dtype=np.int64), max(values))
     assert mask.tolist() == [SQUARES.membership(v) for v in values]
+
+
+@example(hits=np.zeros((1, 8), dtype=bool))
+@example(hits=np.ones((1, 1), dtype=bool))
+@example(hits=np.eye(40, dtype=bool)[::-1])  # one hit per row, in every column
+@given(hits=st.integers(1, 40).flatmap(
+    lambda width: hnp.arrays(bool, st.tuples(st.integers(1, 30), st.just(width)),
+                             elements=st.booleans())))
+def test_first_hits_equal_any_and_argmax(hits):
+    # the word-wide first hit agrees with numpy's row reductions on every
+    # width from 1 to 40 (both sides of each multiple of 8), with rows
+    # all false, all true and anything between
+    hits = np.concatenate([hits, np.zeros_like(hits[:1]), np.ones_like(hits[:1])])
+    hit_any, first = oracle._first_hits(hits)
+    assert hit_any.tolist() == hits.any(axis=1).tolist()
+    assert first.dtype == np.int64
+    assert first.tolist() == np.argmax(hits[hits.any(axis=1)], axis=1).tolist()
+    one_hit, one_first = oracle._first_hits(hits[:1])
+    assert one_hit.tolist() == hit_any[:1].tolist()
+    assert one_first.tolist() == first[:int(hit_any[0])].tolist()
+
+
+def test_finite_target_table_is_sized_by_reach():
+    # a walk of max_steps rolls reaches start + max_steps * M at most, so
+    # a far target needs no table past that (the CLI test of the same
+    # file with more steps sees the cap)
+    far = TargetSet.from_list([10**12])
+    tracemalloc.start()
+    try:
+        with pytest.raises(AllTrialsCappedError):
+            simulate_hitting(McConfig(trials=10, seed=1, target=far, max_steps=1000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
 
 
 def test_simulation_deterministic():
