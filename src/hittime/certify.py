@@ -6,13 +6,18 @@ conditional on overshooting, lies strictly between two closed-form series
     L_N = (1/6) * Sigma(5; 5/7 - eps, 2/7 - eps)
     U_N =         Sigma(1; 5/7 + eps, 2/7 + eps)
 
-where eps = (5/7)|w|^(2K-4) is the hit/skip envelope at the minimal gap to
-the next square, and
+where
 
     Sigma(d; r, t) = t * [ (2K+1-d)/(1-r) + 2(K+1) r/(1-r)^2 + r(1+r)/(1-r)^3 ]
 
-sums the band-by-band geometric weights in closed form.  At eps = 0 these
-collapse to the exact linear forms L = 7K/6 + 8/3 and U = 7K + 20.
+sums the band-by-band geometric weights in closed form, and eps bounds
+|p_m - 2/7| for every gap m the series weigh.  A walk that crosses a
+square (K+j)^2, j >= 0, from below lands at most 5 past it, so it stands
+m >= 2(K+j) + 1 - 5 >= 2K - 4 short of the next square, which it then
+hits with probability p_m.  So eps is :func:`hittime.hitprob.epsilon`
+at 2K - 4: the exact supremum of |p_m - 2/7| over m >= 2K - 4, rounded
+up.  At eps = 0 the series collapse to the exact linear forms
+L = 7K/6 + 8/3 and U = 7K + 20.
 
 Combining with the truncated solve at start state s,
 
@@ -36,7 +41,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
 
 from . import hitprob, walkmodel
@@ -80,11 +84,12 @@ class PrecisionInsufficientError(ValueError):
 class OvershootBounds:
     """Residual-time bounds (L, U) beyond the cutoff N = K^2.
 
-    Both are the exact series values at the envelope ``epsilon_n``.
+    Both are the exact series values at ``epsilon_n``, which bounds
+    |p_m - 2/7| for every m >= 2K - 4.
     """
 
     K: int
-    epsilon_n: Decimal
+    epsilon_n: Fraction
     lower: Fraction
     upper: Fraction
 
@@ -126,21 +131,20 @@ def sigma_series(d: int, r: Fraction, t: Fraction, k: int) -> Fraction:
                 + r * (1 + r) / one_minus**3)
 
 
-def overshoot_bounds(k: int, roots: hitprob.CharacteristicRoots) -> OvershootBounds:
+def overshoot_bounds(k: int) -> OvershootBounds:
     """Bounds L, U for cutoff N = K^2, valid for every start state <= N.
 
-    The series are evaluated exactly at ``Fraction(epsilon)``.  The
-    envelope is an upper bound on the true eps, and L decreases and U
+    The series are evaluated exactly at ``epsilon(2K - 4)``, the supremum
+    of |p_m - 2/7| over m >= 2K - 4 rounded up.  L decreases and U
     increases in eps, so both stay on their safe side.
     """
     if k < MIN_K:
         raise ValueError(f"K must be >= {MIN_K}, got {k}")
-    eps = hitprob.epsilon(2 * k - 4, roots)
-    eps_q = Fraction(eps)
-    r_minus = Fraction(5, 7) - eps_q
-    r_plus = Fraction(5, 7) + eps_q
-    t_minus = Fraction(2, 7) - eps_q
-    t_plus = Fraction(2, 7) + eps_q
+    eps = hitprob.epsilon(2 * k - 4)
+    r_minus = Fraction(5, 7) - eps
+    r_plus = Fraction(5, 7) + eps
+    t_minus = Fraction(2, 7) - eps
+    t_plus = Fraction(2, 7) + eps
     if not r_plus < 1:
         raise DivergentSeriesError(f"5/7 + epsilon must stay below 1 (K={k})")
     if not t_minus > 0:
@@ -234,8 +238,7 @@ def certify_squares(k: int, ctx: PrecisionContext, start: int = 0,
     n = k * k
     if not 0 <= start <= n:
         raise ValueError("start state must lie in [0, N]")
-    roots = hitprob.compute_roots(ctx)
-    bounds = overshoot_bounds(k, roots)
+    bounds = overshoot_bounds(k)
     target = walkmodel.TargetSet.perfect_squares()
     die = walkmodel.DieModel(6)
     solution = walkmodel.solve_pair(target, die, n, start, ctx, progress)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -33,8 +34,7 @@ from fractions import Fraction
 from typing import Iterator, TextIO
 
 from . import __version__, certify, hitprob, oracle, walkmodel
-from .numerics import (MIN_WORKING_DIGITS, PrecisionTooLowError, digit_string, make_context,
-                       round_to_digits)
+from .numerics import PrecisionTooLowError, digit_string, make_context, round_to_digits
 
 __all__ = ["main"]
 
@@ -214,14 +214,18 @@ def cmd_solve(args, out: TextIO) -> int:
 def cmd_pn(args, out: TextIO) -> int:
     if args.max < 1:
         raise ConfigError("--max must be >= 1")
-    if args.exact:
-        if args.max > hitprob.PN_EXACT_MAX:
-            raise ConfigError(f"--exact supports --max up to {hitprob.PN_EXACT_MAX}")
-        exact = (hitprob.pn_exact(n) for n in range(1, args.max + 1))
-        rows = [f"{p.numerator}/{p.denominator}" for p in exact]
-    else:
-        series = hitprob.pn_series(args.max, make_context(MIN_WORKING_DIGITS))
-        rows = [digit_string(p, 15) for n, p in series if n >= 1]
+    rows = []
+    den = 1
+    for q in itertools.islice(hitprob.pn_numerators(), 1, args.max + 1):
+        den *= 6  # p_n = q / 6^n, in lowest terms
+        if args.exact:
+            rows.append(f"{q}/{den}")
+        else:
+            # p_n lies in [1/6, 1), so its 15 significant digits are 15
+            # decimal places, rounded once (half-even) from the exact value
+            digits, rem = divmod(q * 10**15, den)
+            digits += 2 * rem > den or (2 * rem == den and digits & 1)
+            rows.append(f"0.{digits:015d}")
     if args.format == "json":
         payload = {"schema": SCHEMA_VERSION,
                    "rows": [{"n": n, "p_n": p} for n, p in enumerate(rows, start=1)]}
@@ -337,8 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pn", help="ever-hit probability table")
     p.add_argument("--max", type=int, required=True, help="largest n")
-    p.add_argument("--exact", action="store_true",
-                   help=f"emit exact fractions (n <= {hitprob.PN_EXACT_MAX})")
+    p.add_argument("--exact", action="store_true", help="emit exact fractions")
     add_common(p, formats=("csv", "json"), default_format="csv")
     p.set_defaults(func=cmd_pn)
 

@@ -1,29 +1,36 @@
-"""Ever-hit probabilities p_n, characteristic roots, and the decay envelope.
+"""Ever-hit probabilities p_n, the decay bound epsilon, and characteristic roots.
 
 Starting the walk at 0, the probability p_n that the running sum of fair
 six-sided die rolls ever equals n obeys the order-6 linear recurrence
 
     p_n = (p_{n-1} + p_{n-2} + p_{n-3} + p_{n-4} + p_{n-5} + p_{n-6}) / 6,
-    p_0 = 1,  p_n = 0 for n < 0,
+    p_0 = 1,  p_n = 0 for n < 0.
 
-whose characteristic polynomial 6 z^6 - z^5 - z^4 - z^3 - z^2 - z - 1 has
+Subtracting it at n - 1 from it at n gives 6 p_n = 7 p_{n-1} - p_{n-7} for
+n >= 2, so the integers Q_n = 6^n p_n obey
+
+    Q_0 = Q_1 = 1,  Q_n = 7 Q_{n-1} - 6^6 Q_{n-7}  (n >= 2; Q_n = 0 for n < 0).
+
+That one integer recurrence (:func:`pn_numerators`) gives every exact
+value here: the fractions p_n = Q_n / 6^n, the ``pn`` table, and
+:func:`epsilon`, the exact supremum of |p_m - 2/7| over m >= n, rounded
+up, whose value at n = 2K - 4 feeds the certified overshoot constants for
+the perfect-square cutoff N = K^2.
+
+The characteristic polynomial 6 z^6 - z^5 - z^4 - z^3 - z^2 - z - 1 has
 the root 1 plus five roots of modulus < 1: one real negative root u and two
 complex-conjugate pairs v and w.  p_n converges to 2/7 at the geometric
-rate of the dominant subunit modulus |w|, and
-
-    |p_n - 2/7| <= (5/7) |w|^n
-
-is the two-sided envelope whose value at n = 2K - 4 feeds the certified
-overshoot constants for the perfect-square cutoff N = K^2.
-
-The roots are seeded at machine precision from the companion matrix and
-then Newton-refined at full working precision; envelope values are rounded
-with upward bias in the final digits so a bound is never understated.
+rate of the dominant subunit modulus |w|, within the paper's envelope
+(5/7)|w|^n.  The roots are seeded at machine precision from the companion
+matrix and then Newton-refined at full working precision; they serve
+``hittime roots`` and the tests, and no certified bound depends on them.
 """
 
 from __future__ import annotations
 
 import decimal
+import itertools
+from collections import deque
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -31,22 +38,21 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .numerics import PrecisionContext, ulp_up
+from .numerics import PrecisionContext
 
 __all__ = [
-    "PN_EXACT_MAX",
     "RootRefinementError",
     "DecimalComplex",
     "CharacteristicRoots",
+    "pn_numerators",
     "pn_exact",
-    "pn_series",
     "compute_roots",
     "epsilon",
 ]
 
-# Exact fractions have denominators 6^n; 64 keeps the oracle instantaneous
-# while covering every tabulated value.
-PN_EXACT_MAX = 64
+# epsilon is rounded up onto the dyadic grid with this many significant
+# bits, which keeps the overshoot series' fractions short.
+_EPSILON_BITS = 64
 
 # Descending-power coefficients of the characteristic polynomial and its
 # derivative: 6 z^6 - z^5 - z^4 - z^3 - z^2 - z - 1.
@@ -80,42 +86,28 @@ class CharacteristicRoots:
     modulus_u: Decimal
     modulus_v: Decimal
     modulus_w: Decimal
-    ctx: PrecisionContext
+
+
+def pn_numerators() -> Iterator[int]:
+    """Yield Q_n = 6^n p_n for n = 0, 1, 2, ... without end.
+
+    Q_n = 1 mod 6 for every n (7 = 1 and 6^6 = 0 mod 6), so Q_n / 6^n is
+    p_n in lowest terms.
+    """
+    yield 1
+    yield 1
+    last = deque([0] * 5 + [1, 1], maxlen=7)  # Q_{n-7} .. Q_{n-1}
+    while True:
+        q = 7 * last[-1] - 6**6 * last[0]
+        last.append(q)
+        yield q
 
 
 def pn_exact(n: int) -> Fraction:
-    """Exact rational p_n for 0 <= n <= 64."""
-    if n < 0 or n > PN_EXACT_MAX:
-        raise ValueError(f"pn_exact supports 0 <= n <= {PN_EXACT_MAX}, got {n}")
-    window = [Fraction(0)] * 6  # p_{k-1} .. p_{k-6}, seeded with p_0 = 1
-    window[0] = Fraction(1)
-    if n == 0:
-        return Fraction(1)
-    value = Fraction(0)
-    for _ in range(n):
-        value = sum(window) / 6
-        window = [value] + window[:5]
-    return value
-
-
-def pn_series(n_max: int, ctx: PrecisionContext) -> Iterator[tuple[int, Decimal]]:
-    """Stream (n, p_n) in decimal mode for n = 0 .. n_max."""
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    c = ctx.context()
-    add = c.add
-    div = c.divide
-    six = Decimal(6)
-    window = [Decimal(0)] * 6
-    window[0] = Decimal(1)
-    yield 0, Decimal(1)
-    for n in range(1, n_max + 1):
-        acc = window[0]
-        for j in range(1, 6):
-            acc = add(acc, window[j])
-        value = div(acc, six)
-        window = [value] + window[:5]
-        yield n, value
+    """Exact rational p_n for n >= 0."""
+    if n < 0:
+        raise ValueError(f"pn_exact needs n >= 0, got {n}")
+    return Fraction(next(itertools.islice(pn_numerators(), n, None)), 6**n)
 
 
 def _c_add(c: decimal.Context, a: DecimalComplex, b: DecimalComplex) -> DecimalComplex:
@@ -201,36 +193,30 @@ def compute_roots(ctx: PrecisionContext) -> CharacteristicRoots:
         modulus_u=c.abs(u),
         modulus_v=_modulus(c, v_plus),
         modulus_w=_modulus(c, w_plus),
-        ctx=ctx,
     )
 
 
-def _pow_round_up(c: decimal.Context, base: Decimal, n: int) -> Decimal:
-    """base**n by binary exponentiation with every product rounded up."""
-    result = Decimal(1)
-    acc = base
-    e = n
-    while e:
-        if e & 1:
-            result = c.multiply(result, acc)
-        e >>= 1
-        if e:
-            acc = c.multiply(acc, acc)
-    return result
+def epsilon(n: int) -> Fraction:
+    """Upper bound on |p_m - 2/7| for every m >= n: the supremum, rounded up.
 
-
-def epsilon(n: int, roots: CharacteristicRoots) -> Decimal:
-    """Envelope value (5/7)|w|^n with upward bias, never understated.
-
-    The modulus is nudged up one unit in its last internal digit and every
-    multiplication rounds away from zero, so the returned value is a true
-    upper bound on the exact envelope despite finite precision.
+    d_m = p_m - 2/7 is the mean of the six d's before it for every m >= 1,
+    since 2/7 solves the recurrence too (with d_j = -2/7 for j < 0).  So
+    each d_m with m >= n + 6 is a mean of six d's with indices in [n, m),
+    and by induction on m no |d_m| exceeds the window maximum
+    max |d_j| over n <= j <= n + 5.  That maximum is attained, so it is the
+    supremum over m >= n exactly.  It is computed from the integers Q_j and
+    rounded up onto the dyadic grid of ``_EPSILON_BITS`` (64) significant
+    bits.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    ctx = roots.ctx
-    c_up = ctx.context(decimal.ROUND_UP)
-    base = ulp_up(roots.modulus_w, ctx)
-    power = _pow_round_up(c_up, base, n)
-    five_sevenths = c_up.divide(Decimal(5), Decimal(7))
-    return c_up.multiply(five_sevenths, power)
+    window = itertools.islice(pn_numerators(), n, n + 6)
+    # |d_j| = |7 Q_j - 2 6^j| / (7 6^j), all over the denominator 7 6^(n+5)
+    num = max(abs(7 * q - 2 * 6**j) * 6**(n + 5 - j)
+              for j, q in enumerate(window, start=n))
+    den = 7 * 6**(n + 5)
+    # the grid depends on the value alone: 2^63 <= (num / den) 2^shift < 2^64
+    shift = _EPSILON_BITS + den.bit_length() - num.bit_length()
+    if num << shift >= den << _EPSILON_BITS:
+        shift -= 1
+    return Fraction(-((-num << shift) // den), 1 << shift)

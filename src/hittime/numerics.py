@@ -4,10 +4,10 @@ All modules in this package do their decimal arithmetic through a
 :class:`PrecisionContext`, which wraps a :class:`decimal.Context` carrying
 ``working_digits + GUARD_DIGITS`` significant digits.  Values are plain
 :class:`decimal.Decimal` objects; exact arithmetic uses
-:class:`fractions.Fraction`.  Each context names its rounding direction:
-bounds are rounded toward the side they bound (:func:`round_to_digits`,
-:func:`digit_string`, :func:`ulp_up`), and identical operation sequences at
-identical precision reproduce identical digit strings.
+:class:`fractions.Fraction`.  Bounds are rounded toward the side they
+bound (:func:`round_to_digits`, :func:`digit_string`), and identical
+operation sequences at identical precision reproduce identical digit
+strings.
 """
 
 from __future__ import annotations
@@ -25,12 +25,11 @@ __all__ = [
     "make_context",
     "digit_string",
     "round_to_digits",
-    "ulp_up",
 ]
 
 MIN_WORKING_DIGITS = 30
 # Digits carried internally beyond the working precision: they keep the
-# roundoff of the decimal stages (roots, envelope) below the reported
+# roundoff of the decimal stage (the roots) below the reported
 # resolution and, through internal_digits, widen the solver's fixed point.
 GUARD_DIGITS = 15
 
@@ -64,14 +63,14 @@ class PrecisionContext:
     def internal_digits(self) -> int:
         return self.working_digits + GUARD_DIGITS
 
-    def context(self, rounding: str = decimal.ROUND_HALF_EVEN) -> decimal.Context:
-        """A fresh decimal context at internal precision.
+    def context(self) -> decimal.Context:
+        """A fresh half-even decimal context at internal precision.
 
         Callers typically bind this once per computation; contexts are
         cheap to create and immutable by convention here.
         """
         return decimal.Context(
-            prec=self.internal_digits, rounding=rounding, Emax=_EMAX, Emin=_EMIN
+            prec=self.internal_digits, rounding=decimal.ROUND_HALF_EVEN, Emax=_EMAX, Emin=_EMIN
         )
 
 
@@ -106,14 +105,3 @@ def digit_string(x: Decimal | Fraction, digits: int,
     """
     return str(round_to_digits(x, digits, rounding))
 
-
-def ulp_up(x: Decimal, ctx: PrecisionContext) -> Decimal:
-    """Smallest representable increment above ``x`` at internal precision.
-
-    Used where a bound must never be understated by roundoff.
-    """
-    c = ctx.context(decimal.ROUND_CEILING)
-    if x == 0:
-        return Decimal(0)
-    step = Decimal(1).scaleb(x.adjusted() - ctx.internal_digits + 1)
-    return c.add(x, step)

@@ -292,3 +292,29 @@ def simulate_ever_hit(n: int, trials: int, seed: int,
         first = np.argmax(reached, axis=1)
         hits += int((paths[np.arange(chunk), first] == n).sum())
     return hits / trials
+
+
+def pn_reference(n: int) -> Fraction:
+    """Exact p_n from the six-term recurrence, one Fraction step at a time."""
+    window = [Fraction(0)] * 6  # p_{k-1} .. p_{k-6}, seeded with p_0 = 1
+    window[0] = Fraction(1)
+    if n == 0:
+        return Fraction(1)
+    value = Fraction(0)
+    for _ in range(n):
+        value = sum(window) / 6
+        window = [value] + window[:5]
+    return value
+
+
+def pn_numerators_six_term(n_max: int) -> list[int]:
+    """[Q_0, ..., Q_n_max], Q_n = 6^n p_n, from the six-term recurrence.
+
+    Multiplying p_n = (p_{n-1} + ... + p_{n-6}) / 6 by 6^n gives
+    Q_n = sum over j = 1..6 of 6^(j-1) Q_{n-j}, with Q_0 = 1 and Q_n = 0
+    for n < 0.
+    """
+    q = [1]
+    for n in range(1, n_max + 1):
+        q.append(sum(6**(j - 1) * q[n - j] for j in range(1, 7) if j <= n))
+    return q

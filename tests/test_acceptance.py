@@ -6,10 +6,11 @@ it takes about 5 s on a 2-vCPU Xeon and runs only when
 ``HITTIME_EXTENDED=1``, as in CI's extended job.
 """
 
+import itertools
 import json
 import os
 import time
-from decimal import Decimal
+from decimal import ROUND_FLOOR, Decimal
 from fractions import Fraction
 
 from unittest import mock
@@ -20,7 +21,7 @@ from conftest import agreed_digits, forward_reference, rational_to_decimal
 from hittime import walkmodel
 from hittime.certify import certify_squares, recommended_digits, sigma_series
 from hittime.cli import main
-from hittime.hitprob import compute_roots, epsilon, pn_exact, pn_series
+from hittime.hitprob import compute_roots, pn_exact, pn_numerators
 from hittime.numerics import digit_string, make_context
 from hittime.oracle import McConfig, dp_tables, simulate_hitting
 from hittime.walkmodel import DieModel, TargetSet, solve_pair
@@ -81,16 +82,16 @@ def test_criterion_02_root_moduli():
 
 
 def test_criterion_03_envelope():
+    # |p_n - 2/7| <= (5/7)|w|^n for n = 1..500, exactly: p_n = Q_n / 6^n
+    # and |w| rounded down to 50 digits, w_lo = a / 10^50, so the check is
+    # |7 Q_n - 2 6^n| 10^(50 n) <= 5 6^n a^n in integers
     t0 = time.perf_counter()
-    working = 60
-    ctx = make_context(working)
-    roots = compute_roots(ctx)
-    two_sevenths = rational_to_decimal(Fraction(2, 7), ctx)
-    slack = Decimal(1).scaleb(-(working - 5))
-    for n, p in pn_series(500, ctx):
-        if n == 0:
-            continue
-        assert abs(p - two_sevenths) <= epsilon(n, roots) + slack
+    roots = compute_roots(make_context(60))
+    a = int(Decimal(digit_string(roots.modulus_w, 50, ROUND_FLOOR)).scaleb(50))
+    numerators = itertools.islice(pn_numerators(), 1, 501)
+    for n, q in enumerate(numerators, start=1):
+        six_n = 6**n
+        assert abs(7 * q - 2 * six_n) * 10**(50 * n) <= 5 * six_n * a**n
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
     report(3, "two-sided envelope n=1..500", elapsed)

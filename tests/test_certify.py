@@ -19,7 +19,6 @@ from hittime.certify import (
     recommended_digits,
     sigma_series,
 )
-from hittime.hitprob import compute_roots
 from hittime.numerics import (
     GUARD_DIGITS,
     digit_string,
@@ -74,15 +73,12 @@ def test_zero_epsilon_constants_at_7000():
 
 
 def test_overshoot_bounds_decimal_close_to_linear_forms():
-    working = 60
-    ctx = make_context(working)
-    roots = compute_roots(ctx)
     for k in (10, 12, 50, 100):
-        b = overshoot_bounds(k, roots)
+        b = overshoot_bounds(k)
         l0 = sigma_series(5, Fraction(5, 7), Fraction(2, 7), k) / 6
         u0 = sigma_series(1, Fraction(5, 7), Fraction(2, 7), k)
-        eps = Fraction(b.epsilon_n)
-        # a growing envelope always lowers L and raises U
+        eps = b.epsilon_n
+        # a growing epsilon always lowers L and raises U
         assert Fraction(b.lower) <= l0
         assert Fraction(b.upper) >= u0
         if k >= 12:
@@ -96,24 +92,20 @@ def test_overshoot_bounds_decimal_close_to_linear_forms():
 
 
 def test_overshoot_bounds_printed_values_at_7000():
-    # with the true envelope (~1e-1911) the decimal bounds still print as
+    # with epsilon at about 3e-1912 the decimal bounds still print as
     # the linear forms: L repeats 3s, U is exactly 49020 at any sane depth
-    working = 60
-    ctx = make_context(working)
-    b = overshoot_bounds(7000, compute_roots(ctx))
+    b = overshoot_bounds(7000)
     assert digit_string(b.lower, 20) == "8169.3333333333333333"
     assert digit_string(b.upper, 20) == "49020.000000000000000"
 
 
 def test_overshoot_bounds_round_outward():
-    # L_N and U_N are the exact series values at the reported envelope,
+    # L_N and U_N are the exact series values at the reported epsilon,
     # which is itself an upper bound on the true one; only the report
     # rounds them, outward
-    ctx = make_context(60)
-    roots = compute_roots(ctx)
     for k in (4, 500, 7000):
-        b = overshoot_bounds(k, roots)
-        eps = Fraction(b.epsilon_n)
+        b = overshoot_bounds(k)
+        eps = b.epsilon_n
         exact_lower = sigma_series(5, Fraction(5, 7) - eps, Fraction(2, 7) - eps, k) / 6
         exact_upper = sigma_series(1, Fraction(5, 7) + eps, Fraction(2, 7) + eps, k)
         assert b.lower == exact_lower
@@ -133,10 +125,8 @@ def test_audit_of_certification_pipeline():
 
 
 def test_overshoot_bounds_validation():
-    ctx = make_context(40)
-    roots = compute_roots(ctx)
     with pytest.raises(ValueError):
-        overshoot_bounds(3, roots)
+        overshoot_bounds(3)
 
 
 def test_certified_digit_count_examples():
@@ -238,8 +228,7 @@ def test_certify_nonzero_start():
 
 def test_degenerate_composition_has_zero_radius():
     ctx = make_context(60)
-    roots = compute_roots(ctx)
-    bounds = overshoot_bounds(10, roots)
+    bounds = overshoot_bounds(10)
     dense = TargetSet.from_list(list(range(1, 101)), 100)
     sol = solve_pair(dense, DieModel(6), 100, 0, ctx)
     est = compose_estimate(sol, bounds, ctx)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import agreed_digits, rational_to_decimal
+from conftest import agreed_digits, pn_reference, rational_to_decimal
 from hittime import certify, cli, oracle, walkmodel
 from hittime.cli import main
 from hittime.numerics import digit_string, make_context
@@ -121,8 +121,8 @@ def test_certify_rejects_bad_precision(capsys):
 def test_inverted_interval_is_internal_failure(capsys, monkeypatch):
     real = certify.overshoot_bounds
 
-    def swapped(k, roots):
-        b = real(k, roots)
+    def swapped(k):
+        b = real(k)
         return dataclasses.replace(b, lower=b.upper * 10**9, upper=b.lower)
 
     monkeypatch.setattr(certify, "overshoot_bounds", swapped)
@@ -233,6 +233,17 @@ def test_pn_exact_listing(capsys):
     assert lines[1:] == ["1,1/6", "2,7/36", "3,49/216", "4,343/1296",
                          "5,2401/7776", "6,16807/46656", "7,70993/279936",
                          "8,450295/1679616"]
+
+
+def test_pn_exact_listing_past_64(capsys):
+    # rows are not capped at n = 64: every row up to 70 is the exact p_n
+    code, out, _ = run_cli(capsys, "pn", "--max", "70", "--exact")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert len(lines) == 71
+    for n, line in enumerate(lines[1:], start=1):
+        p = pn_reference(n)
+        assert line == f"{n},{p.numerator}/{p.denominator}"
 
 
 def test_pn_figure_table(capsys):

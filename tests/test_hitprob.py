@@ -1,27 +1,23 @@
-"""Ever-hit probabilities, characteristic roots, and the decay envelope."""
+"""Ever-hit probabilities, characteristic roots, and the decay bound."""
 
 import decimal
-from decimal import Decimal
+import functools
+import itertools
+from decimal import ROUND_CEILING, Decimal
 from fractions import Fraction
 
 import pytest
 
-from conftest import agreed_digits, rational_to_decimal
+from conftest import agreed_digits, pn_numerators_six_term, pn_reference, rational_to_decimal
 from hittime.hitprob import (
-    PN_EXACT_MAX,
     DecimalComplex,
     compute_roots,
     epsilon,
     pn_exact,
-    pn_series,
+    pn_numerators,
 )
 from hittime.cli import main
-from hittime.numerics import (
-    GUARD_DIGITS,
-    MIN_WORKING_DIGITS,
-    digit_string,
-    make_context,
-)
+from hittime.numerics import GUARD_DIGITS, digit_string, make_context
 
 # The first eight ever-hit probabilities, exact.
 FIRST_EIGHT = [
@@ -36,6 +32,18 @@ FIRST_EIGHT = [
 ]
 
 
+def exact_pn(n_max: int) -> list[Fraction]:
+    return [Fraction(q, 6**n)
+            for n, q in enumerate(itertools.islice(pn_numerators(), n_max + 1))]
+
+
+@functools.lru_cache(maxsize=None)
+def w_modulus_up() -> Fraction:
+    """|w| rounded up to 40 digits from its 60-digit Newton value."""
+    roots = compute_roots(make_context(60))
+    return Fraction(Decimal(digit_string(roots.modulus_w, 40, ROUND_CEILING)))
+
+
 @pytest.mark.parametrize("n,expected", list(enumerate(FIRST_EIGHT, start=1)))
 def test_pn_exact_first_values(n, expected):
     assert pn_exact(n) == expected
@@ -43,56 +51,54 @@ def test_pn_exact_first_values(n, expected):
 
 def test_pn_exact_seed_and_range():
     assert pn_exact(0) == 1
-    assert pn_exact(PN_EXACT_MAX).denominator > 0
+    # no cap: rows past n = 64 are exact too
+    assert pn_exact(65) == pn_reference(65)
     with pytest.raises(ValueError):
         pn_exact(-1)
-    with pytest.raises(ValueError):
-        pn_exact(PN_EXACT_MAX + 1)
 
 
 def test_pn_probability_range():
-    for n in range(PN_EXACT_MAX + 1):
-        p = pn_exact(n)
+    for p in exact_pn(200):
         assert 0 <= p <= 1
 
 
-def test_pn_series_matches_exact():
-    ctx = make_context(50)
-    values = dict(pn_series(64, ctx))
-    for n in (0, 1, 6, 13, 40, 64):
-        ref = rational_to_decimal(pn_exact(n), ctx)
-        assert agreed_digits(values[n], ref, 50) >= 50 - 2
-    with pytest.raises(ValueError):
-        list(pn_series(-1, ctx))
+def test_pn_numerators_match_reference():
+    # the generator's Q_n = 7 Q_{n-1} - 6^6 Q_{n-7} against the six-term
+    # recurrence for every n <= 2000, and both against the Fraction loop
+    n_max = 2000
+    q = list(itertools.islice(pn_numerators(), n_max + 1))
+    assert q == pn_numerators_six_term(n_max)
+    for n in list(range(71)) + [500, n_max]:
+        assert Fraction(q[n], 6**n) == pn_reference(n)
+    # Q_n = 1 mod 6, so Q_n / 6^n is in lowest terms
+    assert all(x % 6 == 1 for x in q)
 
 
 def test_pn_maximum_at_six():
     # maximum over n >= 1 (p_0 = 1 is the recurrence seed, not a hit event)
-    ctx = make_context(60)
-    values = dict(pn_series(500, ctx))
+    values = exact_pn(500)
     p6 = values[6]
-    assert all(p6 > p for n, p in values.items() if n != 6 and n >= 1)
+    assert all(p6 > p for n, p in enumerate(values) if n != 6 and n >= 1)
     assert pn_exact(6) == Fraction(16807, 46656)
 
 
 def test_pn_limit_two_sevenths():
-    ctx = make_context(60)
-    p200 = dict(pn_series(200, ctx))[200]
-    eps = epsilon(200, compute_roots(ctx))
-    assert abs(p200 - rational_to_decimal(Fraction(2, 7), ctx)) <= eps
+    assert abs(pn_exact(200) - Fraction(2, 7)) <= epsilon(200) < Fraction(1, 10**27)
 
 
 def test_figure1_table(capsys):
-    # Figure 1 plots p_n for n = 1 .. 100; the pn command builds its decimal
-    # table from pn_series at MIN_WORKING_DIGITS and refuses an empty table
-    series = pn_series(100, make_context(MIN_WORKING_DIGITS))
-    rows = [(n, p) for n, p in series if n >= 1]
+    # Figure 1 plots p_n for n = 1 .. 100; the pn command rounds each row
+    # once, to 15 significant digits, from the exact value, and refuses an
+    # empty table
+    assert main(["pn", "--max", "100"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.split()[1:]]
     assert len(rows) == 100
-    assert rows[0][0] == 1
-    assert digit_string(rows[0][1], 10) == "0.1666666667"
+    assert rows[0][0] == "1"
+    for n, p in rows:
+        assert p == digit_string(pn_reference(int(n)), 15)
+    assert digit_string(Decimal(rows[0][1]), 10) == "0.1666666667"
     # the tail of the table has settled near 2/7
-    tail = rows[-1][1]
-    assert abs(tail - Decimal(2) / Decimal(7)) < Decimal("1e-10")
+    assert abs(Fraction(rows[-1][1]) - Fraction(2, 7)) < Fraction(1, 10**10)
     assert main(["pn", "--max", "0"]) == 2
     assert capsys.readouterr().out == ""
 
@@ -180,7 +186,6 @@ def test_closed_form_equals_recurrence():
     u_pow = Decimal(1)
     v_pow = DecimalComplex(Decimal(1), Decimal(0))
     w_pow = DecimalComplex(Decimal(1), Decimal(0))
-    series = dict(pn_series(200, ctx))
     seven = Decimal(7)
     for n in range(1, 201):
         u_pow = c.multiply(u_pow, roots.u)
@@ -191,51 +196,65 @@ def test_closed_form_equals_recurrence():
                       c.add(c.multiply(Decimal(2), v_pow.re),
                             c.multiply(Decimal(2), w_pow.re)))
         closed = c.divide(total, seven)
-        assert agreed_digits(closed, series[n], working) >= working - 5
+        assert agreed_digits(closed, rational_to_decimal(pn_exact(n), ctx),
+                             working) >= working - 5
 
 
 def test_epsilon_envelope_two_sided():
-    # two-sided bound |p_n - 2/7| <= (5/7)|w|^n for n = 1..500
-    working = 60
-    ctx = make_context(working)
-    c = ctx.context()
-    roots = compute_roots(ctx)
-    two_sevenths = rational_to_decimal(Fraction(2, 7), ctx)
-    five_sevenths = rational_to_decimal(Fraction(5, 7), ctx)
-    slack = Decimal(1).scaleb(-(working - 5))
-    for n, p in pn_series(500, ctx):
+    # |p_n - 2/7| = |(1 - p_n) - 5/7| <= epsilon(n) <= (5/7)|w|^n for
+    # n = 1..500, exactly, with |w| rounded up
+    w_up = w_modulus_up()
+    for n, p in enumerate(exact_pn(500)):
         if n == 0:
             continue
-        eps = epsilon(n, roots)
-        assert abs(c.subtract(p, two_sevenths)) <= eps + slack
-        q = c.subtract(Decimal(1), p)
-        assert abs(c.subtract(q, five_sevenths)) <= eps + slack
+        eps = epsilon(n)
+        assert abs(p - Fraction(2, 7)) <= eps
+        assert abs((1 - p) - Fraction(5, 7)) <= eps
+        assert eps <= Fraction(5, 7) * w_up**n
 
 
 def test_epsilon_monotone_decreasing():
-    roots = compute_roots(make_context(40))
-    values = [epsilon(n, roots) for n in range(1, 60)]
-    assert all(a > b for a, b in zip(values, values[1:]))
+    # a supremum over m >= n never grows with n; it stays flat while the
+    # window's maximum stays inside the window, and falls within six steps,
+    # as each d_m is a mean of the six before it
+    values = [epsilon(n) for n in range(1, 60)]
+    assert all(a >= b for a, b in zip(values, values[1:]))
+    assert all(a > b for a, b in zip(values, values[6:]))
     assert all(v > 0 for v in values)
 
 
 def test_epsilon_first_value():
-    ctx = make_context(40)
-    roots = compute_roots(ctx)
-    direct = ctx.context().multiply(
-        ctx.context().divide(Decimal(5), Decimal(7)), roots.modulus_w)
-    got = epsilon(1, roots)
-    # upward bias keeps the bound at or above the plainly rounded product
-    assert got >= direct
-    assert agreed_digits(got, direct, 40) >= 38
+    # the window p_1 .. p_6 peaks at |p_1 - 2/7| = 5/42, which epsilon
+    # rounds up onto the grid of 64 significant bits
+    got = epsilon(1)
+    assert got == Fraction(-(-5 * 2**67 // 42), 2**67)
+    assert Fraction(5, 42) < got < Fraction(5, 42) * (1 + Fraction(1, 2**63))
 
 
 def test_epsilon_never_understates():
-    # compare against an exact-rational overestimate check: the returned
-    # epsilon must dominate (5/7) * |w|^n computed from an interval below.
-    ctx = make_context(40)
-    roots = compute_roots(ctx)
-    w_lo = Fraction(roots.modulus_w) - Fraction(1, 10**40)
+    # epsilon(n) is the window maximum of |p_j - 2/7| over n <= j <= n+5,
+    # from the Fraction loop, rounded up by less than one part in 2^63
     for n in (1, 5, 17, 100):
-        lower = Fraction(5, 7) * w_lo**n
-        assert Fraction(epsilon(n, roots)) >= lower
+        window_max = max(abs(pn_reference(j) - Fraction(2, 7)) for j in range(n, n + 6))
+        assert window_max <= epsilon(n) < window_max * (1 + Fraction(1, 2**63))
+
+
+@pytest.fixture(scope="module")
+def pn_tail() -> list[int]:
+    """Q_0 .. Q_4396, Q_n = 6^n p_n, enough for K = 1200."""
+    return pn_numerators_six_term(2 * 1200 - 4 + 2000)
+
+
+@pytest.mark.parametrize("k", list(range(4, 41)) + [50, 500, 1200])
+def test_epsilon_bounds_every_later_gap(k, pn_tail):
+    # certify needs |p_m - 2/7| <= epsilon(2K - 4) for every m >= 2K - 4;
+    # checked exactly for 2001 of them, from the six-term recurrence, and
+    # epsilon stays below the paper's envelope (5/7)|w|^(2K-4)
+    n0 = 2 * k - 4
+    eps = epsilon(n0)
+    a, b = eps.numerator, eps.denominator
+    for m in range(n0, n0 + 2001):
+        six_m = 6**m
+        # |7 Q_m - 2 6^m| / (7 6^m) <= a / b
+        assert abs(7 * pn_tail[m] - 2 * six_m) * b <= 7 * six_m * a
+    assert eps <= Fraction(5, 7) * w_modulus_up()**n0

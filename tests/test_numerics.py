@@ -12,7 +12,6 @@ from hittime.numerics import (
     digit_string,
     make_context,
     round_to_digits,
-    ulp_up,
 )
 
 
@@ -103,14 +102,6 @@ def test_digit_string_directed_rounding_of_fractions():
         q = Fraction(rng.randrange(-10**30, 10**30), rng.randrange(1, 10**30))
         assert Fraction(Decimal(digit_string(q, 20, ROUND_FLOOR))) <= q
         assert Fraction(Decimal(digit_string(q, 20, ROUND_CEILING))) >= q
-
-
-def test_ulp_up_is_strictly_above():
-    ctx = make_context(30)
-    x = rational_to_decimal(Fraction(2, 7), ctx)
-    up = ulp_up(x, ctx)
-    assert up > x
-    assert Fraction(up) - Fraction(x) <= Fraction(1, 10**(ctx.internal_digits - 1))
 
 
 def test_agreed_digits_cases():
