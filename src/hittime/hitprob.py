@@ -21,9 +21,10 @@ The characteristic polynomial 6 z^6 - z^5 - z^4 - z^3 - z^2 - z - 1 has
 the root 1 plus five roots of modulus < 1: one real negative root u and two
 complex-conjugate pairs v and w.  p_n converges to 2/7 at the geometric
 rate of the dominant subunit modulus |w|, within the paper's envelope
-(5/7)|w|^n.  The roots are seeded at machine precision from the companion
-matrix and then Newton-refined at full working precision; they serve
-``hittime roots`` and the tests, and no certified bound depends on them.
+(5/7)|w|^n.  Each root is Newton-refined at full working precision from a
+fixed double-precision seed, in plain ``Decimal`` arithmetic under one
+decimal context; the roots serve ``hittime roots`` and the tests, and no
+certified bound depends on them.
 """
 
 from __future__ import annotations
@@ -35,8 +36,6 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from typing import Iterator, NamedTuple
-
-import numpy as np
 
 from .numerics import PrecisionContext
 
@@ -54,10 +53,17 @@ __all__ = [
 # bits, which keeps the overshoot series' fractions short.
 _EPSILON_BITS = 64
 
-# Descending-power coefficients of the characteristic polynomial and its
-# derivative: 6 z^6 - z^5 - z^4 - z^3 - z^2 - z - 1.
+# Descending-power coefficients of the characteristic polynomial
+# 6 z^6 - z^5 - z^4 - z^3 - z^2 - z - 1.
 _POLY = (6, -1, -1, -1, -1, -1, -1)
-_DPOLY = (36, -5, -4, -3, -2, -1)
+
+# Newton seeds for u, v+ and w+ (|u| < |v| < |w| < 1): np.roots(_POLY)
+# in doubles, fixed so the roots do not depend on numpy's eigensolver.
+_SEEDS = (
+    complex(-0.6703320476030975, 0.0),
+    complex(-0.3756951992252603, 0.5701751610114127),
+    complex(0.29419455636014147, 0.6683670974433016),
+)
 
 _NEWTON_MAX_ITER = 200
 
@@ -110,90 +116,43 @@ def pn_exact(n: int) -> Fraction:
     return Fraction(next(itertools.islice(pn_numerators(), n, None)), 6**n)
 
 
-def _c_add(c: decimal.Context, a: DecimalComplex, b: DecimalComplex) -> DecimalComplex:
-    return DecimalComplex(c.add(a.re, b.re), c.add(a.im, b.im))
+def _newton(seed: complex, prec: int) -> DecimalComplex:
+    """Newton on ``_POLY`` from ``seed`` in the current decimal context.
 
-
-def _c_sub(c: decimal.Context, a: DecimalComplex, b: DecimalComplex) -> DecimalComplex:
-    return DecimalComplex(c.subtract(a.re, b.re), c.subtract(a.im, b.im))
-
-
-def _c_mul(c: decimal.Context, a: DecimalComplex, b: DecimalComplex) -> DecimalComplex:
-    re = c.subtract(c.multiply(a.re, b.re), c.multiply(a.im, b.im))
-    im = c.add(c.multiply(a.re, b.im), c.multiply(a.im, b.re))
-    return DecimalComplex(re, im)
-
-
-def _c_div(c: decimal.Context, a: DecimalComplex, b: DecimalComplex) -> DecimalComplex:
-    den = c.add(c.multiply(b.re, b.re), c.multiply(b.im, b.im))
-    num = _c_mul(c, a, DecimalComplex(b.re, c.minus(b.im)))
-    return DecimalComplex(c.divide(num.re, den), c.divide(num.im, den))
-
-
-def _horner(c: decimal.Context, coeffs: tuple[int, ...], z: DecimalComplex) -> DecimalComplex:
-    acc = DecimalComplex(Decimal(coeffs[0]), Decimal(0))
-    for k in coeffs[1:]:
-        acc = _c_mul(c, acc, z)
-        acc = _c_add(c, acc, DecimalComplex(Decimal(k), Decimal(0)))
-    return acc
-
-
-def _step_negligible(step: Decimal, scale: Decimal, prec: int) -> bool:
-    """True once a Newton step is within a few ulps of the iterate."""
-    if step == 0:
-        return True
-    return step.adjusted() <= scale.adjusted() - prec + 3
-
-
-def _newton_complex(c: decimal.Context, seed: complex) -> DecimalComplex:
-    z = DecimalComplex(Decimal(float(seed.real)), Decimal(float(seed.imag)))
+    Stops once each part of a step is within 10^3 units in the last of
+    ``prec`` digits of the iterate.
+    """
+    zr, zi = Decimal(seed.real), Decimal(seed.imag)
     for _ in range(_NEWTON_MAX_ITER):
-        f = _horner(c, _POLY, z)
-        fp = _horner(c, _DPOLY, z)
-        step = _c_div(c, f, fp)
-        z = _c_sub(c, z, step)
-        if (_step_negligible(step.re, z.re, c.prec)
-                and _step_negligible(step.im, z.im, c.prec)):
-            return z
-    raise RootRefinementError("complex Newton refinement did not converge")
-
-
-def _modulus(c: decimal.Context, z: DecimalComplex) -> Decimal:
-    return c.sqrt(c.add(c.multiply(z.re, z.re), c.multiply(z.im, z.im)))
+        # one Horner pass: f(z) and f'(z) together
+        fr, fi, dr, di = Decimal(_POLY[0]), Decimal(0), Decimal(0), Decimal(0)
+        for a in _POLY[1:]:
+            dr, di = dr * zr - di * zi + fr, dr * zi + di * zr + fi
+            fr, fi = fr * zr - fi * zi + a, fr * zi + fi * zr
+        den = dr * dr + di * di
+        sr, si = (fr * dr + fi * di) / den, (fi * dr - fr * di) / den
+        zr, zi = zr - sr, zi - si
+        if all(s == 0 or s.adjusted() <= z.adjusted() - prec + 3
+               for s, z in ((sr, zr), (si, zi))):
+            return DecimalComplex(zr, zi)
+    raise RootRefinementError("Newton refinement did not converge")
 
 
 def compute_roots(ctx: PrecisionContext) -> CharacteristicRoots:
     """All six characteristic roots at the context's precision.
 
-    Seeds come from the companion-matrix eigenvalues at machine precision;
-    each non-unit root is then Newton-refined on the degree-6 polynomial
-    until the iteration reaches a fixed point of the working precision.
-    The root at 1 is exact and not refined.
+    Each non-unit root is Newton-refined from its seed in ``_SEEDS``; the
+    root at 1 is exact.
     """
-    seeds = np.roots(_POLY)
-    complex_seeds = sorted((z for z in seeds if z.imag > 1e-6), key=abs)
-    real_negative = [z.real for z in seeds if abs(z.imag) <= 1e-6 and z.real < 0]
-    if len(complex_seeds) != 2 or len(real_negative) != 1:
-        raise RootRefinementError("unexpected companion-matrix root layout")
-
-    c = ctx.context()
-    u = _newton_complex(c, complex(real_negative[0], 0)).re
-    v_plus = _newton_complex(c, complex_seeds[0])
-    w_plus = _newton_complex(c, complex_seeds[1])
-    v_minus = DecimalComplex(v_plus.re, c.minus(v_plus.im))
-    w_minus = DecimalComplex(w_plus.re, c.minus(w_plus.im))
-
-    return CharacteristicRoots(
-        root_unit=Decimal(1),
-        u=u,
-        v_plus=v_plus,
-        v_minus=v_minus,
-        w_plus=w_plus,
-        w_minus=w_minus,
-        modulus_u=c.abs(u),
-        modulus_v=_modulus(c, v_plus),
-        modulus_w=_modulus(c, w_plus),
-    )
+    with decimal.localcontext(ctx.context()) as c:
+        u, v, w = (_newton(seed, c.prec) for seed in _SEEDS)
+        return CharacteristicRoots(
+            root_unit=Decimal(1), u=u.re,
+            v_plus=v, v_minus=DecimalComplex(v.re, -v.im),
+            w_plus=w, w_minus=DecimalComplex(w.re, -w.im),
+            modulus_u=abs(u.re),
+            modulus_v=(v.re * v.re + v.im * v.im).sqrt(),
+            modulus_w=(w.re * w.re + w.im * w.im).sqrt())
 
 
 def epsilon(n: int) -> Fraction:

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import agreed_digits, pn_reference, rational_to_decimal
-from hittime import certify, cli, oracle, walkmodel
+from hittime import certify, cli, hitprob, oracle, walkmodel
 from hittime.cli import main
 from hittime.numerics import digit_string, make_context
 from hittime.oracle import exact_dp
@@ -276,6 +276,50 @@ def test_roots_output(capsys):
     assert digit_string(Decimal(payload["modulus_w"]), 10) == "0.7302499667"
     assert digit_string(Decimal(payload["modulus_u"]), 10) == "0.6703320476"
     assert digit_string(Decimal(payload["modulus_v"]), 10) == "0.6828225223"
+
+
+# `hittime roots --precision 60 --format json`, all 13 digit strings: a
+# change to the seeds or the Newton iteration must leave every digit in place.
+ROOTS_60 = {
+    "schema": 1,
+    "precision_digits": 60,
+    "root_unit": "1",
+    "u": "-0.670332047603096827743186427118089883457556818497339432262921",
+    "v_plus": {
+        "re": "-0.375695199225259924691710623749239479642381682264224768074617",
+        "im": "0.570175161011412263754748824948192987755334168587814915812429",
+    },
+    "v_minus": {
+        "re": "-0.375695199225259924691710623749239479642381682264224768074617",
+        "im": "-0.570175161011412263754748824948192987755334168587814915812429",
+    },
+    "w_plus": {
+        "re": "0.294194556360141671896637170641617754704493424846227817539411",
+        "im": "0.668367097443301064782919206076663991653900676984483675436802",
+    },
+    "w_minus": {
+        "re": "0.294194556360141671896637170641617754704493424846227817539411",
+        "im": "-0.668367097443301064782919206076663991653900676984483675436802",
+    },
+    "modulus_u": "0.670332047603096827743186427118089883457556818497339432262921",
+    "modulus_v": "0.682822522296458558434907497826633231264120991375852695540360",
+    "modulus_w": "0.730249966748868585923911353809306217889785837198487026536365",
+}
+
+
+def test_roots_payload_pinned(capsys):
+    code, out, _ = run_cli(capsys, "roots", "--precision", "60", "--format", "json")
+    assert code == 0
+    assert out == json.dumps(ROOTS_60, indent=2) + "\n"
+
+
+def test_roots_nonconvergence_exits_4(capsys, monkeypatch):
+    # one Newton step from a double-precision seed cannot reach 60 digits
+    monkeypatch.setattr(hitprob, "_NEWTON_MAX_ITER", 1)
+    code, out, err = run_cli(capsys, "roots", "--precision", "60")
+    assert code == 4
+    assert out == ""
+    assert "did not converge" in err
 
 
 def test_roots_printed_residuals(capsys):

@@ -6,10 +6,13 @@ import itertools
 from decimal import ROUND_CEILING, Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import agreed_digits, pn_numerators_six_term, pn_reference, rational_to_decimal
 from hittime.hitprob import (
+    _POLY,
+    _SEEDS,
     DecimalComplex,
     compute_roots,
     epsilon,
@@ -158,7 +161,7 @@ def _residual(c: decimal.Context, z: DecimalComplex) -> Decimal:
     return c.sqrt(c.add(c.multiply(res_re, res_re), c.multiply(res_im, res_im)))
 
 
-@pytest.mark.parametrize("working", [50, 120])
+@pytest.mark.parametrize("working", [50, 120, 1200])
 def test_root_residuals(working):
     ctx = make_context(working)
     roots = compute_roots(ctx)
@@ -168,6 +171,18 @@ def test_root_residuals(working):
               DecimalComplex(roots.u, Decimal(0)),
               DecimalComplex(roots.root_unit, Decimal(0))):
         assert _residual(c, z) < tol
+
+
+def test_seeds_are_double_precision_roots():
+    # each fixed seed is within 1e-12 of its own root of the companion
+    # matrix: u, then v+ and w+ in increasing modulus
+    eigen = list(np.roots(_POLY))
+    nearest = [min(eigen, key=lambda z: abs(z - seed)) for seed in _SEEDS]
+    assert all(abs(z - seed) < 1e-12 for z, seed in zip(nearest, _SEEDS))
+    assert len(set(nearest)) == len(_SEEDS)
+    u, v, w = _SEEDS
+    assert u.imag == 0 and u.real < 0 and v.imag > 0 and w.imag > 0
+    assert abs(u) < abs(v) < abs(w) < 1
 
 
 def test_closed_form_equals_recurrence():
