@@ -64,8 +64,10 @@ JUMP_MIN = 128
 # one unit in the last internal digit.
 GUARD_BITS = 128
 
-# Step, in bits, by which the row r is rescaled once its sum drops below 1.
-RESCALE_BITS = 64
+# Bits of a jump's products kept below the mass of r: each jump cuts the
+# cached power's q window and C column to what sum(r) can see, less these
+# bits, so a cut costs each product at most about 2^-CUT_GUARD units.
+CUT_GUARD = 8
 
 
 class TargetSetError(ValueError):
@@ -336,10 +338,17 @@ def solve_pair(target: TargetSet, die: DieModel, n: int, s_min: int,
     The kernel works in fixed point on 2^-c, c = :func:`fraction_bits`,
     with two twins of every quantity: one that rounds every division by M
     and every right shift (after a product, or onto e's scale) down, and
-    one that rounds them up.  r carries a block
-    exponent: after a target, while the upper twin's sum lies in
-    (0, 2^c), both twins are shifted left by ``RESCALE_BITS`` (exactly),
-    so P keeps its relative precision however small it gets.
+    one that rounds them up.  r stands on e's grid, so as its mass P
+    falls it keeps fewer bits: E_N and P reach the answer only through
+    absolute errors.  A jump's products see no more of the power than r's
+    mass can use.  With ``cut = c - bitlen(sum(hi)) - CUT_GUARD`` (at least
+    0), the q window and the C column are divided by 2^cut, rounded down
+    in the lower twin and up in the upper one, and the products are
+    shifted by c - cut, not c.  The cut values are nonnegative and rounded
+    outward, so the proof below covers them.  A row sum of at most M(M+1)/2
+    cut values of q, each short by less than 2^cut, times sum(r) <
+    2^(c - cut - CUT_GUARD), costs r less than M(M+1)/2 2^-CUT_GUARD units
+    of 2^-c per twin and jump.
 
     The twins enclose the exact values.  Claim: at every stage
     ``lo <= r <= hi`` entrywise, ``e_lo <= e <= e_hi``, and likewise for
@@ -351,11 +360,28 @@ def solve_pair(target: TargetSet, die: DieModel, n: int, s_min: int,
     twin; sums and products of nonnegative numbers are monotone in every
     argument, so ordered inputs give ordered outputs, and the floor keeps
     the lower result below the exact one and the ceiling keeps the upper
-    result above it.  Target shifts and rescaling shifts are exact.  So by
-    induction over the covered states the claim holds at the cutoff, where
+    result above it.  Target shifts are exact.  So by induction over the
+    covered states the claim holds at the cutoff, where
     ``e_lo <= E_N(s_min) <= e_hi`` and ``sum(lo) <= P_s <= sum(hi)``.
     A ceiling maps positive to positive and 0 to 0, so the upper twin is 0
     exactly where the exact value is: ``p_hi == 0`` exactly when P is 0.
+
+    P's enclosure is narrow in absolute terms.  Let a = P - sum(lo) and
+    b = sum(hi) - P, in units of 2^-c, with P here the exact row's sum,
+    at most 1.  A step keeps P (A is stochastic), and its division by M
+    moves each twin's sum by at most M - 1, so it raises a and b by at
+    most M - 1 each.  A drop removes an entry lying between its twins, so
+    it raises neither.  A jump over g states keeps P; each power row used
+    is e_0 stepped at most g times, so its sum is within (M - 1) g units
+    of 2^c, and with the cut and the M final roundings a jump raises a by
+    at most (M - 1) g + M + M(M+1)/2 2^-CUT_GUARD and b by at most
+    (1 + b 2^-c)(M - 1) g + M + M(M+1)/2 2^-CUT_GUARD.  Every jump covers
+    at least one of the at most N - s_min + 1 non-target states, so
+
+        p_hi - p_lo <= 4 M (N - s_min + 1) 2^-c
+
+    whenever M(M + 1) <= 2^CUT_GUARD and 4 M^2 (N + 1) <= 2^c.  P itself
+    may be far smaller: below 2^-c, p_lo can be 0 while p_hi > 0.
     """
     if n < 0:
         raise ValueError("cutoff must be nonnegative")
@@ -375,7 +401,6 @@ def _forward(members: list[int], m: int, n: int, s_min: int, bits: int,
     unit = [one] + [0] * (m - 1)
     r = _Twins(unit, unit, m)
     e_lo = e_hi = 0
-    shift = 0  # r stands on the scale 2^-(bits + shift), e on 2^-bits
     # The cached power A^span, per twin (see solve_pair): c_span, and newest
     # first q_(span-1) .. q_(span-2M+1) and C_(span-1) .. C_(span-M).
     span = 0
@@ -404,41 +429,44 @@ def _forward(members: list[int], m: int, n: int, s_min: int, bits: int,
             # a target closing the run drops r[0], the one entry that holds
             # D_(g-M): that column is skipped and r[0] left 0 for the drop
             closed = t <= n
-            (add_lo, *d_lo), (add_hi, *d_hi) = _jump_products(
-                lo, hi, *(list(w)[:2 * m - 1 - closed] for w in qs), *map(list, totals))
-            e_lo += add_lo >> (bits + shift)
-            e_hi -= -add_hi >> (bits + shift)
-            # r[j] <- (D_(g-1) + ... + D_(g-M+j) + one r[g+j]) / 2^c, where the
-            # multiple of 2^c passes the rounding whole and r[g+j] = 0 past M
+            # the power's q window and C column, cut to what r's mass can see
+            cut = max(0, bits - sum(hi).bit_length() - CUT_GUARD)
+            window = 2 * m - 1 - closed
+            q_lo = [v >> cut for v in itertools.islice(qs[0], window)]
+            q_hi = [-(-v >> cut) for v in itertools.islice(qs[1], window)]
+            tot_lo = [v >> cut for v in totals[0]]
+            tot_hi = [-(-v >> cut) for v in totals[1]]
+            (add_lo, *d_lo), (add_hi, *d_hi) = _jump_products(lo, hi, q_lo, q_hi,
+                                                              tot_lo, tot_hi)
+            keep = bits - cut
+            e_lo += add_lo >> keep
+            e_hi -= -add_hi >> keep
+            # r[j] <- (D_(g-1) + ... + D_(g-M+j) + 2^keep r[g+j]) / 2^keep, where
+            # the multiple of 2^keep passes the rounding whole and r[g+j] = 0
+            # past M
             sums_lo = [0] * closed + list(itertools.accumulate(d_lo))[::-1]
             sums_hi = [0] * closed + list(itertools.accumulate(d_hi))[::-1]
-            r = _Twins([(v >> bits) + x for v, x in zip(sums_lo, lo[g:] + [0] * m)],
-                       [-(-v >> bits) + x for v, x in zip(sums_hi, hi[g:] + [0] * m)], m)
+            r = _Twins([(v >> keep) + x for v, x in zip(sums_lo, lo[g:] + [0] * m)],
+                       [-(-v >> keep) + x for v, x in zip(sums_hi, hi[g:] + [0] * m)], m)
         else:
             while g:  # in pieces, so long stretches report progress
                 run = min(g, PROGRESS_INTERVAL)
                 add_lo, add_hi = r.step(run)
-                e_lo += add_lo >> shift
-                e_hi -= -add_hi >> shift
+                e_lo += add_lo
+                e_hi += add_hi
                 g -= run
                 covered(t - g - 1)
         if t > n:
             break
         r.drop()
-        total = r.upper_sum()
-        if not total:
+        if not r.upper_sum():
             break  # no walk survives: e is final and P is 0
-        while total < one:
-            r.rescale(RESCALE_BITS)
-            total <<= RESCALE_BITS
-            shift += RESCALE_BITS
         covered(t)
         p = t + 1
     lo, hi = r.rows()
     return TruncationSolution(cutoff=n, start=s_min,
                               e_lo=Fraction(e_lo, one), e_hi=Fraction(e_hi, one),
-                              p_lo=Fraction(sum(lo), one << shift),
-                              p_hi=Fraction(sum(hi), one << shift))
+                              p_lo=Fraction(sum(lo), one), p_hi=Fraction(sum(hi), one))
 
 
 def _advance(q: deque, totals: deque, c: int, span: int, d: int, up: bool) -> int:
@@ -496,7 +524,8 @@ class _Twins:
     step of the window map costs O(1): r[0] leaves, every remaining entry
     gains q = r[0] / M through the offset (rounded down in the lower twin,
     up in the upper one), and the freed slot becomes the new last entry, q,
-    by storing the old offset there.
+    by storing the old offset there.  Between steps the offset is 0: each
+    :meth:`step` folds it back into the slots, so they stay as short as r.
     """
 
     def __init__(self, lo: list[int], hi: list[int], m: int):
@@ -504,7 +533,6 @@ class _Twins:
         self.hi = [-v for v in hi]
         self.m = m
         self.head = 0
-        self.off_lo = self.off_hi = 0
 
     def step(self, g: int) -> tuple[int, int]:
         """Apply the window map g times; return each twin's sum of r[0].
@@ -513,7 +541,7 @@ class _Twins:
         its slot, so it raises the buffer's plain sum by exactly r[0].
         """
         lo, hi, m = self.lo, self.hi, self.m
-        off_lo, off_hi = self.off_lo, self.off_hi
+        off_lo = off_hi = 0
         before_lo, before_hi = sum(lo), sum(hi)
         for i in itertools.islice(itertools.cycle(range(m)), self.head, self.head + g):
             x = off_lo - lo[i]
@@ -523,25 +551,18 @@ class _Twins:
             hi[i] = off_hi
             off_hi -= y // m
         self.head = (self.head + g) % m
-        self.off_lo, self.off_hi = off_lo, off_hi
+        self.lo = [v - off_lo for v in lo]
+        self.hi = [v - off_hi for v in hi]
         return sum(lo) - before_lo, sum(hi) - before_hi
 
     def drop(self) -> None:
         """Shift r left past a target state; the new last entry is 0."""
-        self.lo[self.head] = self.off_lo
-        self.hi[self.head] = self.off_hi
+        self.lo[self.head] = self.hi[self.head] = 0
         self.head = (self.head + 1) % self.m
 
     def upper_sum(self) -> int:
-        return self.m * self.off_hi - sum(self.hi)
-
-    def rescale(self, k: int) -> None:
-        """Multiply both twins by 2^k, exactly, folding in the offsets."""
-        self.lo = [(v - self.off_lo) << k for v in self.lo]
-        self.hi = [(v - self.off_hi) << k for v in self.hi]
-        self.off_lo = self.off_hi = 0
+        return -sum(self.hi)
 
     def rows(self) -> tuple[list[int], list[int]]:
         h = self.head
-        return ([self.off_lo - v for v in self.lo[h:] + self.lo[:h]],
-                [self.off_hi - v for v in self.hi[h:] + self.hi[:h]])
+        return [-v for v in self.lo[h:] + self.lo[:h]], [-v for v in self.hi[h:] + self.hi[:h]]

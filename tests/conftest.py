@@ -16,8 +16,7 @@ from hypothesis import strategies as st
 
 from hittime.numerics import PrecisionContext, round_to_digits
 from hittime.oracle import McResult, _result_from_sums
-from hittime.walkmodel import (RESCALE_BITS, DieModel, TargetSet, TruncationSolution,
-                               fraction_bits)
+from hittime.walkmodel import DieModel, TargetSet, TruncationSolution, fraction_bits
 
 settings.register_profile("ci", derandomize=True, print_blob=True)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
@@ -63,27 +62,37 @@ def agreed_digits(a: Decimal, b: Decimal, digits: int) -> int:
     return n
 
 
+# The bits a jump keeps below the mass of r.  forward_reference keeps its
+# own copy, so a change to the kernel's cut fails the equality tests
+# instead of moving both sides.
+CUT_GUARD = 8
+
+
 def forward_reference(target, die, n, s_min, ctx, jump_min=math.inf) -> TruncationSolution:
     """The forward kernel's rule on plain lists, for 0 <= s_min <= n.
 
     The row r is a floor twin and a ceiling twin, each a list of M ints on
-    2^-(c + shift), c = ``fraction_bits(ctx)``.  The targets, asked of
-    ``target.membership``, split the states into runs of non-target states.
+    2^-c, c = ``fraction_bits(ctx)``, the scale of e too.  The targets,
+    asked of ``target.membership``, split the states into runs of
+    non-target states.
 
-    A run is stepped state by state: each state adds r[0] to the run's sum
-    and maps r to ``r[1:] + r[0] / M`` with ``r[0] / M`` appended, the
-    division rounded down or up; at the run's end its sum is shifted onto
-    e's scale 2^-c (rounded the same way) and added to e.
+    A run is stepped state by state: each state adds r[0] to e and maps r
+    to ``r[1:] + r[0] / M`` with ``r[0] / M`` appended, the division
+    rounded down or up.
 
     With ``jump_min``, a run of g >= jump_min states may instead be jumped
     as in the kernel: the cached power A^span (M rows per twin, each a unit
     row stepped span times on 2^-c, with h summing each row's r[0]) first
     advances ``min(g - span, max(g // M^2, jump_min))`` steps if
     ``span <= g``, and if span then equals g, r becomes ``r A^g`` and e
-    gains ``r h``, each a full dot product per twin, floored or ceiled.
+    gains ``r h``, each a full dot product per twin.  Both use the power
+    cut to what r's mass can see: with ``cut = c - bitlen(sum(hi)) -
+    CUT_GUARD`` (at least 0), each entry of h, and each term of an entry of
+    A^g (the differences along its row, of which the entry is the suffix
+    sum), is divided by 2^cut, rounded down or up, and the products are
+    shifted by c - cut, rounded the same way.
 
-    A target then drops r[0] and rescales r by 2^RESCALE_BITS while the
-    ceiling twin's sum lies in (0, 2^c); a sum of 0 ends the walk.
+    A target then drops r[0]; a ceiling twin summing to 0 ends the walk.
     """
     m, bits = die.sides, fraction_bits(ctx)
     one = 1 << bits
@@ -95,50 +104,56 @@ def forward_reference(target, die, n, s_min, ctx, jump_min=math.inf) -> Truncati
     def dot(a, b):
         return sum(x * y for x, y in zip(a, b))
 
+    def down(x, k):
+        return x >> k
+
+    def up(x, k):
+        return -(-x >> k)
+
+    def cut_rows(rows, k, rnd):
+        cut = []
+        for row in rows:
+            terms = [rnd(a - b, k) for a, b in zip(row, row[1:] + [0])]
+            cut.append([sum(terms[j:]) for j in range(m)])
+        return cut
+
     lo = [one] + [0] * (m - 1)
     hi = list(lo)
     unit = [[one if j == i else 0 for j in range(m)] for i in range(m)]
-    power = {up: [list(row) for row in unit] for up in (False, True)}  # keyed by "rounds up"
-    h = {False: [0] * m, True: [0] * m}
-    e_lo = e_hi = shift = span = 0
+    power = {rounds_up: [list(row) for row in unit] for rounds_up in (False, True)}
+    h = {False: [0] * m, True: [0] * m}  # both keyed by "rounds up"
+    e_lo = e_hi = span = 0
     p = s_min
     for t in [s for s in range(s_min, n + 1) if target.membership(s)] + [n + 1]:
         g = t - p
         if jump_min <= g and span <= g:
             d = min(g - span, max(g // (m * m), jump_min))
-            for up, rows in power.items():
+            for rounds_up, rows in power.items():
                 for i, row in enumerate(rows):
                     for _ in range(d):
-                        h[up][i] += row[0]
-                        row = step(row, up)
+                        h[rounds_up][i] += row[0]
+                        row = step(row, rounds_up)
                     rows[i] = row
             span += d
         if jump_min <= g == span:
-            e_lo += dot(lo, h[False]) >> (bits + shift)
-            e_hi -= -dot(hi, h[True]) >> (bits + shift)
-            lo = [dot(lo, col) >> bits for col in zip(*power[False])]
-            hi = [-(-dot(hi, col) >> bits) for col in zip(*power[True])]
+            k = max(0, bits - sum(hi).bit_length() - CUT_GUARD)
+            e_lo += down(dot(lo, [down(v, k) for v in h[False]]), bits - k)
+            e_hi += up(dot(hi, [up(v, k) for v in h[True]]), bits - k)
+            lo = [down(dot(lo, col), bits - k) for col in zip(*cut_rows(power[False], k, down))]
+            hi = [up(dot(hi, col), bits - k) for col in zip(*cut_rows(power[True], k, up))]
         else:
-            run_lo = run_hi = 0
             for _ in range(g):
-                run_lo, run_hi = run_lo + lo[0], run_hi + hi[0]
+                e_lo, e_hi = e_lo + lo[0], e_hi + hi[0]
                 lo, hi = step(lo, False), step(hi, True)
-            e_lo += run_lo >> shift
-            e_hi -= -run_hi >> shift
         if t > n:
             break
         lo, hi = lo[1:] + [0], hi[1:] + [0]
         if not sum(hi):
             break
-        while sum(hi) < one:
-            lo = [v << RESCALE_BITS for v in lo]
-            hi = [v << RESCALE_BITS for v in hi]
-            shift += RESCALE_BITS
         p = t + 1
     return TruncationSolution(cutoff=n, start=s_min,
                               e_lo=Fraction(e_lo, one), e_hi=Fraction(e_hi, one),
-                              p_lo=Fraction(sum(lo), one << shift),
-                              p_hi=Fraction(sum(hi), one << shift))
+                              p_lo=Fraction(sum(lo), one), p_hi=Fraction(sum(hi), one))
 
 
 def fraction_tables(target, n, s_min, die):

@@ -7,6 +7,7 @@ import io
 import itertools
 import json
 import os
+import random
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from conftest import agreed_digits, pn_reference, rational_to_decimal
 from hittime import certify, cli, hitprob, oracle, walkmodel
 from hittime.cli import main
-from hittime.numerics import digit_string, make_context
+from hittime.numerics import digit_string, make_context, round_to_digits
 from hittime.oracle import exact_dp
 from hittime.walkmodel import TargetSet
 
@@ -194,6 +195,32 @@ def test_solve_text_label(capsys, tmp_path):
                            "--s", "0", "--precision", "40", "--format", "text")
     assert code == 0
     assert "UNCERTIFIED" in out
+
+
+def test_solve_prints_tiny_overshoot_as_its_lower_end(capsys, tmp_path):
+    # one target in each run of 20 states drives P to about 3.4e-220,
+    # below the grid 2^-c of the default 60 digits: solve prints P's lower
+    # end, 0, though the upper end is positive, and a precision whose grid
+    # reaches P prints its leading digits
+    rng = random.Random(20)
+    members = [20 * i + rng.randrange(1, 21) for i in range(1500)]
+    path = tmp_path / "sparse.txt"
+    path.write_text("".join(f"{h}\n" for h in members))
+    argv = ("solve", "--target", f"file:{path}", "--N", "30000")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["precision_digits"] == 60
+    assert payload["E_N"] == "15.9710789023938953098942094778838171381152531827031169576720"
+    assert payload["P_overshoot"] == "0"
+    sol = walkmodel.solve_pair(TargetSet.from_list(members), walkmodel.DieModel(6), 30000, 0,
+                               make_context(60))
+    assert sol.p_lo == 0 < sol.p_hi
+    code, out, _ = run_cli(capsys, *argv, "--precision", "250")
+    assert code == 0
+    p = Decimal(json.loads(out)["P_overshoot"])
+    assert round_to_digits(p, 60) == Decimal(
+        "3.41794290731095512408072174708377861003626237180634192919488E-220")
 
 
 def test_solve_missing_target_file(capsys):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import agreed_digits, finite_targets, forward_reference, rational_to_decimal
 from hittime import walkmodel
+from hittime.certify import recommended_digits
 from hittime.numerics import make_context
 from hittime.oracle import dp_tables, exact_dp
 from hittime.walkmodel import (
@@ -19,6 +20,7 @@ from hittime.walkmodel import (
     DieModel,
     TargetSet,
     TargetSetError,
+    fraction_bits,
     solve_pair,
 )
 
@@ -245,8 +247,10 @@ def test_sweep_argument_validation():
 @settings(deadline=None)
 @given(problem=finite_targets(), sides=st.integers(2, 9), data=st.data())
 def test_sweep_matches_materialized_tables(problem, sides, data):
-    # the stepping kernel equals the plain-list reference exactly, and its
-    # lower ends lie within a relative 10^-(working - 5) of the exact values
+    # the stepping kernel equals the plain-list reference exactly; its
+    # lower end of E lies within a relative 10^-(working - 5) of the exact
+    # value, and of P within solve_pair's absolute bound (P may lie below
+    # the fixed-point grid)
     n, target = problem
     s_min = data.draw(st.integers(0, n), label="s_min")
     die = DieModel(sides)
@@ -258,7 +262,8 @@ def test_sweep_matches_materialized_tables(problem, sides, data):
     assert sol == forward_reference(target, die, n, s_min, ctx)
     tolerance = Fraction(1, 10 ** (working - 5))
     assert abs(Fraction(sol.e_n_value) - e_tab[0]) <= tolerance * e_tab[0]
-    assert abs(Fraction(sol.overshoot_prob) - p_tab[0]) <= tolerance * p_tab[0]
+    width = Fraction(4 * sides * (n - s_min + 1), 1 << fraction_bits(ctx))
+    assert abs(Fraction(sol.overshoot_prob) - p_tab[0]) <= width
 
 
 @pytest.mark.parametrize("jump_min", [1, 10**9], ids=["jumping", "stepping"])
@@ -271,14 +276,25 @@ def test_kernel_encloses_exact_values(jump_min, problem, sides, data):
     n, target = problem
     s_min = data.draw(st.integers(0, n), label="s_min")
     die = DieModel(sides)
-    working = 30
+    ctx = make_context(30)
     e_tab, p_tab = dp_tables(target, n, s_min, die)
     with mock.patch.object(walkmodel, "JUMP_MIN", jump_min):
-        enc = solve_pair(target, die, n, s_min, make_context(working))
+        enc = solve_pair(target, die, n, s_min, ctx)
     assert enc.e_lo <= e_tab[0] <= enc.e_hi
     assert enc.p_lo <= p_tab[0] <= enc.p_hi
     assert (enc.p_hi == 0) == (p_tab[0] == 0)
-    assert enc.p_hi - enc.p_lo <= Fraction(1, 10 ** working) * p_tab[0]
+    # solve_pair's absolute bound on P's width, for M(M + 1) <= 2^CUT_GUARD
+    assert enc.p_hi - enc.p_lo <= Fraction(4 * sides * (n - s_min + 1),
+                                           1 << fraction_bits(ctx))
+
+
+@pytest.mark.parametrize("k", [50, 500, 1200])
+def test_overshoot_keeps_relative_precision_where_certify_runs(k):
+    # at certify's precision for K, P ~ 10^(-0.146 K) lies far above the
+    # grid 2^-c, so its enclosure is still relatively narrow
+    ctx = make_context(recommended_digits(k))
+    enc = solve_pair(SQUARES, D6, k * k, 0, ctx)
+    assert 0 < enc.p_hi - enc.p_lo <= Fraction(1, 10**60) * enc.p_lo
 
 
 @pytest.mark.parametrize("jump_min", [1, 2, 5, 64])
@@ -342,7 +358,7 @@ def test_jump_products_equal_plain_dots(sides, bits, span, closed, data):
         totals = deque([0] * m, maxlen=m)
         walkmodel._advance(q, totals, one, 0, span, up)
         windows.append((list(q)[:2 * m - 1 - closed], list(totals)))
-    entry = st.just(0) | st.integers(0, one << walkmodel.RESCALE_BITS)
+    entry = st.just(0) | st.integers(0, one << 64)
     lo = data.draw(st.lists(entry, min_size=m, max_size=m), label="lo")
     slack = data.draw(st.lists(st.just(0) | st.integers(0, 1 << 80), min_size=m, max_size=m),
                       label="slack")
