@@ -184,6 +184,9 @@ def cmd_solve(args, out: TextIO) -> int:
     runtime = time.monotonic() - t0
     uncertified = not (args.target == "squares" and args.die == 6)
     w = ctx.working_digits
+    # a P below the grid 2^-c has lower end 0; its upper end then tells a
+    # positive P from none
+    p_upper = digit_string(sol.p_hi, w, ROUND_CEILING) if sol.p_lo == 0 < sol.p_hi else None
     if args.format == "json":
         payload = {
             "schema": SCHEMA_VERSION,
@@ -197,6 +200,8 @@ def cmd_solve(args, out: TextIO) -> int:
             "uncertified": uncertified,
             "runtime_seconds": f"{runtime:.3f}",
         }
+        if p_upper is not None:
+            payload["P_overshoot_upper"] = p_upper
         _emit(json.dumps(payload, indent=2), out)
     else:
         lines = []
@@ -207,6 +212,9 @@ def cmd_solve(args, out: TextIO) -> int:
             f"E_N({sol.start}) = {digit_string(sol.e_n_value, w)}",
             f"P_{sol.start}(A_N) = {digit_string(sol.overshoot_prob, w)}",
         ]
+        if p_upper is not None:
+            lines.append(f"P_{sol.start}(A_N) < {p_upper}   (below the working grid;"
+                         " a higher --precision gives its digits)")
         _emit("\n".join(lines), out)
     return EXIT_OK
 

@@ -9,7 +9,7 @@ import json
 import os
 import random
 import tracemalloc
-from decimal import Decimal
+from decimal import ROUND_CEILING, Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -197,11 +197,11 @@ def test_solve_text_label(capsys, tmp_path):
     assert "UNCERTIFIED" in out
 
 
-def test_solve_prints_tiny_overshoot_as_its_lower_end(capsys, tmp_path):
+def test_solve_prints_tiny_overshoot_with_its_upper_end(capsys, tmp_path):
     # one target in each run of 20 states drives P to about 3.4e-220,
     # below the grid 2^-c of the default 60 digits: solve prints P's lower
-    # end, 0, though the upper end is positive, and a precision whose grid
-    # reaches P prints its leading digits
+    # end, 0, and beside it the positive upper end, and a precision whose
+    # grid reaches P prints its leading digits and no upper end
     rng = random.Random(20)
     members = [20 * i + rng.randrange(1, 21) for i in range(1500)]
     path = tmp_path / "sparse.txt"
@@ -216,10 +216,17 @@ def test_solve_prints_tiny_overshoot_as_its_lower_end(capsys, tmp_path):
     sol = walkmodel.solve_pair(TargetSet.from_list(members), walkmodel.DieModel(6), 30000, 0,
                                make_context(60))
     assert sol.p_lo == 0 < sol.p_hi
+    upper = payload["P_overshoot_upper"]
+    assert upper == digit_string(sol.p_hi, 60, ROUND_CEILING)
+    assert Decimal("3.4E-220") < Decimal(upper)
+    code, out, _ = run_cli(capsys, *argv, "--format", "text")
+    assert code == 0
+    assert f"P_0(A_N) = 0\nP_0(A_N) < {upper}   (below the working grid;" in out
     code, out, _ = run_cli(capsys, *argv, "--precision", "250")
     assert code == 0
-    p = Decimal(json.loads(out)["P_overshoot"])
-    assert round_to_digits(p, 60) == Decimal(
+    payload = json.loads(out)
+    assert "P_overshoot_upper" not in payload
+    assert round_to_digits(Decimal(payload["P_overshoot"]), 60) == Decimal(
         "3.41794290731095512408072174708377861003626237180634192919488E-220")
 
 
