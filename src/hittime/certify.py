@@ -183,13 +183,16 @@ def recommended_digits(k: int) -> int:
     """Minimum working precision for certifying at cutoff root K.
 
     P_0, and with it the radius (U_N - L_N) P_0, decays roughly like
-    10^(-0.146 K), so about 0.15 K digits are what the interval can certify.  The point must be
-    carried that deep and beyond: the solve's enclosure of E_N(0) has
-    width about K * 2^-c, c = walkmodel.fraction_bits(ctx) (measured at
-    K = 500, 1200 and 2000; each of the K gaps between squares rounds each
-    twin of E_N once), which with the 60 digits of slack, the guard digits
-    and the guard bits stays many orders below the radius, so rounding
-    never costs a certified digit.
+    10^(-0.146 K), so about 0.15 K digits are what the interval can
+    certify.  The point must be carried that deep and beyond: the solve's
+    enclosure of E_N(0) is about 7 K^2 units of 2^-c wide,
+    c = walkmodel.fraction_bits(ctx): 2^21.6, 2^23.5, 2^24.8 and 2^28.4
+    units at K = 500, 1200, 2000 and 7000 with 135, 240, 360 and 1200
+    digits.  Each jump over the 2k states between k^2 and (k+1)^2 weighs
+    the few units by which the twins of r differ by about 4k/7.  That
+    stays many orders below the radius, with the 60 digits of slack, the
+    guard digits and the guard bits, so rounding never costs a certified
+    digit.
     """
     return math.ceil(0.15 * k) + 60
 

@@ -28,9 +28,10 @@ __all__ = [
 ]
 
 MIN_WORKING_DIGITS = 30
-# Digits carried internally beyond the working precision: they keep the
-# roundoff of the decimal stage (the roots) below the reported
-# resolution and, through internal_digits, widen the solver's fixed point.
+# Digits carried internally beyond the working precision.  They keep the
+# roundoff of `hittime roots`' Newton loop below the printed digits and,
+# through internal_digits, widen the solver's fixed point; certify counts
+# at most working - GUARD_DIGITS digits.
 GUARD_DIGITS = 15
 
 # Generous exponent range: overshoot probabilities sit around 1e-1000 and

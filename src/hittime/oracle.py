@@ -78,14 +78,19 @@ def dp_tables(target: TargetSet, n: int, s_min: int = 0,
     keep this solver independent of the forward kernel's window map and
     member list.
     """
-    e_arr, p_arr, scales = _scaled_tables(target, n, s_min, die)
-    return ([Fraction(v, d) for v, d in zip(e_arr, scales)],
-            [Fraction(v, d) for v, d in zip(p_arr, scales)])
+    e_arr, p_arr = _scaled_tables(target, n, s_min, die)
+    scale = die.sides ** (n + 1 - s_min)
+    e_tab, p_tab = [], []
+    for e, p in zip(e_arr, p_arr):
+        e_tab.append(Fraction(e, scale))
+        p_tab.append(Fraction(p, scale))
+        scale //= die.sides
+    return e_tab, p_tab
 
 
 def _scaled_tables(target: TargetSet, n: int, s_min: int,
-                   die: DieModel) -> tuple[list[int], list[int], list[int]]:
-    """``dp_tables``' integers E'(s) and P'(s), and their scales M^(n+1-s)."""
+                   die: DieModel) -> tuple[list[int], list[int]]:
+    """``dp_tables``' integers E'(s) and P'(s), on the scales M^(n+1-s)."""
     if n < 0 or s_min < 0 or s_min > n:
         raise ValueError("need 0 <= s_min <= N")
     target.ensure_bound(n)
@@ -94,12 +99,10 @@ def _scaled_tables(target: TargetSet, n: int, s_min: int,
     weights = [m ** j for j in range(m)]  # M^(j-1) for neighbor s + j
     e_arr = [0] * size
     p_arr = [0] * size
-    scales = [0] * size
     scale = 1
     for s in range(n, s_min - 1, -1):
         idx = s - s_min
         beyond, scale = scale, scale * m  # M^(n-s) and M^(n+1-s)
-        scales[idx] = scale
         if target.membership(s):
             continue  # arrays already hold exact zeros
         acc_e = scale
@@ -112,7 +115,7 @@ def _scaled_tables(target: TargetSet, n: int, s_min: int,
                 acc_p += w * p_arr[idx + j]
         e_arr[idx] = acc_e
         p_arr[idx] = acc_p
-    return e_arr, p_arr, scales
+    return e_arr, p_arr
 
 
 def exact_dp(target: TargetSet, n: int, s: int,
@@ -127,8 +130,9 @@ def exact_dp(target: TargetSet, n: int, s: int,
         return Fraction(0), Fraction(1)
     if n > EXACT_DP_MAX_N:
         raise SizeCapError(f"exact solve capped at N <= {EXACT_DP_MAX_N}, got {n}")
-    e_arr, p_arr, scales = _scaled_tables(target, n, s, die)
-    return Fraction(e_arr[0], scales[0]), Fraction(p_arr[0], scales[0])
+    e_arr, p_arr = _scaled_tables(target, n, s, die)
+    scale = die.sides ** (n + 1 - s)
+    return Fraction(e_arr[0], scale), Fraction(p_arr[0], scale)
 
 
 @dataclass(frozen=True)
@@ -149,6 +153,9 @@ class McConfig:
             raise ValueError("max_steps must be >= 1")
         if self.start < 0:
             raise ValueError("start must be nonnegative")
+        if not 0 <= self.seed < 1 << 128:
+            # Philox keys are 128-bit
+            raise ValueError(f"seed must lie in [0, 2^128), got {self.seed}")
         if self.start + self.max_steps * self.die.sides > np.iinfo(np.int64).max:
             # The walks' int64 sums would wrap to negative values.
             raise ValueError("start + max_steps * die sides must stay below 2^63")

@@ -60,13 +60,14 @@ JUMP_MIN = 128
 
 # Bits carried below the context's internal digits.  solve_pair's twins
 # round a few times per state or per jump, so on the squares the width of
-# E_N's enclosure grows like K units of 2^-c; these bits keep it far below
-# one unit in the last internal digit.
+# E_N's enclosure grows like 7 K^2 units of 2^-c (measured in
+# certify.recommended_digits); these bits keep it far below one unit in
+# the last internal digit.
 GUARD_BITS = 128
 
 # Bits of a jump's products kept below the mass of r: each jump cuts the
-# cached power's q window and C column to what sum(r) can see, less these
-# bits, so a cut costs each product at most about 2^-CUT_GUARD units.
+# cached power's q window to what sum(r) can see, less these bits, so a
+# cut costs each product at most about 2^-CUT_GUARD units.
 CUT_GUARD = 8
 
 
@@ -274,9 +275,9 @@ def solve_pair(target: TargetSet, die: DieModel, n: int, s_min: int,
     ``E_N(s_min) = e`` and ``P_s = r[0] + ... + r[M-1]``.
 
     A run of g non-target states between targets applies A^g, and adds
-    ``r h_g`` to e with ``h_g = (I + A + ... + A^(g-1)) e_0`` (E's affine
-    column).  Runs of at least ``JUMP_MIN`` states use one cached power
-    ``A^span`` with its ``h_span``: when ``g >= span``, the power advances
+    ``r h_g`` to e with ``h_g = (I + A + ... + A^(g-1)) e_0``, the r[0]
+    summed over the run.  Runs of at least ``JUMP_MIN`` states use one
+    cached power ``A^span``: when ``g >= span``, the power advances
     toward g by at most ``max(g // M^2, JUMP_MIN)`` A-steps, and if it
     reaches g the run is crossed in one jump, ``r <- r A^g``.  The power
     only advances, so on the squares (runs of 2k states) it costs two
@@ -290,50 +291,53 @@ def solve_pair(target: TargetSet, die: DieModel, n: int, s_min: int,
     exact shifts in either twin, and the row is e_0 stepped span - i times,
     rounding included.  Step t of e_0 passes q_t = c_t / M (rounded down,
     or up in the upper twin) to the window, with c_t its r[0], so, with q
-    and C zero before t = 0::
+    zero before t = 0::
 
-        c_t = one [t = 0] + q_(t-1) + ... + q_(t-M),  C_t = c_0 + ... + c_t
+        c_t = one [t = 0] + q_(t-1) + ... + q_(t-M)
         A^span[i][j] = one [span-i+j = 0] + q_(span-i-1) + ... + q_(span-i-(M-j))
-        h_span[i] = C_(span-1-i)
 
-    Advancing the power by d steps appends d values of q and C per twin,
-    of which the last 2M - 1 and M are kept.  A jump forms
-    ``D_k = r . (q_k, ..., q_(k-M+1))`` for k = g-1 .. g-M and
-    ``r h_g = r . (C_(g-1), ..., C_(g-M))``; then
+    Advancing the power by d steps appends d values of q per twin, of
+    which the last 2M - 1 are kept.  A jump forms
+    ``D_k = r . (q_k, ..., q_(k-M+1))`` for k = g-1 .. g-M; then
     ``(r A^g)[j] = D_(g-1) + ... + D_(g-M+j) + one r[g+j]``, with r[g+j] = 0
-    past the window, is the same integer as the full product.  Only r[0]
-    includes D_(g-M), and a target closing the run drops r[0], so there
-    the jump skips that column.
+    past the window, is the same integer as the full product.
 
-    Three identities on Python ints give these sums with three products of
-    full-size factors per jump, all in the lower twin; every other product
-    has a short or a few-word factor.  With S = sum(lo), base b = q_(g-1)
-    and delta_t = q_t - b in the lower twin, one product serves every q
-    window::
+    Two identities on Python ints give these sums with one product of
+    full-size factors per jump, in the lower twin; every other product has
+    a short or a few-word factor.  With S = sum(lo), base b = q_(g-1) and
+    delta_t = q_t - b in the lower twin, one product serves every window::
 
         D_k = S b + lo . (delta_k, ..., delta_(k-M+1))
 
-    E's column C_(g-1) .. C_(g-M) grows linearly in t, so its differences
-    are not short, but its increments c_t = C_t - C_(t-1) are as short as
-    q's.  With suffix sums R_j = lo[j] + ... + lo[M-1]::
-
-        lo . h_g = S C_(g-1) - c_(g-1) (R_1 + ... + R_(M-1))
-                   - sum_{j=1}^{M-2} R_(j+1) (c_(g-1-j) - c_(g-1))
-
     The upper twin adds to each lower sum one fused dot, with slack =
-    hi - lo, x a q window or the column, and b_lo the lower twin's base
-    (q_(g-1), or C_(g-1) for the column)::
+    hi - lo and x a q window::
 
-        hi . x_hi = lo . x_lo + sum(slack) b_lo
-                    + (hi || slack) . (x_hi - x_lo || x_lo - b_lo)
+        hi . x_hi = lo . x_lo + sum(slack) b
+                    + (hi || slack) . (x_hi - x_lo || x_lo - b)
 
     A is a mixing stochastic matrix, so q_t converges like |w|^t, where
     |w| < 1 is the largest modulus of A's other eigenvalues (about
-    2^-0.454 for M = 6): on long runs delta and the differences of c are
-    hundreds of bits shorter than q and C, and the twins differ by a few
-    words throughout.  Both sides of each identity are the same integer,
-    so the floor and ceiling that follow act on exactly the sums of the
-    plain products: the twins, and the proof below, are unchanged.
+    2^-0.454 for M = 6): on long runs delta is hundreds of bits shorter
+    than q, and the twins differ by a few words throughout.  Both sides of
+    each identity are the same integer, so the floor and ceiling that
+    follow act on exactly the sums of the plain products: the twins, and
+    the proof below, are unchanged.
+
+    A jump's E term ``r h_g`` comes from Wald's identity: the mean roll is
+    (M+1)/2, so ``l(s) = -2s/(M+1)`` solves E_N's off-target recursion
+    everywhere, ``l(s) = 1 + mean(l(s+1), ..., l(s+M))``.  Covering the
+    run's g states from p with l in place of v, as above, moves the same
+    constants ``r h_g`` into e and leaves ``r' = r A^g`` on the window at
+    p + g, so ``r . l(p, ..., p+M-1) = r h_g + r' . l(p+g, ..., p+g+M-1)``.
+    A is stochastic, so sum(r') = sum(r), the terms in p cancel, and::
+
+        r h_g = 2/(M+1) (r' . (g, ..., g+M-1) - r . (0, ..., M-1))
+
+    exactly.  The jump adds ``2 (lo' . (g+j) - hi . j) / (M+1)`` to e_lo,
+    rounded down, and ``2 (hi' . (g+j) - lo . j) / (M+1)`` to e_hi, rounded
+    up, with lo', hi' the twins of r' and j = 0 .. M-1.  The term rises
+    with r' and falls with r, so each end takes r' from its own twin and r
+    from the other.  Stepped runs still add r[0] to e state by state.
 
     The kernel works in fixed point on 2^-c, c = :func:`fraction_bits`,
     with two twins of every quantity: one that rounds every division by M
@@ -342,8 +346,8 @@ def solve_pair(target: TargetSet, die: DieModel, n: int, s_min: int,
     falls it keeps fewer bits: E_N and P reach the answer only through
     absolute errors.  A jump's products see no more of the power than r's
     mass can use.  With ``cut = c - bitlen(sum(hi)) - CUT_GUARD`` (at least
-    0), the q window and the C column are divided by 2^cut, rounded down
-    in the lower twin and up in the upper one, and the products are
+    0), the q window is divided by 2^cut, rounded down in the lower twin
+    and up in the upper one, and the products are
     shifted by c - cut, not c.  The cut values are nonnegative and rounded
     outward, so the proof below covers them.  A row sum of at most M(M+1)/2
     cut values of q, each short by less than 2^cut, times sum(r) <
@@ -352,15 +356,16 @@ def solve_pair(target: TargetSet, die: DieModel, n: int, s_min: int,
 
     The twins enclose the exact values.  Claim: at every stage
     ``lo <= r <= hi`` entrywise, ``e_lo <= e <= e_hi``, and likewise for
-    the cached power and its column, all on their common scales.  It holds
-    at the start, where every quantity is exact.  Every operation the
-    kernel applies is built from sums and products of nonnegative numbers
-    (the entries of r, of A and its powers, of h, and the constant 1/M)
-    followed by one floor in the lower twin and one ceiling in the upper
-    twin; sums and products of nonnegative numbers are monotone in every
-    argument, so ordered inputs give ordered outputs, and the floor keeps
-    the lower result below the exact one and the ceiling keeps the upper
-    result above it.  Target shifts are exact.  So by induction over the
+    the cached power, all on their common scales.  It holds at the start,
+    where every quantity is exact.  Every operation the kernel applies is
+    built from sums and products of nonnegative numbers (the entries of r,
+    of A and its powers, and the constant 1/M) followed by one floor in
+    the lower twin and one ceiling in the upper twin; sums and products of
+    nonnegative numbers are monotone in every argument, so ordered inputs
+    give ordered outputs, and the floor keeps the lower result below the
+    exact one and the ceiling keeps the upper result above it.  The one
+    difference, a jump's E term, takes each argument from the side that
+    keeps it ordered.  Target shifts are exact.  So by induction over the
     covered states the claim holds at the cutoff, where
     ``e_lo <= E_N(s_min) <= e_hi`` and ``sum(lo) <= P_s <= sum(hi)``.
     A ceiling maps positive to positive and 0 to 0, so the upper twin is 0
@@ -402,11 +407,10 @@ def _forward(members: list[int], m: int, n: int, s_min: int, bits: int,
     r = _Twins(unit, unit, m)
     e_lo = e_hi = 0
     # The cached power A^span, per twin (see solve_pair): c_span, and newest
-    # first q_(span-1) .. q_(span-2M+1) and C_(span-1) .. C_(span-M).
+    # first q_(span-1) .. q_(span-2M+1).
     span = 0
     c = [one, one]
     qs = [deque([0] * (2 * m - 1), maxlen=2 * m - 1) for _ in c]
-    totals = [deque([0] * m, maxlen=m) for _ in c]
     p = s_min
     report_at = s_min + PROGRESS_INTERVAL - 1
 
@@ -422,32 +426,27 @@ def _forward(members: list[int], m: int, n: int, s_min: int, bits: int,
         if JUMP_MIN <= g and span <= g:
             d = min(g - span, max(g // (m * m), JUMP_MIN))
             for up in (False, True):
-                c[up] = _advance(qs[up], totals[up], c[up], span, d, up)
+                c[up] = _advance(qs[up], c[up], span, d, up)
             span += d
         if JUMP_MIN <= g == span:
             lo, hi = r.rows()
-            # a target closing the run drops r[0], the one entry that holds
-            # D_(g-M): that column is skipped and r[0] left 0 for the drop
-            closed = t <= n
-            # the power's q window and C column, cut to what r's mass can see
+            # the power's q window, cut to what r's mass can see
             cut = max(0, bits - sum(hi).bit_length() - CUT_GUARD)
-            window = 2 * m - 1 - closed
-            q_lo = [v >> cut for v in itertools.islice(qs[0], window)]
-            q_hi = [-(-v >> cut) for v in itertools.islice(qs[1], window)]
-            tot_lo = [v >> cut for v in totals[0]]
-            tot_hi = [-(-v >> cut) for v in totals[1]]
-            (add_lo, *d_lo), (add_hi, *d_hi) = _jump_products(lo, hi, q_lo, q_hi,
-                                                              tot_lo, tot_hi)
+            d_lo, d_hi = _jump_products(lo, hi, [v >> cut for v in qs[0]],
+                                        [-(-v >> cut) for v in qs[1]])
             keep = bits - cut
-            e_lo += add_lo >> keep
-            e_hi -= -add_hi >> keep
-            # r[j] <- (D_(g-1) + ... + D_(g-M+j) + 2^keep r[g+j]) / 2^keep, where
+            # r'[j] <- (D_(g-1) + ... + D_(g-M+j) + 2^keep r[g+j]) / 2^keep, where
             # the multiple of 2^keep passes the rounding whole and r[g+j] = 0
             # past M
-            sums_lo = [0] * closed + list(itertools.accumulate(d_lo))[::-1]
-            sums_hi = [0] * closed + list(itertools.accumulate(d_hi))[::-1]
-            r = _Twins([(v >> keep) + x for v, x in zip(sums_lo, lo[g:] + [0] * m)],
-                       [-(-v >> keep) + x for v, x in zip(sums_hi, hi[g:] + [0] * m)], m)
+            new_lo = [(v >> keep) + x for v, x in
+                      zip(list(itertools.accumulate(d_lo))[::-1], lo[g:] + [0] * m)]
+            new_hi = [-(-v >> keep) + x for v, x in
+                      zip(list(itertools.accumulate(d_hi))[::-1], hi[g:] + [0] * m)]
+            # r h_g = 2/(M+1) (r' . (g+j) - r . j), each end taking r from
+            # the opposite twin
+            e_lo += 2 * (_dot(new_lo, range(g, g + m)) - _dot(hi, range(m))) // (m + 1)
+            e_hi -= 2 * (_dot(lo, range(m)) - _dot(new_hi, range(g, g + m))) // (m + 1)
+            r = _Twins(new_lo, new_hi, m)
         else:
             while g:  # in pieces, so long stretches report progress
                 run = min(g, PROGRESS_INTERVAL)
@@ -469,12 +468,11 @@ def _forward(members: list[int], m: int, n: int, s_min: int, bits: int,
                               p_lo=Fraction(sum(lo), one), p_hi=Fraction(sum(hi), one))
 
 
-def _advance(q: deque, totals: deque, c: int, span: int, d: int, up: bool) -> int:
-    """Prepend q_t and C_t for t = span .. span + d - 1 to one twin; return c_(span+d)."""
-    m = len(totals)
+def _advance(q: deque, c: int, span: int, d: int, up: bool) -> int:
+    """Prepend q_t for t = span .. span + d - 1 to one twin; return c_(span+d)."""
+    m = (q.maxlen + 1) // 2
     for t in range(span, span + d):
         x = -(-c // m) if up else c // m
-        totals.appendleft(totals[0] + c)
         c = c + x - q[m - 1] if t else x  # c_(t+1) = q_t + ... + q_(t-M+1)
         q.appendleft(x)
     return c
@@ -484,35 +482,25 @@ def _dot(a: list[int], b) -> int:
     return sum(map(operator.mul, a, b))
 
 
-def _jump_products(lo: list[int], hi: list[int], q_lo: list[int], q_hi: list[int],
-                   tot_lo: list[int], tot_hi: list[int]) -> tuple[list[int], list[int]]:
-    """A jump's exact sums ``[r h_g, D_(g-1), D_(g-2), ...]``, per twin.
+def _jump_products(lo: list[int], hi: list[int], q_lo: list[int],
+                   q_hi: list[int]) -> tuple[list[int], list[int]]:
+    """A jump's exact sums ``D_(g-1), ..., D_(g-M)``, per twin.
 
-    ``tot_*`` hold C_(g-1) .. C_(g-M) and ``q_*`` hold q_(g-1) onward,
-    newest first: 2M - 1 values give all M columns D_(g-1) .. D_(g-M), one
-    fewer skips D_(g-M).  Uses the three identities in :func:`solve_pair`,
-    so the jump costs three products of full-size factors.
+    ``q_*`` hold q_(g-1) .. q_(g-2M+1), newest first.  Uses the two
+    identities in :func:`solve_pair`, so the jump costs one product of
+    full-size factors.
     """
     m = len(lo)
-    lo_sum = sum(lo)
-    slack_sum = sum(hi) - lo_sum
-    fused = hi + list(map(operator.sub, hi, lo))  # hi || slack
-    # lower twin: the q windows on the base q_(g-1), E's column on increments
-    b, c0 = q_lo[0], tot_lo[0]
+    b = q_lo[0]
     delta = [0, *(v - b for v in q_lo[1:])]
-    inc = list(map(operator.sub, tot_lo, tot_lo[1:]))  # c_(g-1) .. c_(g-M+1)
-    suffix = list(itertools.accumulate(lo[:0:-1]))[::-1]  # R_1 .. R_(M-1)
-    out_lo = [lo_sum * c0 - inc[0] * sum(suffix)
-              - _dot(suffix[1:], [v - inc[0] for v in inc[1:]])]
-    base = lo_sum * b
-    out_lo += [base + _dot(lo, delta[k:k + m]) for k in range(len(q_lo) - m + 1)]
+    base = sum(lo) * b
+    out_lo = [base + _dot(lo, delta[k:k + m]) for k in range(m)]
     # upper twin: one fused dot per sum, on the lower twin's base
+    fused = hi + list(map(operator.sub, hi, lo))  # hi || slack
     twin = list(map(operator.sub, q_hi, q_lo))
-    spread = [*map(operator.sub, tot_hi, tot_lo), *(v - c0 for v in tot_lo)]
-    out_hi = [out_lo[0] + slack_sum * c0 + _dot(fused, spread)]
-    base = slack_sum * b
-    out_hi += [low + base + _dot(fused, twin[k:k + m] + delta[k:k + m])
-               for k, low in enumerate(out_lo[1:])]
+    base = (sum(hi) - sum(lo)) * b
+    out_hi = [low + base + _dot(fused, twin[k:k + m] + delta[k:k + m])
+              for k, low in enumerate(out_lo)]
     return out_lo, out_hi
 
 

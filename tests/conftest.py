@@ -82,15 +82,16 @@ def forward_reference(target, die, n, s_min, ctx, jump_min=math.inf) -> Truncati
 
     With ``jump_min``, a run of g >= jump_min states may instead be jumped
     as in the kernel: the cached power A^span (M rows per twin, each a unit
-    row stepped span times on 2^-c, with h summing each row's r[0]) first
-    advances ``min(g - span, max(g // M^2, jump_min))`` steps if
-    ``span <= g``, and if span then equals g, r becomes ``r A^g`` and e
-    gains ``r h``, each a full dot product per twin.  Both use the power
-    cut to what r's mass can see: with ``cut = c - bitlen(sum(hi)) -
-    CUT_GUARD`` (at least 0), each entry of h, and each term of an entry of
-    A^g (the differences along its row, of which the entry is the suffix
-    sum), is divided by 2^cut, rounded down or up, and the products are
-    shifted by c - cut, rounded the same way.
+    row stepped span times on 2^-c) first advances
+    ``min(g - span, max(g // M^2, jump_min))`` steps if ``span <= g``, and
+    if span then equals g, r becomes ``r' = r A^g``, a full dot product per
+    twin, using the power cut to what r's mass can see: with
+    ``cut = c - bitlen(sum(hi)) - CUT_GUARD`` (at least 0), each term of an
+    entry of A^g (the differences along its row, of which the entry is the
+    suffix sum) is divided by 2^cut, rounded down or up, and the products
+    are shifted by c - cut, rounded the same way.  e gains
+    ``2 (r' . (g+j) - r . j) / (M+1)`` over j = 0 .. M-1, rounded down with
+    the lower r' and the upper r, or up with the upper r' and the lower r.
 
     A target then drops r[0]; a ceiling twin summing to 0 ends the walk.
     """
@@ -121,7 +122,6 @@ def forward_reference(target, die, n, s_min, ctx, jump_min=math.inf) -> Truncati
     hi = list(lo)
     unit = [[one if j == i else 0 for j in range(m)] for i in range(m)]
     power = {rounds_up: [list(row) for row in unit] for rounds_up in (False, True)}
-    h = {False: [0] * m, True: [0] * m}  # both keyed by "rounds up"
     e_lo = e_hi = span = 0
     p = s_min
     for t in [s for s in range(s_min, n + 1) if target.membership(s)] + [n + 1]:
@@ -131,16 +131,17 @@ def forward_reference(target, die, n, s_min, ctx, jump_min=math.inf) -> Truncati
             for rounds_up, rows in power.items():
                 for i, row in enumerate(rows):
                     for _ in range(d):
-                        h[rounds_up][i] += row[0]
                         row = step(row, rounds_up)
                     rows[i] = row
             span += d
         if jump_min <= g == span:
             k = max(0, bits - sum(hi).bit_length() - CUT_GUARD)
-            e_lo += down(dot(lo, [down(v, k) for v in h[False]]), bits - k)
-            e_hi += up(dot(hi, [up(v, k) for v in h[True]]), bits - k)
-            lo = [down(dot(lo, col), bits - k) for col in zip(*cut_rows(power[False], k, down))]
-            hi = [up(dot(hi, col), bits - k) for col in zip(*cut_rows(power[True], k, up))]
+            new_lo = [down(dot(lo, col), bits - k) for col in zip(*cut_rows(power[False], k, down))]
+            new_hi = [up(dot(hi, col), bits - k) for col in zip(*cut_rows(power[True], k, up))]
+            after, before = range(g, g + m), range(m)
+            e_lo += (2 * (dot(new_lo, after) - dot(hi, before))) // (m + 1)
+            e_hi += -((2 * (dot(lo, before) - dot(new_hi, after))) // (m + 1))
+            lo, hi = new_lo, new_hi
         else:
             for _ in range(g):
                 e_lo, e_hi = e_lo + lo[0], e_hi + hi[0]

@@ -347,6 +347,79 @@ def test_roots_payload_pinned(capsys):
     assert out == json.dumps(ROOTS_60, indent=2) + "\n"
 
 
+# `hittime certify --K 500 --precision 200 --format json`, its values but
+# `error_radius`, whose digits past those P supports follow the width of
+# E_N's enclosure: a change to the solve's lower ends or to L_N and U_N
+# must leave every digit in place.
+CERTIFY_500_200 = {
+    "E_N_0": (
+        "7.07976423755110510389555305690818489468171144426320880590887310"
+        "1517292927553395149931679503118284241222152625135033019653609985"
+        "4686961885961645422322911874642033418352999723239337089804161653"
+        "215860978"
+    ),
+    "P0_AN": (
+        "1.02536401332114330176158135290038287030427589785993463680340249"
+        "5178041963026855626469546674464943798253847524679128495193166117"
+        "4631564054373052687779946672142288637585356096490383037961182139"
+        "075838300E-73"
+    ),
+    "L_N": (
+        "585.999999999999999999999999999999999999999999999999999999999999"
+        "9999999999999999999999999999999999999999999999999999999999999999"
+        "9999999987133542624760335090975547863899899980999134835308940429"
+        "403282041"
+    ),
+    "U_N": (
+        "3520.00000000000000000000000000000000000000000000000000000000000"
+        "0000000000000000000000000000000000000000000000000000000000000000"
+        "0000000007725713138960972227528905965683059820437740006665310957"
+        "289618036"
+    ),
+    "point_value": (
+        "7.07976423755110510389555305690818489468171144426320880590887310"
+        "1517292987639726330550676986346951521184588824965600634245779702"
+        "1480824060294235756060308985796384654810065499993986551773459836"
+        "411205811"
+    ),
+    "certified_digits": 68,
+}
+
+# `hittime solve --target squares --N 10000 --format json` but its
+# `runtime_seconds`.
+SOLVE_10000 = {
+    "schema": 1,
+    "N": 10000,
+    "start": 0,
+    "die_sides": 6,
+    "target": "squares",
+    "precision_digits": 75,
+    "E_N": (
+        "7.07976423755051005616949668953651815134283497351584058848475334"
+        "537293333280"
+    ),
+    "P_overshoot": (
+        "2.89795970481997096590946431261765031788226472889057798963380790"
+        "498590628694E-15"
+    ),
+    "uncertified": False,
+}
+
+
+def test_certify_payload_pinned(capsys):
+    code, out, _ = run_cli(capsys, "certify", "--K", "500", "--precision", "200",
+                           "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert {key: report[key] for key in CERTIFY_500_200} == CERTIFY_500_200
+    code, out, _ = run_cli(capsys, "solve", "--target", "squares", "--N", "10000",
+                           "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    del payload["runtime_seconds"]
+    assert payload == SOLVE_10000
+
+
 def test_roots_nonconvergence_exits_4(capsys, monkeypatch):
     # one Newton step from a double-precision seed cannot reach 60 digits
     monkeypatch.setattr(hitprob, "_NEWTON_MAX_ITER", 1)
@@ -419,6 +492,15 @@ def test_simulate_huge_horizon_is_usage_error(capsys, tmp_path):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(oracle._TABLE_MAX) in err
     assert peak < 10**6
+
+
+@pytest.mark.parametrize("seed", [-1, 2**128])
+def test_simulate_seed_out_of_range_is_usage_error(capsys, seed):
+    # Philox keys are 128-bit; McConfig names the range before numpy sees it
+    code, out, err = run_cli(capsys, "simulate", "--trials", "10", "--seed", str(seed))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: seed must lie in [0, 2^128), got {seed}\n"
 
 
 class _RecordingEnviron(dict):

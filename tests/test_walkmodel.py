@@ -320,58 +320,99 @@ def test_jumps_equal_full_product_reference(jump_min, problem, sides, data):
 @given(sides=st.integers(2, 9), bits=st.integers(1, 160),
        span=st.integers(0, 12) | st.integers(0, 300), data=st.data())
 def test_power_sequence_equals_stepped_unit_rows(sides, bits, span, data):
-    # the cached power's entries and h, built from the kernel's q and C by
-    # solve_pair's identities, equal M unit rows stepped span times in plain
-    # lists, in both twins; spans below M exercise the one [span-i+j = 0] term
+    # the cached power's entries, built from the kernel's q by solve_pair's
+    # identity, equal M unit rows stepped span times in plain lists, in
+    # both twins; spans below M exercise the one [span-i+j = 0] term
     m, one = sides, 1 << bits
     cuts = sorted(data.draw(st.lists(st.integers(0, span), max_size=4), label="cuts"))
     for up in (False, True):
         q = deque([0] * (2 * m - 1), maxlen=2 * m - 1)
-        totals = deque([0] * m, maxlen=m)
         c = one
         for start, stop in zip([0, *cuts], [*cuts, span]):
-            c = walkmodel._advance(q, totals, c, start, stop - start, up)
+            c = walkmodel._advance(q, c, start, stop - start, up)
         rows = [[one if j == i else 0 for j in range(m)] for i in range(m)]
-        h = [0] * m
         for _ in range(span):
             for i, row in enumerate(rows):
-                h[i] += row[0]
                 x = -(-row[0] // m) if up else row[0] // m
                 rows[i] = [v + x for v in row[1:]] + [x]
-        # q[k] is q_(span-1-k) and totals[i] is C_(span-1-i)
+        # q[k] is q_(span-1-k)
         entries = [[one * (span - i + j == 0) + sum(q[i + k] for k in range(m - j))
                     for j in range(m)] for i in range(m)]
         assert entries == rows
-        assert list(totals) == h
         assert c == rows[0][0]
 
 
 @settings(deadline=None)
 @given(sides=st.integers(2, 9), bits=st.integers(1, 160),
-       span=st.integers(0, 12) | st.integers(0, 300), closed=st.booleans(), data=st.data())
-def test_jump_products_equal_plain_dots(sides, bits, span, closed, data):
-    # a jump's sums, from the shared base of the q windows, the increments
-    # of C and the upper twin's fused dots, equal plain dot products of each
-    # twin's row with its windows of q and C as _advance builds them; spans
-    # below 2M leave zero-padded windows, and a closed run skips D_(g-M)
+       span=st.integers(0, 12) | st.integers(0, 300), data=st.data())
+def test_jump_products_equal_plain_dots(sides, bits, span, data):
+    # a jump's sums, from the shared base of the q windows and the upper
+    # twin's fused dots, equal plain dot products of each twin's row with
+    # its windows of q as _advance builds them; spans below 2M leave
+    # zero-padded windows
     m, one = sides, 1 << bits
     windows = []
     for up in (False, True):
         q = deque([0] * (2 * m - 1), maxlen=2 * m - 1)
-        totals = deque([0] * m, maxlen=m)
-        walkmodel._advance(q, totals, one, 0, span, up)
-        windows.append((list(q)[:2 * m - 1 - closed], list(totals)))
+        walkmodel._advance(q, one, 0, span, up)
+        windows.append(list(q))
     entry = st.just(0) | st.integers(0, one << 64)
     lo = data.draw(st.lists(entry, min_size=m, max_size=m), label="lo")
     slack = data.draw(st.lists(st.just(0) | st.integers(0, 1 << 80), min_size=m, max_size=m),
                       label="slack")
     hi = list(map(sum, zip(lo, slack)))
-    (q_lo, tot_lo), (q_hi, tot_hi) = windows
-    sums = walkmodel._jump_products(lo, hi, q_lo, q_hi, tot_lo, tot_hi)
-    for row, (q, tot), got in zip((lo, hi), windows, sums):
-        plain = [sum(x * y for x, y in zip(row, tot))]
-        plain += [sum(x * y for x, y in zip(row, q[k:k + m])) for k in range(m - closed)]
-        assert got == plain
+    sums = walkmodel._jump_products(lo, hi, *windows)
+    for row, q, got in zip((lo, hi), windows, sums):
+        assert got == [sum(x * y for x, y in zip(row, q[k:k + m])) for k in range(m)]
+
+
+@settings(deadline=None)
+@given(sides=st.integers(2, 9), g=st.integers(1, 40), data=st.data())
+def test_jump_e_term_is_walds_identity(sides, g, data):
+    # in exact arithmetic, a run's E term r h_g, summed over M unit rows
+    # stepped g times, equals 2/(M+1) (r A^g . (g+j) - r . j), the shift of
+    # l(s) = -2s/(M+1) that solve_pair's jumps add to e; g < M included
+    m = sides
+    entry = st.fractions(min_value=0, max_value=10, max_denominator=1000)
+    r = data.draw(st.lists(entry, min_size=m, max_size=m), label="r")
+
+    def stepped(row):
+        # the row after g A-steps and its r[0] summed over them
+        total = 0
+        for _ in range(g):
+            total += row[0]
+            row = [v + row[0] / m for v in row[1:]] + [row[0] / m]
+        return row, total
+
+    h = [stepped([Fraction(int(j == i)) for j in range(m)])[1] for i in range(m)]
+    after, _ = stepped(r)
+    r_h = sum(x * y for x, y in zip(r, h))
+    shifted = sum(x * (g + j) for j, x in enumerate(after)) - sum(x * j for j, x in enumerate(r))
+    assert r_h == Fraction(2, m + 1) * shifted
+
+
+@pytest.mark.parametrize("jump_min", [1, 2])
+@settings(deadline=None, max_examples=10)
+@given(sides=st.integers(2, 9), n=st.integers(1000, 3000), seed=st.integers(0, 2**32))
+def test_long_cuts_equal_full_product_reference(jump_min, sides, n, seed):
+    # a target every 2 or 3 states drives P far below 2^-CUT_GUARD, so
+    # each jump cuts the power by up to nearly all of its c bits; the
+    # kernel still equals the plain-list reference bit for bit.  The runs
+    # between targets are 1 or 2 states long, so jump_min 1 and 2 jump
+    # every run the cached power reaches
+    rng = random.Random(seed)
+    members, s = [], 0
+    while s <= n:
+        s += rng.randint(2, 3)
+        members.append(s)
+    target = TargetSet.from_list(members)
+    die = DieModel(sides)
+    ctx = make_context(30)
+    with mock.patch.object(walkmodel, "JUMP_MIN", jump_min):
+        sol = solve_pair(target, die, n, 0, ctx)
+    assert sol == forward_reference(target, die, n, 0, ctx, jump_min)
+    # the last jumps cut the power by more than half of its c bits
+    assert sol.p_hi < Fraction(1, 1 << fraction_bits(ctx) // 2)
 
 
 def test_jumps_equal_full_product_reference_at_k500():
