@@ -240,7 +240,7 @@ def certify_squares(k: int, ctx: PrecisionContext, start: int = 0,
             required_digits=required)
     n = k * k
     if not 0 <= start <= n:
-        raise ValueError("start state must lie in [0, N]")
+        raise walkmodel.ConfigError("start state must lie in [0, N]")
     bounds = overshoot_bounds(k)
     target = walkmodel.TargetSet.perfect_squares()
     die = walkmodel.DieModel(6)

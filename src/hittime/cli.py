@@ -8,15 +8,16 @@ Subcommands::
     roots      characteristic roots and their moduli
     simulate   Monte Carlo estimate of the hitting time
 
-Exit codes: 0 success, 2 usage/config error (including a target or output
-path that cannot be read or written), 3 insufficient precision, 4 internal
-numeric failure.  All real numbers in JSON output are decimal
-digit strings, never binary floats, so reports are precision-lossless and
-diffable.  Working precision is set by ``--precision`` alone, on
-``certify``, ``solve`` and ``roots``; no environment variable is read.
-Progress for long solves, in gaps between targets covered, goes to
-stderr only.  An ``--out`` file is opened before any work, so a path
-that cannot be written fails at once.
+Exit codes: 0 success, 2 usage/config error (a
+:class:`~hittime.walkmodel.ConfigError`, or a target or output path that
+cannot be read or written), 3 insufficient precision, 4 internal failure
+(any other ``ValueError`` included).  All real numbers in JSON output are
+decimal digit strings, never binary floats, so reports are
+precision-lossless and diffable.  Working precision is set by
+``--precision`` alone, on ``certify``, ``solve`` and ``roots``; no
+environment variable is read.  Progress for long solves, in gaps between
+targets covered, goes to stderr only.  An ``--out`` file is opened before
+any work, so a path that cannot be written fails at once.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from typing import Iterator, TextIO
 
 from . import __version__, certify, hitprob, oracle, walkmodel
 from .numerics import PrecisionTooLowError, digit_string, make_context, round_to_digits
+from .walkmodel import ConfigError
 
 __all__ = ["main"]
 
@@ -44,10 +46,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_PRECISION = 3
 EXIT_NUMERIC = 4
-
-
-class ConfigError(ValueError):
-    """Invalid command-line configuration."""
 
 
 def _parse_target(selector: str) -> walkmodel.TargetSet:
@@ -380,15 +378,15 @@ def main(argv: list[str] | None = None) -> int:
     except (certify.PrecisionInsufficientError, PrecisionTooLowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECISION
-    except (hitprob.RootRefinementError, certify.DivergentSeriesError,
-            certify.InvertedIntervalError, oracle.AllTrialsCappedError,
-            ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except (ConfigError, walkmodel.TargetSetError, walkmodel.CutoffExceedsBoundError,
-            oracle.SizeCapError, ValueError, OSError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except (hitprob.RootRefinementError, oracle.AllTrialsCappedError, ArithmeticError,
+            ValueError) as exc:
+        # any ValueError but a ConfigError is internal, certify's
+        # DivergentSeriesError and InvertedIntervalError among them
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

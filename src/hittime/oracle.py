@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .walkmodel import DieModel, TargetSet
+from .walkmodel import ConfigError, DieModel, TargetSet
 
 __all__ = [
     "EXACT_DP_MAX_N",
@@ -53,7 +53,7 @@ _SLICE_WIDTHS = (8, 8, 16, 32)
 _TABLE_MAX = 1 << 27
 
 
-class SizeCapError(ValueError):
+class SizeCapError(ConfigError):
     """Exact solve or simulation table requested beyond its size cap."""
 
 
@@ -148,17 +148,17 @@ class McConfig:
 
     def __post_init__(self) -> None:
         if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+            raise ConfigError("trials must be >= 1")
         if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
+            raise ConfigError("max_steps must be >= 1")
         if self.start < 0:
-            raise ValueError("start must be nonnegative")
+            raise ConfigError("start must be nonnegative")
         if not 0 <= self.seed < 1 << 128:
             # Philox keys are 128-bit
-            raise ValueError(f"seed must lie in [0, 2^128), got {self.seed}")
+            raise ConfigError(f"seed must lie in [0, 2^128), got {self.seed}")
         if self.start + self.max_steps * self.die.sides > np.iinfo(np.int64).max:
             # The walks' int64 sums would wrap to negative values.
-            raise ValueError("start + max_steps * die sides must stay below 2^63")
+            raise ConfigError("start + max_steps * die sides must stay below 2^63")
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,7 @@ from typing import Callable
 from .numerics import PrecisionContext
 
 __all__ = [
+    "ConfigError",
     "DieModel",
     "TargetSet",
     "TargetSetError",
@@ -71,11 +72,15 @@ GUARD_BITS = 128
 CUT_GUARD = 8
 
 
-class TargetSetError(ValueError):
+class ConfigError(ValueError):
+    """Invalid input (an option, size or target); any other ValueError is internal."""
+
+
+class TargetSetError(ConfigError):
     """Malformed target-set definition (file syntax, emptiness, ordering)."""
 
 
-class CutoffExceedsBoundError(ValueError):
+class CutoffExceedsBoundError(ConfigError):
     """The requested cutoff lies beyond the target's declared bound."""
 
 
@@ -87,7 +92,7 @@ class DieModel:
 
     def __post_init__(self) -> None:
         if self.sides < 2:
-            raise ValueError(f"die must have at least 2 sides, got {self.sides}")
+            raise ConfigError(f"die must have at least 2 sides, got {self.sides}")
 
 
 @dataclass(frozen=True)
@@ -143,7 +148,10 @@ class TargetSet:
         """
         bound: int | None = None
         elements: list[int] = []
-        lines = Path(path).read_text().splitlines()
+        try:
+            lines = Path(path).read_text().splitlines()
+        except UnicodeDecodeError:
+            raise TargetSetError(f"target file {str(path)!r} is not text") from None
         start = 0
         if lines and lines[0].startswith("#"):
             parts = lines[0].split()
@@ -286,21 +294,33 @@ def solve_pair(target: TargetSet, die: DieModel, n: int, s_min: int,
     spent advancing toward a run the power does not reach to about 1/M^2
     of the cost of stepping that run.
 
-    The power is kept as one scalar sequence per twin.  Row i of A^span is
-    e_i stepped span times; its first i steps have r[0] = 0, so they are
-    exact shifts in either twin, and the row is e_0 stepped span - i times,
-    rounding included.  Step t of e_0 passes q_t = c_t / M (rounded down,
-    or up in the upper twin) to the window, with c_t its r[0], so, with q
-    zero before t = 0::
+    Every row, r and the cached power alike, is kept per twin in one
+    difference form: the last M values d that it passed on, newest first,
+    and r[0].  A step passes x = r[0] / M on, rounded down in the lower
+    twin and up in the upper one, and ``r'[j] = r[j+1] + x``, so
+    ``r[j] = d[0] + ... + d[M-1-j]``, and r[0] gains x and loses the oldest
+    d.  A target is a step that passes 0 on, and the walk ends once the
+    upper twin's d are all 0.  One loop steps both twins of either row.
 
-        c_t = one [t = 0] + q_(t-1) + ... + q_(t-M)
-        A^span[i][j] = one [span-i+j = 0] + q_(span-i-1) + ... + q_(span-i-(M-j))
+    The power is e_0 stepped span times.  Row i of A^span is e_i stepped
+    span times; its first i steps have r[0] = 0, so they are exact shifts
+    in either twin, and the row is e_0 stepped span - i times, rounding
+    included.  e_0 passed on one value, q_(-M) = one, before the steps;
+    step t passes q_t on and has r[0] = c_t, so, with every other q before
+    t = 0 zero::
 
-    Advancing the power by d steps appends d values of q per twin, of
-    which the last 2M - 1 are kept.  A jump forms
-    ``D_k = r . (q_k, ..., q_(k-M+1))`` for k = g-1 .. g-M; then
+        c_t = q_(t-1) + ... + q_(t-M)
+        A^span[i][j] = q_(span-i-1) + ... + q_(span-i-(M-j))  for i <= span
+
+    Advancing the power by d steps passes d values of q per twin, of which
+    the last 2M - 1 are kept.  A jump reads them with q_(-M) as 0, which
+    leaves row i = g + j of A^g, e_j, to the shift: it forms
+    ``D_k = r . (q_k, ..., q_(k-M+1))`` for k = g-1 .. g-M, and then
     ``(r A^g)[j] = D_(g-1) + ... + D_(g-M+j) + one r[g+j]``, with r[g+j] = 0
-    past the window, is the same integer as the full product.
+    past the window, is the same integer as the full product.  The floored
+    or ceiled partial sums F_i = (D_(g-1) + ... + D_(g-1-i)) / one are
+    r'[M-1-i] but for the shift, so the differences of r' are
+    F_i - F_(i-1), plus those of r shifted by g.
 
     Two identities on Python ints give these sums with one product of
     full-size factors per jump, in the lower twin; every other product has
@@ -403,14 +423,16 @@ def solve_pair(target: TargetSet, die: DieModel, n: int, s_min: int,
 def _forward(members: list[int], m: int, n: int, s_min: int, bits: int,
              progress: Callable[[float, int], None] | None) -> TruncationSolution:
     one = 1 << bits
-    unit = [one] + [0] * (m - 1)
-    r = _Twins(unit, unit, m)
+    # e_0's differences, newest first: its one is q_(-M)
+    unit = [0] * (m - 1) + [one]
+    # the row r per twin (see solve_pair): its differences and r[0]
+    row, row0 = [deque(unit, maxlen=m) for _ in range(2)], [one, one]
     e_lo = e_hi = 0
-    # The cached power A^span, per twin (see solve_pair): c_span, and newest
-    # first q_(span-1) .. q_(span-2M+1).
+    # the cached power A^span per twin: e_0 stepped span times, keeping
+    # q_(span-1) .. q_(span-2M+1), and its r[0]
     span = 0
-    c = [one, one]
-    qs = [deque([0] * (2 * m - 1), maxlen=2 * m - 1) for _ in c]
+    power = [deque(unit + [0] * (m - 1), maxlen=2 * m - 1) for _ in range(2)]
+    power0 = [one, one]
     p = s_min
     report_at = s_min + PROGRESS_INTERVAL - 1
 
@@ -425,57 +447,83 @@ def _forward(members: list[int], m: int, n: int, s_min: int, bits: int,
         g = t - p
         if JUMP_MIN <= g and span <= g:
             d = min(g - span, max(g // (m * m), JUMP_MIN))
-            for up in (False, True):
-                c[up] = _advance(qs[up], c[up], span, d, up)
+            _step(power, power0, m, d)
             span += d
         if JUMP_MIN <= g == span:
-            lo, hi = r.rows()
-            # the power's q window, cut to what r's mass can see
-            cut = max(0, bits - sum(hi).bit_length() - CUT_GUARD)
-            d_lo, d_hi = _jump_products(lo, hi, [v >> cut for v in qs[0]],
-                                        [-(-v >> cut) for v in qs[1]])
+            # r[M-1] .. r[0], per twin
+            rev_lo, rev_hi = (list(itertools.accumulate(q)) for q in row)
+            # the power's q window, oldest first, cut to what r's mass can see
+            cut = max(0, bits - sum(rev_hi).bit_length() - CUT_GUARD)
+            w_lo = [v >> cut for v in reversed(power[0])]
+            w_hi = [-(-v >> cut) for v in reversed(power[1])]
+            if g < m:  # the window must not see q_(-M)
+                w_lo[m - 1 - g] = w_hi[m - 1 - g] = 0
+            d_lo, d_hi = _jump_products(rev_lo, rev_hi, w_lo, w_hi)
             keep = bits - cut
-            # r'[j] <- (D_(g-1) + ... + D_(g-M+j) + 2^keep r[g+j]) / 2^keep, where
-            # the multiple of 2^keep passes the rounding whole and r[g+j] = 0
-            # past M
-            new_lo = [(v >> keep) + x for v, x in
-                      zip(list(itertools.accumulate(d_lo))[::-1], lo[g:] + [0] * m)]
-            new_hi = [-(-v >> keep) + x for v, x in
-                      zip(list(itertools.accumulate(d_hi))[::-1], hi[g:] + [0] * m)]
+            # r'[M-1-i] <- (D_(g-1) + ... + D_(g-1-i) + 2^keep r[g+M-1-i]) / 2^keep,
+            # where the multiple of 2^keep, r shifted by g, passes the
+            # rounding whole
+            pad = [0] * min(g, m)
+            new_lo = [(v >> keep) + x for v, x in zip(itertools.accumulate(d_lo), pad + rev_lo)]
+            new_hi = [-(-v >> keep) + x for v, x in zip(itertools.accumulate(d_hi), pad + rev_hi)]
             # r h_g = 2/(M+1) (r' . (g+j) - r . j), each end taking r from
             # the opposite twin
-            e_lo += 2 * (_dot(new_lo, range(g, g + m)) - _dot(hi, range(m))) // (m + 1)
-            e_hi -= 2 * (_dot(lo, range(m)) - _dot(new_hi, range(g, g + m))) // (m + 1)
-            r = _Twins(new_lo, new_hi, m)
+            after, before = range(g + m - 1, g - 1, -1), range(m - 1, -1, -1)
+            e_lo += 2 * (_dot(new_lo, after) - _dot(rev_hi, before)) // (m + 1)
+            e_hi -= 2 * (_dot(rev_lo, before) - _dot(new_hi, after)) // (m + 1)
+            for q, new in zip(row, (new_lo, new_hi)):
+                q.extend(map(operator.sub, new, [0, *new]))  # pushes out all M old ones
+            row0[:] = new_lo[-1], new_hi[-1]
         else:
             while g:  # in pieces, so long stretches report progress
                 run = min(g, PROGRESS_INTERVAL)
-                add_lo, add_hi = r.step(run)
+                add_lo, add_hi = _step(row, row0, m, run)
                 e_lo += add_lo
                 e_hi += add_hi
                 g -= run
                 covered(t - g - 1)
         if t > n:
             break
-        r.drop()
-        if not r.upper_sum():
+        _drop(row, row0, m)
+        if not any(row[1]):
             break  # no walk survives: e is final and P is 0
         covered(t)
         p = t + 1
-    lo, hi = r.rows()
+    p_lo, p_hi = (sum(itertools.accumulate(q)) for q in row)
     return TruncationSolution(cutoff=n, start=s_min,
                               e_lo=Fraction(e_lo, one), e_hi=Fraction(e_hi, one),
-                              p_lo=Fraction(sum(lo), one), p_hi=Fraction(sum(hi), one))
+                              p_lo=Fraction(p_lo, one), p_hi=Fraction(p_hi, one))
 
 
-def _advance(q: deque, c: int, span: int, d: int, up: bool) -> int:
-    """Prepend q_t for t = span .. span + d - 1 to one twin; return c_(span+d)."""
-    m = (q.maxlen + 1) // 2
-    for t in range(span, span + d):
-        x = -(-c // m) if up else c // m
-        c = c + x - q[m - 1] if t else x  # c_(t+1) = q_t + ... + q_(t-M+1)
-        q.appendleft(x)
-    return c
+def _step(rows: list[deque], r0: list[int], m: int, g: int) -> tuple[int, int]:
+    """Apply the window map g times to both twins; return each one's sum of r[0].
+
+    ``rows`` holds the values each twin passed on, newest first (at least
+    the last M), and ``r0`` each twin's r[0], the sum of the last M; both
+    are updated in place.  A step passes x = r[0] / M on, rounded down in
+    the lower twin and up in the upper one.
+    """
+    (q_lo, q_hi), (c_lo, c_hi) = rows, r0
+    push_lo, push_hi, oldest = q_lo.appendleft, q_hi.appendleft, m - 1
+    sum_lo = sum_hi = 0
+    for _ in itertools.repeat(None, g):
+        sum_lo += c_lo
+        sum_hi += c_hi
+        x = c_lo // m
+        c_lo += x - q_lo[oldest]
+        push_lo(x)
+        x = -(-c_hi // m)
+        c_hi += x - q_hi[oldest]
+        push_hi(x)
+    r0[:] = c_lo, c_hi
+    return sum_lo, sum_hi
+
+
+def _drop(rows: list[deque], r0: list[int], m: int) -> None:
+    """Cover a target state: each twin passes 0 on, and r[0] loses its oldest difference."""
+    for k, q in enumerate(rows):
+        r0[k] -= q[m - 1]
+        q.appendleft(0)
 
 
 def _dot(a: list[int], b) -> int:
@@ -486,71 +534,21 @@ def _jump_products(lo: list[int], hi: list[int], q_lo: list[int],
                    q_hi: list[int]) -> tuple[list[int], list[int]]:
     """A jump's exact sums ``D_(g-1), ..., D_(g-M)``, per twin.
 
-    ``q_*`` hold q_(g-1) .. q_(g-2M+1), newest first.  Uses the two
+    ``lo`` and ``hi`` hold r[M-1] .. r[0], and ``q_*`` q_(g-2M+1) .. q_(g-1),
+    so D_(g-1-k) is the row's dot with ``q_*[M-1-k:2M-1-k]``.  Uses the two
     identities in :func:`solve_pair`, so the jump costs one product of
     full-size factors.
     """
     m = len(lo)
-    b = q_lo[0]
-    delta = [0, *(v - b for v in q_lo[1:])]
+    b = q_lo[-1]
+    delta = [*(v - b for v in q_lo[:-1]), 0]
     base = sum(lo) * b
-    out_lo = [base + _dot(lo, delta[k:k + m]) for k in range(m)]
+    starts = range(m - 1, -1, -1)
+    out_lo = [base + _dot(lo, delta[k:k + m]) for k in starts]
     # upper twin: one fused dot per sum, on the lower twin's base
     fused = hi + list(map(operator.sub, hi, lo))  # hi || slack
     twin = list(map(operator.sub, q_hi, q_lo))
     base = (sum(hi) - sum(lo)) * b
     out_hi = [low + base + _dot(fused, twin[k:k + m] + delta[k:k + m])
-              for k, low in enumerate(out_lo)]
+              for k, low in zip(starts, out_lo)]
     return out_lo, out_hi
-
-
-class _Twins:
-    """A row r of M fixed-point values as a lower and an upper twin.
-
-    Each twin lives in a ring buffer whose slots hold the entries' shortfall
-    from one common offset: entry j is ``off - buf[(head + j) % M]``.  So a
-    step of the window map costs O(1): r[0] leaves, every remaining entry
-    gains q = r[0] / M through the offset (rounded down in the lower twin,
-    up in the upper one), and the freed slot becomes the new last entry, q,
-    by storing the old offset there.  Between steps the offset is 0: each
-    :meth:`step` folds it back into the slots, so they stay as short as r.
-    """
-
-    def __init__(self, lo: list[int], hi: list[int], m: int):
-        self.lo = [-v for v in lo]
-        self.hi = [-v for v in hi]
-        self.m = m
-        self.head = 0
-
-    def step(self, g: int) -> tuple[int, int]:
-        """Apply the window map g times; return each twin's sum of r[0].
-
-        A step takes r[0] = off - buf[head] and stores the old offset in
-        its slot, so it raises the buffer's plain sum by exactly r[0].
-        """
-        lo, hi, m = self.lo, self.hi, self.m
-        off_lo = off_hi = 0
-        before_lo, before_hi = sum(lo), sum(hi)
-        for i in itertools.islice(itertools.cycle(range(m)), self.head, self.head + g):
-            x = off_lo - lo[i]
-            lo[i] = off_lo
-            off_lo += x // m
-            y = hi[i] - off_hi  # -r[0], so -(y // m) is r[0] / M rounded up
-            hi[i] = off_hi
-            off_hi -= y // m
-        self.head = (self.head + g) % m
-        self.lo = [v - off_lo for v in lo]
-        self.hi = [v - off_hi for v in hi]
-        return sum(lo) - before_lo, sum(hi) - before_hi
-
-    def drop(self) -> None:
-        """Shift r left past a target state; the new last entry is 0."""
-        self.lo[self.head] = self.hi[self.head] = 0
-        self.head = (self.head + 1) % self.m
-
-    def upper_sum(self) -> int:
-        return -sum(self.hi)
-
-    def rows(self) -> tuple[list[int], list[int]]:
-        h = self.head
-        return [-v for v in self.lo[h:] + self.lo[:h]], [-v for v in self.hi[h:] + self.hi[:h]]

@@ -196,7 +196,7 @@ def test_criterion_09_monte_carlo():
 
 def test_criterion_10_rolling_window_equivalence():
     t0 = time.perf_counter()
-    # the kernel's ring buffers with lazy offsets, stepping every state,
+    # the kernel's rows in difference form, stepping every state,
     # equal the plain-list forward reference bit for bit
     ctx = make_context(100)
     n = 10**4

@@ -133,6 +133,39 @@ def test_inverted_interval_is_internal_failure(capsys, monkeypatch):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_internal_value_error_exits_4(capsys, monkeypatch):
+    # a ValueError that is no ConfigError is an internal failure, not a
+    # usage error
+    def solve_pair(*args, **kwargs):
+        raise ValueError("internal slip")
+
+    monkeypatch.setattr(walkmodel, "solve_pair", solve_pair)
+    code, out, err = run_cli(capsys, "certify", "--K", "10")
+    assert code == 4
+    assert out == ""
+    assert err == "error: internal slip\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--target", "squares", "--N", "16", "--die", "1"],
+    ["simulate", "--trials", "10", "--die", "1"],
+    ["simulate", "--trials", "0"],
+    ["simulate", "--trials", "10", "--max-steps", "0"],
+    ["simulate", "--trials", "10", "--s", "-1"],
+    ["simulate", "--trials", "10", "--seed", "-1"],
+    ["simulate", "--trials", "10", "--max-steps", str(2**62)],
+    ["certify", "--K", "50", "--s", "2501"],
+], ids=["solve-die", "simulate-die", "trials", "max-steps", "start", "seed", "int64",
+        "certify-start"])
+def test_input_errors_exit_2(capsys, argv):
+    # DieModel's, McConfig's and certify_squares' checks on outside input
+    # raise ConfigError, so they stay usage errors
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["certify", "--N", "100"],
     ["certify", "--K", "10", "--target", "squares"],
@@ -238,9 +271,12 @@ def test_solve_missing_target_file(capsys):
 
 
 def test_unusable_paths_are_usage_errors(capsys, tmp_path):
-    # an output file in a missing directory; a directory given as the target
+    # an output file in a missing directory; a directory given as the
+    # target; a target file that is not text
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"\xff\xfe3\n")
     for argv in (["--target", "squares", "--out", str(tmp_path / "missing" / "x.json")],
-                 ["--target", str(tmp_path)]):
+                 ["--target", str(tmp_path)], ["--target", str(binary)]):
         code, out, err = run_cli(capsys, "solve", "--N", "16", *argv)
         assert code == 2
         assert out == ""

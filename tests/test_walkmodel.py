@@ -1,5 +1,6 @@
 """Target sets, boundary behavior, and the forward kernel."""
 
+import itertools
 import random
 from collections import deque
 from decimal import ROUND_FLOOR, Decimal
@@ -317,29 +318,43 @@ def test_jumps_equal_full_product_reference(jump_min, problem, sides, data):
 
 
 @settings(deadline=None)
-@given(sides=st.integers(2, 9), bits=st.integers(1, 160),
-       span=st.integers(0, 12) | st.integers(0, 300), data=st.data())
-def test_power_sequence_equals_stepped_unit_rows(sides, bits, span, data):
-    # the cached power's entries, built from the kernel's q by solve_pair's
-    # identity, equal M unit rows stepped span times in plain lists, in
-    # both twins; spans below M exercise the one [span-i+j = 0] term
-    m, one = sides, 1 << bits
-    cuts = sorted(data.draw(st.lists(st.integers(0, span), max_size=4), label="cuts"))
-    for up in (False, True):
-        q = deque([0] * (2 * m - 1), maxlen=2 * m - 1)
-        c = one
-        for start, stop in zip([0, *cuts], [*cuts, span]):
-            c = walkmodel._advance(q, c, start, stop - start, up)
-        rows = [[one if j == i else 0 for j in range(m)] for i in range(m)]
-        for _ in range(span):
-            for i, row in enumerate(rows):
-                x = -(-row[0] // m) if up else row[0] // m
-                rows[i] = [v + x for v in row[1:]] + [x]
-        # q[k] is q_(span-1-k)
-        entries = [[one * (span - i + j == 0) + sum(q[i + k] for k in range(m - j))
-                    for j in range(m)] for i in range(m)]
-        assert entries == rows
-        assert c == rows[0][0]
+@given(sides=st.integers(2, 9), bits=st.integers(1, 160), data=st.data())
+def test_stepper_equals_plain_list_steps_and_drops(sides, bits, data):
+    # rows in difference form, newest first, r[j] = d[0] + ... + d[M-1-j],
+    # stepped in pieces by the one stepper with targets between the pieces,
+    # give the entries, r[0] and the sum of r[0] of plain-list steps and
+    # drops, in both twins; in the power's wider window the values passed
+    # on (0 for a target) follow the row's differences
+    m = sides
+    width = data.draw(st.sampled_from([m, 2 * m - 1]), label="width")
+    entry = st.just(0) | st.integers(0, 1 << bits)
+    plain = [data.draw(st.lists(entry, min_size=m, max_size=m), label="row") for _ in range(2)]
+    older = data.draw(st.lists(st.integers(-(1 << bits), 1 << bits), min_size=width - m,
+                               max_size=width - m), label="older")
+    # newest first: r[M-1], then r[j] - r[j+1] for j = M-2 .. 0
+    history = [[r[-1], *(a - b for a, b in zip(r[-2::-1], r[:0:-1])), *older] for r in plain]
+    rows = [deque(h, maxlen=width) for h in history]
+    r0 = [r[0] for r in plain]
+    pieces = data.draw(st.lists(st.integers(0, 40) | st.none(), max_size=8), label="pieces")
+    for piece in pieces:
+        if piece is None:  # a target
+            walkmodel._drop(rows, r0, m)
+            plain = [r[1:] + [0] for r in plain]
+            history = [[0, *h] for h in history]
+            continue
+        sums = walkmodel._step(rows, r0, m, piece)
+        for up, r in enumerate(plain):
+            total = 0
+            for _ in range(piece):
+                total += r[0]
+                x = -(-r[0] // m) if up else r[0] // m
+                r[:] = [v + x for v in r[1:]] + [x]
+                history[up].insert(0, x)
+            assert sums[up] == total
+        for r, q, h, c in zip(plain, rows, history, r0):
+            assert list(itertools.accumulate(list(q)[:m]))[::-1] == r
+            assert c == r[0]
+            assert list(q) == h[:width]
 
 
 @settings(deadline=None)
@@ -348,20 +363,20 @@ def test_power_sequence_equals_stepped_unit_rows(sides, bits, span, data):
 def test_jump_products_equal_plain_dots(sides, bits, span, data):
     # a jump's sums, from the shared base of the q windows and the upper
     # twin's fused dots, equal plain dot products of each twin's row with
-    # its windows of q as _advance builds them; spans below 2M leave
-    # zero-padded windows
+    # its window of the power as the stepper builds it from e_0; spans
+    # below 2M - 1 leave q_(-M) = one and zeros in the windows
     m, one = sides, 1 << bits
-    windows = []
-    for up in (False, True):
-        q = deque([0] * (2 * m - 1), maxlen=2 * m - 1)
-        walkmodel._advance(q, one, 0, span, up)
-        windows.append(list(q))
+    power = [deque([0] * (m - 1) + [one] + [0] * (m - 1), maxlen=2 * m - 1) for _ in range(2)]
+    walkmodel._step(power, [one, one], m, span)
+    windows = [list(q) for q in power]
     entry = st.just(0) | st.integers(0, one << 64)
     lo = data.draw(st.lists(entry, min_size=m, max_size=m), label="lo")
     slack = data.draw(st.lists(st.just(0) | st.integers(0, 1 << 80), min_size=m, max_size=m),
                       label="slack")
     hi = list(map(sum, zip(lo, slack)))
-    sums = walkmodel._jump_products(lo, hi, *windows)
+    # the kernel passes r[M-1] .. r[0] and the windows oldest first; here
+    # q[k] is q_(span-1-k)
+    sums = walkmodel._jump_products(lo[::-1], hi[::-1], *(q[::-1] for q in windows))
     for row, q, got in zip((lo, hi), windows, sums):
         assert got == [sum(x * y for x, y in zip(row, q[k:k + m])) for k in range(m)]
 
@@ -415,12 +430,15 @@ def test_long_cuts_equal_full_product_reference(jump_min, sides, n, seed):
     assert sol.p_hi < Fraction(1, 1 << fraction_bits(ctx) // 2)
 
 
-def test_jumps_equal_full_product_reference_at_k500():
-    # certify's size K = 500 at 200 digits, with the default JUMP_MIN:
-    # the runs of 2k >= 128 states from k = 64 on are jumped
-    ctx = make_context(200)
-    sol = solve_pair(SQUARES, D6, 500**2, 0, ctx)
-    assert sol == forward_reference(SQUARES, D6, 500**2, 0, ctx, walkmodel.JUMP_MIN)
+@pytest.mark.parametrize("sides, k", [(6, 500), (130, 70)], ids=["d6-K500", "d130-K70"])
+def test_jumps_equal_full_product_reference_at_scale(sides, k):
+    # with the default JUMP_MIN, on the squares to N = K^2 at 200 digits,
+    # the runs of 2j >= 128 states from j = 64 on are jumped: at certify's
+    # size K = 500 on a six-sided die, and with a 130-sided die, whose run
+    # of 128 states is jumped with g < M
+    die, ctx = DieModel(sides), make_context(200)
+    sol = solve_pair(SQUARES, die, k * k, 0, ctx)
+    assert sol == forward_reference(SQUARES, die, k * k, 0, ctx, walkmodel.JUMP_MIN)
 
 
 def test_jumping_and_stepping_kernels_intersect_on_squares():
