@@ -25,7 +25,8 @@ Combining with the truncated solve at start state s,
 
 Every quantity here is an exact rational, never a rounded approximation:
 the forward solve (:func:`~hittime.walkmodel.solve_pair`) encloses E_N(s)
-and P_s between the exact rationals of its floor and ceiling twins
+and P_s between the exact rationals of its rounded-down values and those
+plus proven a priori widths
 (:class:`~hittime.walkmodel.TruncationSolution`), L_N and U_N are the
 exact series values at an upper bound on eps, and the composed endpoints
 
@@ -185,14 +186,13 @@ def recommended_digits(k: int) -> int:
     P_0, and with it the radius (U_N - L_N) P_0, decays roughly like
     10^(-0.146 K), so about 0.15 K digits are what the interval can
     certify.  The point must be carried that deep and beyond: the solve's
-    enclosure of E_N(0) is about 7 K^2 units of 2^-c wide,
-    c = walkmodel.fraction_bits(ctx): 2^21.6, 2^23.5, 2^24.8 and 2^28.4
-    units at K = 500, 1200, 2000 and 7000 with 135, 240, 360 and 1200
-    digits.  Each jump over the 2k states between k^2 and (k+1)^2 weighs
-    the few units by which the twins of r differ by about 4k/7.  That
-    stays many orders below the radius, with the 60 digits of slack, the
-    guard digits and the guard bits, so rounding never costs a certified
-    digit.
+    enclosure of E_N(0) is W_E = (N + 1)(48 (N + 1) + 1) units of 2^-c
+    wide, c = walkmodel.fraction_bits(ctx), proven in
+    :func:`~hittime.walkmodel.solve_pair`: 2^41.5, 2^46.5, 2^49.5 and
+    2^56.7 units at K = 500, 1200, 2000 and 7000 with 135, 240, 360 and
+    1200 digits.  That lies 355, 360, 368 and 726 bits below the radius,
+    with the 60 digits of slack, the guard digits and the guard bits, so
+    rounding never costs a certified digit.
     """
     return math.ceil(0.15 * k) + 60
 

@@ -21,9 +21,9 @@ and A^g is kept as the one scalar sequence that row 0 passes on, two
 values per run on the squares: O(K M^2) big-integer operations in constant
 memory for N = K^2, and O(1) per state for short runs.  It works in fixed
 point: every value is a Python int standing for that int times a power of
-2, so every rounding step is explicit and directed, and a twin rounding
-down and a twin rounding up enclose the exact values.  The result, a
-:class:`TruncationSolution`, holds both enclosures as exact
+2, and every rounding step rounds down, so the values it computes are
+lower bounds; the upper bounds lie a proven a priori width above them.
+The result, a :class:`TruncationSolution`, holds both enclosures as exact
 :class:`~fractions.Fraction` bounds; nothing is rounded to decimals here.
 """
 
@@ -59,11 +59,10 @@ PROGRESS_INTERVAL = 1 << 20
 # by a cached power of the window map (see solve_pair).
 JUMP_MIN = 128
 
-# Bits carried below the context's internal digits.  solve_pair's twins
-# round a few times per state or per jump, so on the squares the width of
-# E_N's enclosure grows like 7 K^2 units of 2^-c (measured in
-# certify.recommended_digits); these bits keep it far below one unit in
-# the last internal digit.
+# Bits carried below the context's internal digits.  solve_pair rounds a
+# few times per state or per jump, and its proven width of E_N's enclosure
+# is about 8 M N^2 units of 2^-c, 2^56.7 units at N = 7000^2; these bits
+# keep it far below one unit in the last internal digit.
 GUARD_BITS = 128
 
 # Bits of a jump's products kept below the mass of r: each jump cuts the
@@ -294,54 +293,44 @@ def solve_pair(target: TargetSet, die: DieModel, n: int, s_min: int,
     spent advancing toward a run the power does not reach to about 1/M^2
     of the cost of stepping that run.
 
-    Every row, r and the cached power alike, is kept per twin in one
-    difference form: the last M values d that it passed on, newest first,
-    and r[0].  A step passes x = r[0] / M on, rounded down in the lower
-    twin and up in the upper one, and ``r'[j] = r[j+1] + x``, so
-    ``r[j] = d[0] + ... + d[M-1-j]``, and r[0] gains x and loses the oldest
-    d.  A target is a step that passes 0 on, and the walk ends once the
-    upper twin's d are all 0.  One loop steps both twins of either row.
+    Every row, r and the cached power alike, is kept in one difference
+    form: the last M values d that it passed on, newest first, and r[0].
+    A step passes x = r[0] / M on, rounded down, and
+    ``r'[j] = r[j+1] + x``, so ``r[j] = d[0] + ... + d[M-1-j]``, and r[0]
+    gains x and loses the oldest d.  A target is a step that passes 0 on.
+    One loop steps either row.
 
     The power is e_0 stepped span times.  Row i of A^span is e_i stepped
-    span times; its first i steps have r[0] = 0, so they are exact shifts
-    in either twin, and the row is e_0 stepped span - i times, rounding
-    included.  e_0 passed on one value, q_(-M) = one, before the steps;
-    step t passes q_t on and has r[0] = c_t, so, with every other q before
-    t = 0 zero::
+    span times; its first i steps have r[0] = 0, so they are exact shifts,
+    and the row is e_0 stepped span - i times, rounding included.  e_0
+    passed on one value, q_(-M) = one, before the steps; step t passes q_t
+    on and has r[0] = c_t, so, with every other q before t = 0 zero::
 
         c_t = q_(t-1) + ... + q_(t-M)
         A^span[i][j] = q_(span-i-1) + ... + q_(span-i-(M-j))  for i <= span
 
-    Advancing the power by d steps passes d values of q per twin, of which
-    the last 2M - 1 are kept.  A jump reads them with q_(-M) as 0, which
-    leaves row i = g + j of A^g, e_j, to the shift: it forms
+    Advancing the power by d steps passes d values of q, of which the last
+    2M - 1 are kept.  A jump reads them with q_(-M) as 0, which leaves row
+    i = g + j of A^g, e_j, to the shift: it forms
     ``D_k = r . (q_k, ..., q_(k-M+1))`` for k = g-1 .. g-M, and then
     ``(r A^g)[j] = D_(g-1) + ... + D_(g-M+j) + one r[g+j]``, with r[g+j] = 0
     past the window, is the same integer as the full product.  The floored
-    or ceiled partial sums F_i = (D_(g-1) + ... + D_(g-1-i)) / one are
-    r'[M-1-i] but for the shift, so the differences of r' are
-    F_i - F_(i-1), plus those of r shifted by g.
+    partial sums F_i = (D_(g-1) + ... + D_(g-1-i)) / one are r'[M-1-i] but
+    for the shift, so the differences of r' are F_i - F_(i-1), plus those
+    of r shifted by g.
 
-    Two identities on Python ints give these sums with one product of
-    full-size factors per jump, in the lower twin; every other product has
-    a short or a few-word factor.  With S = sum(lo), base b = q_(g-1) and
-    delta_t = q_t - b in the lower twin, one product serves every window::
+    One identity on Python ints gives these sums with one product of
+    full-size factors per jump; every other product has a factor that is
+    short on long runs.  With S = sum(r), base b = q_(g-1) and
+    delta_t = q_t - b, one product serves every window::
 
-        D_k = S b + lo . (delta_k, ..., delta_(k-M+1))
-
-    The upper twin adds to each lower sum one fused dot, with slack =
-    hi - lo and x a q window::
-
-        hi . x_hi = lo . x_lo + sum(slack) b
-                    + (hi || slack) . (x_hi - x_lo || x_lo - b)
+        D_k = S b + r . (delta_k, ..., delta_(k-M+1))
 
     A is a mixing stochastic matrix, so q_t converges like |w|^t, where
     |w| < 1 is the largest modulus of A's other eigenvalues (about
     2^-0.454 for M = 6): on long runs delta is hundreds of bits shorter
-    than q, and the twins differ by a few words throughout.  Both sides of
-    each identity are the same integer, so the floor and ceiling that
-    follow act on exactly the sums of the plain products: the twins, and
-    the proof below, are unchanged.
+    than q.  Both sides are the same integer, so the floor that follows
+    acts on exactly the sums of the plain products.
 
     A jump's E term ``r h_g`` comes from Wald's identity: the mean roll is
     (M+1)/2, so ``l(s) = -2s/(M+1)`` solves E_N's off-target recursion
@@ -353,60 +342,88 @@ def solve_pair(target: TargetSet, die: DieModel, n: int, s_min: int,
 
         r h_g = 2/(M+1) (r' . (g, ..., g+M-1) - r . (0, ..., M-1))
 
-    exactly.  The jump adds ``2 (lo' . (g+j) - hi . j) / (M+1)`` to e_lo,
-    rounded down, and ``2 (hi' . (g+j) - lo . j) / (M+1)`` to e_hi, rounded
-    up, with lo', hi' the twins of r' and j = 0 .. M-1.  The term rises
-    with r' and falls with r, so each end takes r' from its own twin and r
-    from the other.  Stepped runs still add r[0] to e state by state.
+    exactly.  Stepped runs still add r[0] to e state by state.
 
     The kernel works in fixed point on 2^-c, c = :func:`fraction_bits`,
-    with two twins of every quantity: one that rounds every division by M
-    and every right shift (after a product, or onto e's scale) down, and
-    one that rounds them up.  r stands on e's grid, so as its mass P
-    falls it keeps fewer bits: E_N and P reach the answer only through
-    absolute errors.  A jump's products see no more of the power than r's
-    mass can use.  With ``cut = c - bitlen(sum(hi)) - CUT_GUARD`` (at least
-    0), the q window is divided by 2^cut, rounded down in the lower twin
-    and up in the upper one, and the products are
-    shifted by c - cut, not c.  The cut values are nonnegative and rounded
-    outward, so the proof below covers them.  A row sum of at most M(M+1)/2
-    cut values of q, each short by less than 2^cut, times sum(r) <
-    2^(c - cut - CUT_GUARD), costs r less than M(M+1)/2 2^-CUT_GUARD units
-    of 2^-c per twin and jump.
+    and rounds every division by M and every right shift (after a product,
+    or onto e's scale) down.  Write lo and e_lo for its row and constant,
+    and r and e for the exact ones, all in units of 2^-c.  lo stands on
+    e's grid, so as its mass P falls it keeps fewer bits: E_N and P reach
+    the answer only through absolute errors.  A jump's products see no
+    more of the power than r's mass can use.  With
+    ``cut = c - bitlen(sum(lo) + rho) - CUT_GUARD`` (at least 0), where
+    rho >= sum(r) - sum(lo) is the bound below, the q window is divided by
+    2^cut, rounded down, and the products are shifted by c - cut, not c.
+    A row sum of at most M(M+1)/2 cut values of q, each short by less than
+    2^cut, times sum(lo) < 2^(c - cut - CUT_GUARD), costs lo less than
+    M(M+1)/2 2^-CUT_GUARD units per jump.
 
-    The twins enclose the exact values.  Claim: at every stage
-    ``lo <= r <= hi`` entrywise, ``e_lo <= e <= e_hi``, and likewise for
-    the cached power, all on their common scales.  It holds at the start,
-    where every quantity is exact.  Every operation the kernel applies is
+    Only the lower ends are computed; the upper ends are a priori widths
+    above them, proven here.
+
+    *The lower end.*  At every stage ``lo <= r`` entrywise and
+    ``e_lo <= e``, and likewise for the cached power.  It holds at the
+    start, where every quantity is exact.  Every operation but one is
     built from sums and products of nonnegative numbers (the entries of r,
-    of A and its powers, and the constant 1/M) followed by one floor in
-    the lower twin and one ceiling in the upper twin; sums and products of
-    nonnegative numbers are monotone in every argument, so ordered inputs
-    give ordered outputs, and the floor keeps the lower result below the
-    exact one and the ceiling keeps the upper result above it.  The one
-    difference, a jump's E term, takes each argument from the side that
-    keeps it ordered.  Target shifts are exact.  So by induction over the
-    covered states the claim holds at the cutoff, where
-    ``e_lo <= E_N(s_min) <= e_hi`` and ``sum(lo) <= P_s <= sum(hi)``.
-    A ceiling maps positive to positive and 0 to 0, so the upper twin is 0
-    exactly where the exact value is: ``p_hi == 0`` exactly when P is 0.
+    of A and its powers, and the constant 1/M) followed by one floor; such
+    sums and products are monotone in every argument, so a lower input
+    gives a lower output, and the floor keeps it lower.  Target shifts are
+    exact.  The one difference, a jump's E term, adds
+    ``2 (lo' . (g+j) - lo . j - (M-1) rho) / (M+1)`` over j = 0 .. M-1,
+    rounded down, where lo' <= r' and rho is the bound below at the jump's
+    first state: r - lo >= 0 has l1 norm at most rho and j <= M - 1, so
+    ``r . j <= lo . j + (M-1) rho``.  By induction over the covered states
+    ``e_lo <= E_N(s_min)`` and ``p_lo = sum(lo) <= P_s`` at the cutoff.
 
-    P's enclosure is narrow in absolute terms.  Let a = P - sum(lo) and
-    b = sum(hi) - P, in units of 2^-c, with P here the exact row's sum,
-    at most 1.  A step keeps P (A is stochastic), and its division by M
-    moves each twin's sum by at most M - 1, so it raises a and b by at
-    most M - 1 each.  A drop removes an entry lying between its twins, so
-    it raises neither.  A jump over g states keeps P; each power row used
-    is e_0 stepped at most g times, so its sum is within (M - 1) g units
-    of 2^c, and with the cut and the M final roundings a jump raises a by
-    at most (M - 1) g + M + M(M+1)/2 2^-CUT_GUARD and b by at most
-    (1 + b 2^-c)(M - 1) g + M + M(M+1)/2 2^-CUT_GUARD.  Every jump covers
-    at least one of the at most N - s_min + 1 non-target states, so
+    *rho.*  Let a = sum(r) - sum(lo), the l1 norm of r - lo >= 0, and
+    kappa = 2M + floor(M^2 / 2^CUT_GUARD), which is 2M for M <= 15.  Then
+    ``a <= rho = kappa (p - s_min)`` before state p is covered.  At the
+    start a = 0.  A is nonnegative with unit row sums, so
+    ``|x A|_1 = |x|_1`` for x >= 0 (Seneta, Non-negative Matrices and
+    Markov Chains, ch. 3): a step keeps the l1 norm of r - lo and its one
+    floor, added to M entries, loses at most M - 1 more.  A target drops
+    an entry of r and one of lo below it, so a does not rise.  A jump over
+    g >= 1 states keeps the norm of (r - lo) A^g; each power row used is
+    e_0 stepped at most g times, so its floors lose at most (M - 1) g
+    units of its sum, and as lo's mass is at most P <= 1 they cost lo at
+    most (M - 1) g units; the cut costs less than M(M+1)/2 2^-CUT_GUARD,
+    which is below 1 + floor(M^2 / 2^CUT_GUARD), and the M final floors
+    less than M.  So a jump raises a by less than kappa g, for every
+    g >= 1 and so for every ``JUMP_MIN`` >= 1.
 
-        p_hi - p_lo <= 4 M (N - s_min + 1) 2^-c
+    *W_P.*  Once p passes the cutoff, ``P_s - p_lo = a`` is at most::
 
-    whenever M(M + 1) <= 2^CUT_GUARD and 4 M^2 (N + 1) <= 2^c.  P itself
-    may be far smaller: below 2^-c, p_lo can be 0 while p_hi > 0.
+        W_P = kappa (N - s_min + 1)
+
+    units of 2^-c, and ``p_hi = p_lo + W_P``.  P itself may be far
+    smaller: below 2^-c, p_lo can be 0 while p_hi > 0.
+
+    *W_E.*  e - e_lo grows only on non-target states, and rho <= W_P
+    throughout.  A stepped state adds ``r[0] - lo[0] <= a <= W_P``.  A
+    jump over g states from p adds less than
+    ``2 ((g+M-1) a' + (M-1) rho) / (M+1) + 1``, with a' <= W_P the deficit
+    after it: ``(r' - lo') . (g+j) <= (g+M-1) a'``,
+    ``lo . j + (M-1) rho - r . j <= (M-1) rho``, and the floor loses less
+    than 1.  As g + 2M - 2 <= (2M - 1) g for g >= 1, and 2 (2M - 1) <
+    4 (M + 1), that is less than g (4 W_P + 1).  At most N - s_min + 1
+    states are not targets, so::
+
+        E_N(s_min) - e_lo <= W_E = (N - s_min + 1) (4 W_P + 1)
+
+    units of 2^-c, and ``e_hi = e_lo + W_E``: about 8M (N - s_min + 1)^2,
+    or 2^56.7 units at M = 6 and N = 7000^2.  Like any a priori forward
+    error bound (Higham, Accuracy and Stability of Numerical Algorithms,
+    ch. 3) it takes each rounding at its worst and measures nothing: each
+    state's deficit may be of order N, so the width is of order N^2.
+
+    *P = 0 exactly.*  The exact row is positive on its first k entries and
+    0 beyond them, with k = 1 at the start (r = e_0).  A step or a jump
+    from k >= 1 has r[0] > 0, so it leaves every entry positive: k = M.  A
+    target shifts r left: k - 1.  So P = sum(r) is 0 exactly when k
+    reaches 0: at the M-th target in a row after a non-target state, since
+    a die with faces 1 .. M steps over no shorter block, or at s_min itself
+    when it is a target.  Then e is final, lo = 0 (0 <= lo <= r), and the
+    walk ends with ``p_hi = 0``: ``p_hi == 0`` exactly when P is 0.
     """
     if n < 0:
         raise ValueError("cutoff must be nonnegative")
@@ -423,16 +440,20 @@ def solve_pair(target: TargetSet, die: DieModel, n: int, s_min: int,
 def _forward(members: list[int], m: int, n: int, s_min: int, bits: int,
              progress: Callable[[float, int], None] | None) -> TruncationSolution:
     one = 1 << bits
+    # the bound on r's l1 deficit grows by at most this many units per
+    # covered state (see solve_pair)
+    rate = 2 * m + (m * m >> CUT_GUARD)
     # e_0's differences, newest first: its one is q_(-M)
     unit = [0] * (m - 1) + [one]
-    # the row r per twin (see solve_pair): its differences and r[0]
-    row, row0 = [deque(unit, maxlen=m) for _ in range(2)], [one, one]
-    e_lo = e_hi = 0
-    # the cached power A^span per twin: e_0 stepped span times, keeping
+    # the row r (see solve_pair): its differences and r[0]
+    row, row0 = deque(unit, maxlen=m), one
+    e = 0
+    # the exact row is positive on its first `support` entries, 0 beyond
+    support = 1
+    # the cached power A^span: e_0 stepped span times, keeping
     # q_(span-1) .. q_(span-2M+1), and its r[0]
     span = 0
-    power = [deque(unit + [0] * (m - 1), maxlen=2 * m - 1) for _ in range(2)]
-    power0 = [one, one]
+    power, power0 = deque(unit + [0] * (m - 1), maxlen=2 * m - 1), one
     p = s_min
     report_at = s_min + PROGRESS_INTERVAL - 1
 
@@ -447,108 +468,90 @@ def _forward(members: list[int], m: int, n: int, s_min: int, bits: int,
         g = t - p
         if JUMP_MIN <= g and span <= g:
             d = min(g - span, max(g // (m * m), JUMP_MIN))
-            _step(power, power0, m, d)
+            power0 = _step(power, power0, m, d)[0]
             span += d
         if JUMP_MIN <= g == span:
-            # r[M-1] .. r[0], per twin
-            rev_lo, rev_hi = (list(itertools.accumulate(q)) for q in row)
+            rho = rate * (p - s_min)
+            rev = list(itertools.accumulate(row))  # r[M-1] .. r[0]
             # the power's q window, oldest first, cut to what r's mass can see
-            cut = max(0, bits - sum(rev_hi).bit_length() - CUT_GUARD)
-            w_lo = [v >> cut for v in reversed(power[0])]
-            w_hi = [-(-v >> cut) for v in reversed(power[1])]
+            cut = max(0, bits - (sum(rev) + rho).bit_length() - CUT_GUARD)
+            window = [v >> cut for v in reversed(power)]
             if g < m:  # the window must not see q_(-M)
-                w_lo[m - 1 - g] = w_hi[m - 1 - g] = 0
-            d_lo, d_hi = _jump_products(rev_lo, rev_hi, w_lo, w_hi)
+                window[m - 1 - g] = 0
             keep = bits - cut
             # r'[M-1-i] <- (D_(g-1) + ... + D_(g-1-i) + 2^keep r[g+M-1-i]) / 2^keep,
             # where the multiple of 2^keep, r shifted by g, passes the
             # rounding whole
             pad = [0] * min(g, m)
-            new_lo = [(v >> keep) + x for v, x in zip(itertools.accumulate(d_lo), pad + rev_lo)]
-            new_hi = [-(-v >> keep) + x for v, x in zip(itertools.accumulate(d_hi), pad + rev_hi)]
-            # r h_g = 2/(M+1) (r' . (g+j) - r . j), each end taking r from
-            # the opposite twin
+            new = [(v >> keep) + x for v, x in
+                   zip(itertools.accumulate(_jump_products(rev, window)), pad + rev)]
+            # r h_g = 2/(M+1) (r' . (g+j) - r . j), with r . j read as its
+            # upper bound, this row's r . j plus (M-1) rho
             after, before = range(g + m - 1, g - 1, -1), range(m - 1, -1, -1)
-            e_lo += 2 * (_dot(new_lo, after) - _dot(rev_hi, before)) // (m + 1)
-            e_hi -= 2 * (_dot(rev_lo, before) - _dot(new_hi, after)) // (m + 1)
-            for q, new in zip(row, (new_lo, new_hi)):
-                q.extend(map(operator.sub, new, [0, *new]))  # pushes out all M old ones
-            row0[:] = new_lo[-1], new_hi[-1]
+            e += 2 * (_dot(new, after) - _dot(rev, before) - (m - 1) * rho) // (m + 1)
+            row.extend(map(operator.sub, new, [0, *new]))  # pushes out all M old ones
+            row0 = new[-1]
         else:
             while g:  # in pieces, so long stretches report progress
                 run = min(g, PROGRESS_INTERVAL)
-                add_lo, add_hi = _step(row, row0, m, run)
-                e_lo += add_lo
-                e_hi += add_hi
+                row0, add = _step(row, row0, m, run)
+                e += add
                 g -= run
                 covered(t - g - 1)
         if t > n:
             break
-        _drop(row, row0, m)
-        if not any(row[1]):
+        row0 = _drop(row, row0, m)
+        support = (m if t > p else support) - 1
+        if not support:
             break  # no walk survives: e is final and P is 0
         covered(t)
         p = t + 1
-    p_lo, p_hi = (sum(itertools.accumulate(q)) for q in row)
+    p_lo = sum(itertools.accumulate(row))
+    width_p = rate * (n + 1 - s_min)
+    width_e = (n + 1 - s_min) * (4 * width_p + 1)
     return TruncationSolution(cutoff=n, start=s_min,
-                              e_lo=Fraction(e_lo, one), e_hi=Fraction(e_hi, one),
-                              p_lo=Fraction(p_lo, one), p_hi=Fraction(p_hi, one))
+                              e_lo=Fraction(e, one), e_hi=Fraction(e + width_e, one),
+                              p_lo=Fraction(p_lo, one),
+                              p_hi=Fraction(p_lo + width_p if support else 0, one))
 
 
-def _step(rows: list[deque], r0: list[int], m: int, g: int) -> tuple[int, int]:
-    """Apply the window map g times to both twins; return each one's sum of r[0].
+def _step(row: deque, r0: int, m: int, g: int) -> tuple[int, int]:
+    """Apply the window map g times; return the new r[0] and the sum of r[0] over the steps.
 
-    ``rows`` holds the values each twin passed on, newest first (at least
-    the last M), and ``r0`` each twin's r[0], the sum of the last M; both
-    are updated in place.  A step passes x = r[0] / M on, rounded down in
-    the lower twin and up in the upper one.
+    ``row`` holds the values the row passed on, newest first (at least the
+    last M), and is updated in place; ``r0`` is its r[0], the sum of the
+    last M.  A step passes x = r[0] / M on, rounded down.
     """
-    (q_lo, q_hi), (c_lo, c_hi) = rows, r0
-    push_lo, push_hi, oldest = q_lo.appendleft, q_hi.appendleft, m - 1
-    sum_lo = sum_hi = 0
+    push, oldest = row.appendleft, m - 1
+    total = 0
     for _ in itertools.repeat(None, g):
-        sum_lo += c_lo
-        sum_hi += c_hi
-        x = c_lo // m
-        c_lo += x - q_lo[oldest]
-        push_lo(x)
-        x = -(-c_hi // m)
-        c_hi += x - q_hi[oldest]
-        push_hi(x)
-    r0[:] = c_lo, c_hi
-    return sum_lo, sum_hi
+        total += r0
+        x = r0 // m
+        r0 += x - row[oldest]
+        push(x)
+    return r0, total
 
 
-def _drop(rows: list[deque], r0: list[int], m: int) -> None:
-    """Cover a target state: each twin passes 0 on, and r[0] loses its oldest difference."""
-    for k, q in enumerate(rows):
-        r0[k] -= q[m - 1]
-        q.appendleft(0)
+def _drop(row: deque, r0: int, m: int) -> int:
+    """Cover a target state: pass 0 on; return r[0] less its oldest difference."""
+    r0 -= row[m - 1]
+    row.appendleft(0)
+    return r0
 
 
 def _dot(a: list[int], b) -> int:
     return sum(map(operator.mul, a, b))
 
 
-def _jump_products(lo: list[int], hi: list[int], q_lo: list[int],
-                   q_hi: list[int]) -> tuple[list[int], list[int]]:
-    """A jump's exact sums ``D_(g-1), ..., D_(g-M)``, per twin.
+def _jump_products(r: list[int], q: list[int]) -> list[int]:
+    """A jump's exact sums ``D_(g-1), ..., D_(g-M)``.
 
-    ``lo`` and ``hi`` hold r[M-1] .. r[0], and ``q_*`` q_(g-2M+1) .. q_(g-1),
-    so D_(g-1-k) is the row's dot with ``q_*[M-1-k:2M-1-k]``.  Uses the two
-    identities in :func:`solve_pair`, so the jump costs one product of
-    full-size factors.
+    ``r`` holds r[M-1] .. r[0], and ``q`` q_(g-2M+1) .. q_(g-1), so
+    D_(g-1-k) is r's dot with ``q[M-1-k:2M-1-k]``.  Uses the identity in
+    :func:`solve_pair`, so the jump costs one product of full-size factors.
     """
-    m = len(lo)
-    b = q_lo[-1]
-    delta = [*(v - b for v in q_lo[:-1]), 0]
-    base = sum(lo) * b
-    starts = range(m - 1, -1, -1)
-    out_lo = [base + _dot(lo, delta[k:k + m]) for k in starts]
-    # upper twin: one fused dot per sum, on the lower twin's base
-    fused = hi + list(map(operator.sub, hi, lo))  # hi || slack
-    twin = list(map(operator.sub, q_hi, q_lo))
-    base = (sum(hi) - sum(lo)) * b
-    out_hi = [low + base + _dot(fused, twin[k:k + m] + delta[k:k + m])
-              for k, low in zip(starts, out_lo)]
-    return out_lo, out_hi
+    m = len(r)
+    b = q[-1]
+    delta = [*(v - b for v in q[:-1]), 0]
+    base = sum(r) * b
+    return [base + _dot(r, delta[k:k + m]) for k in range(m - 1, -1, -1)]

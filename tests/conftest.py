@@ -68,13 +68,15 @@ def agreed_digits(a: Decimal, b: Decimal, digits: int) -> int:
 CUT_GUARD = 8
 
 
-def forward_reference(target, die, n, s_min, ctx, jump_min=math.inf) -> TruncationSolution:
+def forward_reference(target, die, n, s_min, ctx, jump_min=math.inf,
+                      twins=False) -> TruncationSolution:
     """The forward kernel's rule on plain lists, for 0 <= s_min <= n.
 
     The row r is a floor twin and a ceiling twin, each a list of M ints on
     2^-c, c = ``fraction_bits(ctx)``, the scale of e too.  The targets,
     asked of ``target.membership``, split the states into runs of
-    non-target states.
+    non-target states.  rho = (2M + floor(M^2 / 2^CUT_GUARD)) (p - s_min)
+    bounds the floor twin's l1 deficit before state p.
 
     A run is stepped state by state: each state adds r[0] to e and maps r
     to ``r[1:] + r[0] / M`` with ``r[0] / M`` appended, the division
@@ -86,17 +88,25 @@ def forward_reference(target, die, n, s_min, ctx, jump_min=math.inf) -> Truncati
     ``min(g - span, max(g // M^2, jump_min))`` steps if ``span <= g``, and
     if span then equals g, r becomes ``r' = r A^g``, a full dot product per
     twin, using the power cut to what r's mass can see: with
-    ``cut = c - bitlen(sum(hi)) - CUT_GUARD`` (at least 0), each term of an
-    entry of A^g (the differences along its row, of which the entry is the
-    suffix sum) is divided by 2^cut, rounded down or up, and the products
-    are shifted by c - cut, rounded the same way.  e gains
+    ``cut = c - bitlen(sum(lo) + rho) - CUT_GUARD`` (at least 0), each term
+    of an entry of A^g (the differences along its row, of which the entry
+    is the suffix sum) is divided by 2^cut, rounded down or up, and the
+    products are shifted by c - cut, rounded the same way.  e gains
     ``2 (r' . (g+j) - r . j) / (M+1)`` over j = 0 .. M-1, rounded down with
-    the lower r' and the upper r, or up with the upper r' and the lower r.
+    the lower r' and ``lo . j + (M-1) rho`` for r . j, or up with the upper
+    r' and the lower r.
 
     A target then drops r[0]; a ceiling twin summing to 0 ends the walk.
+
+    The result takes the floor twin's e and sum(r) as its lower ends.  By
+    default its upper ends are the kernel's a priori ones: e_lo + W_E and
+    p_lo + W_P, with W_P = rho at p = N + 1 and W_E = (N - s_min + 1)
+    (4 W_P + 1), and p_hi = 0 once the walk has ended.  With ``twins`` they
+    are the ceiling twin's instead, the widths it measures.
     """
     m, bits = die.sides, fraction_bits(ctx)
     one = 1 << bits
+    rate = 2 * m + m * m // (1 << CUT_GUARD)
 
     def step(row, up):
         q = -(-row[0] // m) if up else row[0] // m
@@ -135,11 +145,12 @@ def forward_reference(target, die, n, s_min, ctx, jump_min=math.inf) -> Truncati
                     rows[i] = row
             span += d
         if jump_min <= g == span:
-            k = max(0, bits - sum(hi).bit_length() - CUT_GUARD)
+            rho = rate * (p - s_min)
+            k = max(0, bits - (sum(lo) + rho).bit_length() - CUT_GUARD)
             new_lo = [down(dot(lo, col), bits - k) for col in zip(*cut_rows(power[False], k, down))]
             new_hi = [up(dot(hi, col), bits - k) for col in zip(*cut_rows(power[True], k, up))]
             after, before = range(g, g + m), range(m)
-            e_lo += (2 * (dot(new_lo, after) - dot(hi, before))) // (m + 1)
+            e_lo += (2 * (dot(new_lo, after) - dot(lo, before) - (m - 1) * rho)) // (m + 1)
             e_hi += -((2 * (dot(lo, before) - dot(new_hi, after))) // (m + 1))
             lo, hi = new_lo, new_hi
         else:
@@ -152,9 +163,14 @@ def forward_reference(target, die, n, s_min, ctx, jump_min=math.inf) -> Truncati
         if not sum(hi):
             break
         p = t + 1
+    p_lo, p_hi = sum(lo), sum(hi)
+    if not twins:
+        width_p = rate * (n + 1 - s_min)
+        e_hi = e_lo + (n + 1 - s_min) * (4 * width_p + 1)
+        p_hi = p_lo + width_p if p_hi else 0
     return TruncationSolution(cutoff=n, start=s_min,
                               e_lo=Fraction(e_lo, one), e_hi=Fraction(e_hi, one),
-                              p_lo=Fraction(sum(lo), one), p_hi=Fraction(sum(hi), one))
+                              p_lo=Fraction(p_lo, one), p_hi=Fraction(p_hi, one))
 
 
 def fraction_tables(target, n, s_min, die):

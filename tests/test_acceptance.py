@@ -2,20 +2,16 @@
 
 Run with ``pytest -v tests/test_acceptance.py`` (add ``-s`` to see the
 pass lines inline).  Criterion 6 is the full 1,000+ digit reproduction;
-it takes about 5 s on a 2-vCPU Xeon and runs only when
-``HITTIME_EXTENDED=1``, as in CI's extended job.
+it takes about 2 s on a 2-vCPU Xeon and runs with the rest of the suite.
 """
 
 import itertools
 import json
-import os
 import time
 from decimal import ROUND_FLOOR, Decimal
 from fractions import Fraction
 
 from unittest import mock
-
-import pytest
 
 from conftest import agreed_digits, forward_reference, rational_to_decimal
 from hittime import walkmodel
@@ -126,9 +122,6 @@ def test_criterion_05_constants_at_zero_epsilon():
     report(5, "zero-envelope constants L, U", elapsed)
 
 
-@pytest.mark.extended
-@pytest.mark.skipif(os.environ.get("HITTIME_EXTENDED") != "1",
-                    reason="full K=7000 reproduction, in CI's extended job; set HITTIME_EXTENDED=1")
 def test_criterion_06_full_reproduction(capsys):
     t0 = time.perf_counter()
     code = main(["certify", "--K", "7000", "--precision", "1200"])

@@ -8,7 +8,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import agreed_digits, finite_targets, forward_reference, rational_to_decimal
@@ -159,8 +159,8 @@ def test_matches_exact_oracle_all_states():
 
 
 def test_streaming_matches_full_array_reference():
-    # the ring-buffer stepping equals the plain-list reference exactly,
-    # from every start state
+    # stepping every state in difference form equals the plain-list
+    # reference exactly, from every start state
     ctx = make_context(60)
     with mock.patch.object(walkmodel, "JUMP_MIN", 10**9):
         for s in range(1001):
@@ -257,17 +257,17 @@ def test_sweep_matches_materialized_tables(problem, sides, data):
     die = DieModel(sides)
     working = 30
     ctx = make_context(working)
-    e_tab, p_tab = dp_tables(target, n, s_min, die)
+    e, p = exact_dp(target, n, s_min, die)
     with mock.patch.object(walkmodel, "JUMP_MIN", 10**9):
         sol = solve_pair(target, die, n, s_min, ctx)
     assert sol == forward_reference(target, die, n, s_min, ctx)
     tolerance = Fraction(1, 10 ** (working - 5))
-    assert abs(Fraction(sol.e_n_value) - e_tab[0]) <= tolerance * e_tab[0]
+    assert abs(Fraction(sol.e_n_value) - e) <= tolerance * e
     width = Fraction(4 * sides * (n - s_min + 1), 1 << fraction_bits(ctx))
-    if tolerance * p_tab[0] >= width:
-        assert abs(Fraction(sol.overshoot_prob) - p_tab[0]) <= tolerance * p_tab[0]
+    if tolerance * p >= width:
+        assert abs(Fraction(sol.overshoot_prob) - p) <= tolerance * p
     else:
-        assert abs(Fraction(sol.overshoot_prob) - p_tab[0]) <= width
+        assert abs(Fraction(sol.overshoot_prob) - p) <= width
 
 
 @pytest.mark.parametrize("jump_min", [1, 10**9], ids=["jumping", "stepping"])
@@ -281,15 +281,69 @@ def test_kernel_encloses_exact_values(jump_min, problem, sides, data):
     s_min = data.draw(st.integers(0, n), label="s_min")
     die = DieModel(sides)
     ctx = make_context(30)
-    e_tab, p_tab = dp_tables(target, n, s_min, die)
+    e, p = exact_dp(target, n, s_min, die)
     with mock.patch.object(walkmodel, "JUMP_MIN", jump_min):
         enc = solve_pair(target, die, n, s_min, ctx)
-    assert enc.e_lo <= e_tab[0] <= enc.e_hi
-    assert enc.p_lo <= p_tab[0] <= enc.p_hi
-    assert (enc.p_hi == 0) == (p_tab[0] == 0)
+    assert enc.e_lo <= e <= enc.e_hi
+    assert enc.p_lo <= p <= enc.p_hi
+    assert (enc.p_hi == 0) == (p == 0)
     # solve_pair's absolute bound on P's width, for M(M + 1) <= 2^CUT_GUARD
     assert enc.p_hi - enc.p_lo <= Fraction(4 * sides * (n - s_min + 1),
                                            1 << fraction_bits(ctx))
+
+
+@st.composite
+def adversarial_walks(draw):
+    """A die, targets, cutoff, start state and JUMP_MIN that stress the widths.
+
+    Runs of non-target states alternate with blocks of consecutive
+    targets.  Each run is 0 .. 2 states longer than the one before (2 on
+    the squares, 0 on periodic targets), so the cached power keeps
+    reaching them, but for one that may be up to 300 states longer, which
+    is stepped.  Each block has 1 or 2 targets, fewer than M, but for one
+    of M - 1, M or M + 1.  The walk starts at or before the first target,
+    and the cutoff lies in the second half.  JUMP_MIN 1 .. 5 jumps the
+    runs the power reaches, with g < M on a 130-sided die (up to 4 runs,
+    as its plain-list reference is slow); 10**9 steps every state.
+    """
+    sides = draw(st.integers(2, 9) | st.just(130))
+    count = draw(st.integers(1, 40 if sides < 130 else 4))
+    grows = draw(st.lists(st.integers(0, draw(st.integers(0, 2))), min_size=count,
+                          max_size=count))
+    blocks = draw(st.lists(st.integers(1, min(2, sides - 1)), min_size=count, max_size=count))
+    longest = 300 if sides < 130 else 12
+    grows[draw(st.integers(0, count - 1))] += draw(st.just(0) | st.integers(0, longest))
+    blocks[draw(st.integers(0, count - 1))] = draw(st.sampled_from([sides - 1, sides, sides + 1]))
+    members, s, run = [], draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    for grow, block in zip(grows, blocks):
+        members += range(s, s + block)
+        s += block + run
+        run += grow
+    n = draw(st.integers(max(s // 2, members[0]), s))
+    s_min = draw(st.integers(0, members[0]))
+    jump_min = draw(st.integers(1, 5) | st.just(10**9))
+    return DieModel(sides), TargetSet.from_list(members), n, s_min, jump_min
+
+
+@settings(deadline=None)
+@given(problem=adversarial_walks())
+@example(problem=(DieModel(9), TargetSet.from_list(list(range(1, 400, 2))), 399, 0, 1))
+def test_a_priori_widths_cover_the_ceiling_twin(problem):
+    # the reference's ceiling twin rounds every step up and measures the
+    # widths of a two-sided enclosure on the kernel's own lower twin; the
+    # kernel's proven widths W_E and W_P (solve_pair) contain it, and its
+    # support rule ends the walk exactly where the ceiling twin reaches 0.
+    # The explicit example jumps every other state, where each jump's
+    # (M-1) rho weighs most: the measured E width is about 10% of W_E
+    die, target, n, s_min, jump_min = problem
+    ctx = make_context(30)
+    with mock.patch.object(walkmodel, "JUMP_MIN", jump_min):
+        sol = solve_pair(target, die, n, s_min, ctx)
+    twin = forward_reference(target, die, n, s_min, ctx, jump_min, twins=True)
+    assert (sol.e_lo, sol.p_lo) == (twin.e_lo, twin.p_lo)
+    assert twin.e_hi <= sol.e_hi
+    assert twin.p_hi <= sol.p_hi
+    assert (sol.p_hi == 0) == (twin.p_hi == 0)
 
 
 @pytest.mark.parametrize("k", [50, 500, 1200])
@@ -306,8 +360,8 @@ def test_overshoot_keeps_relative_precision_where_certify_runs(k):
 @given(problem=finite_targets() | st.integers(0, 300).map(lambda n: (n, SQUARES)),
        sides=st.integers(2, 9), data=st.data())
 def test_jumps_equal_full_product_reference(jump_min, problem, sides, data):
-    # the kernel's jumps, on row and twin differences, give the same
-    # integers as full products of both twins with the cached power
+    # the kernel's jumps, on the row's differences, give the same integers
+    # as full products of the reference's floor twin with the cached power
     n, target = problem
     s_min = data.draw(st.integers(0, n), label="s_min")
     die = DieModel(sides)
@@ -320,65 +374,59 @@ def test_jumps_equal_full_product_reference(jump_min, problem, sides, data):
 @settings(deadline=None)
 @given(sides=st.integers(2, 9), bits=st.integers(1, 160), data=st.data())
 def test_stepper_equals_plain_list_steps_and_drops(sides, bits, data):
-    # rows in difference form, newest first, r[j] = d[0] + ... + d[M-1-j],
+    # a row in difference form, newest first, r[j] = d[0] + ... + d[M-1-j],
     # stepped in pieces by the one stepper with targets between the pieces,
-    # give the entries, r[0] and the sum of r[0] of plain-list steps and
-    # drops, in both twins; in the power's wider window the values passed
-    # on (0 for a target) follow the row's differences
+    # gives the entries, r[0] and the sum of r[0] of plain-list steps and
+    # drops; in the power's wider window the values passed on (0 for a
+    # target) follow the row's differences
     m = sides
     width = data.draw(st.sampled_from([m, 2 * m - 1]), label="width")
     entry = st.just(0) | st.integers(0, 1 << bits)
-    plain = [data.draw(st.lists(entry, min_size=m, max_size=m), label="row") for _ in range(2)]
+    plain = data.draw(st.lists(entry, min_size=m, max_size=m), label="row")
     older = data.draw(st.lists(st.integers(-(1 << bits), 1 << bits), min_size=width - m,
                                max_size=width - m), label="older")
     # newest first: r[M-1], then r[j] - r[j+1] for j = M-2 .. 0
-    history = [[r[-1], *(a - b for a, b in zip(r[-2::-1], r[:0:-1])), *older] for r in plain]
-    rows = [deque(h, maxlen=width) for h in history]
-    r0 = [r[0] for r in plain]
+    history = [plain[-1], *(a - b for a, b in zip(plain[-2::-1], plain[:0:-1])), *older]
+    row = deque(history, maxlen=width)
+    r0 = plain[0]
     pieces = data.draw(st.lists(st.integers(0, 40) | st.none(), max_size=8), label="pieces")
     for piece in pieces:
         if piece is None:  # a target
-            walkmodel._drop(rows, r0, m)
-            plain = [r[1:] + [0] for r in plain]
-            history = [[0, *h] for h in history]
-            continue
-        sums = walkmodel._step(rows, r0, m, piece)
-        for up, r in enumerate(plain):
+            r0 = walkmodel._drop(row, r0, m)
+            plain = plain[1:] + [0]
+            history.insert(0, 0)
+        else:
+            r0, got = walkmodel._step(row, r0, m, piece)
             total = 0
             for _ in range(piece):
-                total += r[0]
-                x = -(-r[0] // m) if up else r[0] // m
-                r[:] = [v + x for v in r[1:]] + [x]
-                history[up].insert(0, x)
-            assert sums[up] == total
-        for r, q, h, c in zip(plain, rows, history, r0):
-            assert list(itertools.accumulate(list(q)[:m]))[::-1] == r
-            assert c == r[0]
-            assert list(q) == h[:width]
+                total += plain[0]
+                x = plain[0] // m
+                plain = [v + x for v in plain[1:]] + [x]
+                history.insert(0, x)
+            assert got == total
+        assert list(itertools.accumulate(list(row)[:m]))[::-1] == plain
+        assert r0 == plain[0]
+        assert list(row) == history[:width]
 
 
 @settings(deadline=None)
 @given(sides=st.integers(2, 9), bits=st.integers(1, 160),
        span=st.integers(0, 12) | st.integers(0, 300), data=st.data())
 def test_jump_products_equal_plain_dots(sides, bits, span, data):
-    # a jump's sums, from the shared base of the q windows and the upper
-    # twin's fused dots, equal plain dot products of each twin's row with
-    # its window of the power as the stepper builds it from e_0; spans
-    # below 2M - 1 leave q_(-M) = one and zeros in the windows
+    # a jump's sums, from the shared base of the q window, equal plain dot
+    # products of the row with its window of the power as the stepper
+    # builds it from e_0; spans below 2M - 1 leave q_(-M) = one and zeros
+    # in the window
     m, one = sides, 1 << bits
-    power = [deque([0] * (m - 1) + [one] + [0] * (m - 1), maxlen=2 * m - 1) for _ in range(2)]
-    walkmodel._step(power, [one, one], m, span)
-    windows = [list(q) for q in power]
+    power = deque([0] * (m - 1) + [one] + [0] * (m - 1), maxlen=2 * m - 1)
+    walkmodel._step(power, one, m, span)
+    q = list(power)
     entry = st.just(0) | st.integers(0, one << 64)
-    lo = data.draw(st.lists(entry, min_size=m, max_size=m), label="lo")
-    slack = data.draw(st.lists(st.just(0) | st.integers(0, 1 << 80), min_size=m, max_size=m),
-                      label="slack")
-    hi = list(map(sum, zip(lo, slack)))
-    # the kernel passes r[M-1] .. r[0] and the windows oldest first; here
+    row = data.draw(st.lists(entry, min_size=m, max_size=m), label="row")
+    # the kernel passes r[M-1] .. r[0] and the window oldest first; here
     # q[k] is q_(span-1-k)
-    sums = walkmodel._jump_products(lo[::-1], hi[::-1], *(q[::-1] for q in windows))
-    for row, q, got in zip((lo, hi), windows, sums):
-        assert got == [sum(x * y for x, y in zip(row, q[k:k + m])) for k in range(m)]
+    got = walkmodel._jump_products(row[::-1], q[::-1])
+    assert got == [sum(x * y for x, y in zip(row, q[k:k + m])) for k in range(m)]
 
 
 @settings(deadline=None)
