@@ -7,6 +7,9 @@ across each long gap between targets, and, for the perfect-square
 target, wraps the result in a rigorously bounded two-sided error
 interval so that a stated number of leading decimal digits is provably
 correct.
+
+The names re-exported from :mod:`hittime.oracle` load it, and numpy with
+it, on first use, so importing the package does not import numpy.
 """
 
 __version__ = "0.1.0"
@@ -30,13 +33,6 @@ from .numerics import (
     PrecisionTooLowError,
     digit_string,
     make_context,
-)
-from .oracle import (
-    McConfig,
-    McResult,
-    dp_tables,
-    exact_dp,
-    simulate_hitting,
 )
 from .walkmodel import (
     DieModel,
@@ -71,3 +67,12 @@ __all__ = [
     "McConfig",
     "McResult",
 ]
+
+_ORACLE_NAMES = frozenset({"dp_tables", "exact_dp", "simulate_hitting", "McConfig", "McResult"})
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -34,7 +34,7 @@ from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal
 from fractions import Fraction
 from typing import Iterator, TextIO
 
-from . import __version__, certify, hitprob, oracle, walkmodel
+from . import __version__, certify, hitprob, walkmodel
 from .numerics import PrecisionTooLowError, digit_string, make_context, round_to_digits
 from .walkmodel import ConfigError
 
@@ -280,6 +280,8 @@ def cmd_roots(args, out: TextIO) -> int:
 
 
 def cmd_simulate(args, out: TextIO) -> int:
+    from . import oracle  # numpy, which no other command needs
+
     target = _parse_target(args.target)
     die = walkmodel.DieModel(args.die)
     cfg = oracle.McConfig(trials=args.trials, seed=args.seed, die=die,
@@ -381,10 +383,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (hitprob.RootRefinementError, oracle.AllTrialsCappedError, ArithmeticError,
-            ValueError) as exc:
+    except (hitprob.RootRefinementError, ArithmeticError, ValueError) as exc:
         # any ValueError but a ConfigError is internal, certify's
-        # DivergentSeriesError and InvertedIntervalError among them
+        # DivergentSeriesError and InvertedIntervalError among them;
+        # ArithmeticError holds oracle's AllTrialsCappedError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

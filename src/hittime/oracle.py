@@ -4,9 +4,12 @@
 over dense arrays in integers scaled by powers of M, and returns exact
 rationals; the solver's bounds must contain its values.
 ``simulate_hitting`` rolls the raw process with a counter-based Philox
-generator, so a run is reproducible from its seed.  It draws die faces
-directly as bounded integers, a short slice of rolls at a time and only
-for the walks still running, so it draws no roll that no walk reads.
+generator, so a run is reproducible from its seed.  It keeps one pool of
+running walks and steps it in slices of a few rolls: walks that finish
+leave after each slice and the next waiting trials take their places, so
+every slice is as wide as the pool allows and no roll is drawn that no
+walk reads.  Faces are drawn as bounded integers in the narrowest type
+that holds M, one byte for a die of up to 255 sides, and widened once.
 Each slice is a (walks x width) array, and every pass over it runs down
 its long axis: prefix sums add one column into the next, the last column
 holds each walk's largest sum, and the first hit of each walk is read
@@ -16,7 +19,6 @@ from its membership row taken as 64-bit words.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,18 +40,17 @@ __all__ = [
 
 EXACT_DP_MAX_N = 5000
 
-# Trials are simulated this many at once, and each chunk's walks roll
-# slices of these widths in turn, drawing rolls only for the walks still
-# running.  On the squares E[T] is about 7 and only a tenth of the walks
-# outlast 16 rolls, so short first slices draw little that no walk reads.
-# Both sizes fix which draw drives which roll, so changing either changes
-# every seed's estimate.  A chunk's first slice, (1 << 14) x 8 int64 rolls
-# or 1 MB, is the largest array the loop holds; its prefix sums are 7
-# column adds and its first hits one 64-bit word per walk.  A finite
-# target's membership table (one bool per state up to the highest one a
-# walk can reach) is capped at _TABLE_MAX states.
-_TRIAL_CHUNK = 1 << 14
-_SLICE_WIDTHS = (8, 8, 16, 32)
+# At most this many walks run at once, each slice rolls each of them this
+# many times, and a finished walk's place goes to the next waiting trial.
+# On the squares E[T] is about 7, so an 8-roll slice retires most of the
+# pool and few drawn rolls go unread.  Both sizes fix which draw drives
+# which roll, so changing either changes every seed's estimate.  A slice's
+# (1 << 14) x 8 int64 running sums, 1 MB, are the largest array the loop
+# holds; its prefix sums are 7 column adds and its first hits one 64-bit
+# word per walk.  A finite target's membership table (one bool per state
+# up to the highest one a walk can reach) is capped at _TABLE_MAX states.
+_POOL = 1 << 14
+_SLICE = 8
 _TABLE_MAX = 1 << 27
 
 
@@ -57,8 +58,11 @@ class SizeCapError(ConfigError):
     """Exact solve or simulation table requested beyond its size cap."""
 
 
-class AllTrialsCappedError(RuntimeError):
-    """Every simulated trial hit the step cap; no estimate is possible."""
+class AllTrialsCappedError(ArithmeticError):
+    """Every simulated trial hit the step cap; no estimate is possible.
+
+    The mean over no completed trial is 0/0, hence an ``ArithmeticError``.
+    """
 
 
 def dp_tables(target: TargetSet, n: int, s_min: int = 0,
@@ -157,7 +161,8 @@ class McConfig:
             # Philox keys are 128-bit
             raise ConfigError(f"seed must lie in [0, 2^128), got {self.seed}")
         if self.start + self.max_steps * self.die.sides > np.iinfo(np.int64).max:
-            # The walks' int64 sums would wrap to negative values.
+            # The walks' int64 sums would wrap to negative values.  No walk
+            # rolls past max_steps, since simulate_hitting trims its slices.
             raise ConfigError("start + max_steps * die sides must stay below 2^63")
 
 
@@ -265,14 +270,19 @@ def simulate_hitting(cfg: McConfig) -> McResult:
     horizon without hitting (after which the monotone walk provably never
     hits), are counted in ``capped_trials`` and excluded from the mean.
 
-    Each chunk of trials is rolled in slices of ``_SLICE_WIDTHS`` rolls,
-    taken in turn; a slice draws rolls for the walks still running only,
-    and a walk that hits or passes the horizon within a slice leaves at
-    its end, so no roll is drawn that no walk reads.  A slice's running
-    sums are formed by adding each column into the next, and its last
-    column, every walk's largest sum, decides whether the squares' lookup
-    table covers the slice.  :func:`_first_hits` reads which walks hit
-    and on which roll from the membership rows as 64-bit words.
+    One pool of at most ``_POOL`` walks is stepped ``_SLICE`` rolls at a
+    time, fewer when a walk would otherwise roll past ``max_steps``.  A
+    slice draws a (walks x width) array of faces in the narrowest integer
+    type that holds M (``np.min_scalar_type``) and widens it once to int64
+    for the running sums, formed by adding each column into the next.
+    The last column, every walk's largest sum, decides whether the
+    squares' lookup table covers the slice, and :func:`_first_hits` reads
+    which walks hit and on which roll from the membership rows as 64-bit
+    words.  After the slice, walks that hit, passed the horizon or reached
+    ``max_steps`` leave, the others keep their order, and the next waiting
+    trials join at the end with sum ``start`` and no rolls.  Each walk
+    carries its roll count, so a hit on the slice's roll i is
+    T = rolls + 1 + i.
 
     A finite target is looked up in a bool table over the states up to
     ``min(horizon, start + max_steps * M)``; :class:`SizeCapError` is
@@ -295,40 +305,51 @@ def simulate_hitting(cfg: McConfig) -> McResult:
         table[target.members_upto(top)] = True
 
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
+    face = np.min_scalar_type(m)
     completed = 0
     capped = 0
     sum_t = 0
     sum_t_sq = 0
-    remaining = cfg.trials
-    while remaining > 0:
-        chunk = min(remaining, _TRIAL_CHUNK)
-        remaining -= chunk
-        sums = np.full(chunk, cfg.start, dtype=np.int64)  # the running walks' sums
-        steps_done = 0
-        for width in itertools.cycle(_SLICE_WIDTHS):
-            if sums.size == 0 or steps_done >= cfg.max_steps:
-                break
-            width = min(width, cfg.max_steps - steps_done)
-            paths = rng.integers(1, m + 1, size=(sums.size, width), dtype=np.int64)
-            # Prefix sums column by column: the columns are long and the rows short.
-            paths[:, 0] += sums
-            for j in range(1, width):
-                paths[:, j] += paths[:, j - 1]
-            sums = paths[:, -1]  # each walk's largest sum, since faces are at least 1
-            hit_any, first = _first_hits(_membership_mask(table, paths, int(sums.max())))
-            if first.size:
-                t_vals = steps_done + 1 + first
-                completed += t_vals.size
-                sum_t += int(t_vals.sum())
-                sum_t_sq += int((t_vals * t_vals).sum())
-            keep = ~hit_any
-            if bound is not None:
-                # Past the declared bound the walk can never be seen to hit.
-                dead = keep & (sums > bound)
-                capped += int(dead.sum())
-                keep &= ~dead
-            sums = sums[keep]
-            steps_done += width
-        capped += sums.size
+    waiting = cfg.trials
+    sums = np.empty(0, dtype=np.int64)  # the running walks' sums, in pool order
+    rolls = np.empty(0, dtype=np.int64)  # and how many rolls each has taken
+    while True:
+        join = min(waiting, _POOL - sums.size)
+        if join:
+            waiting -= join
+            sums = np.concatenate((sums, np.full(join, cfg.start, dtype=np.int64)))
+            rolls = np.concatenate((rolls, np.zeros(join, dtype=np.int64)))
+        if sums.size == 0:
+            break
+        # Walks at max_steps have left, so the width is at least 1.
+        width = min(_SLICE, cfg.max_steps - int(rolls.max()))
+        paths = rng.integers(1, m + 1, size=(sums.size, width), dtype=face).astype(np.int64)
+        # Prefix sums column by column: the columns are long and the rows short.
+        paths[:, 0] += sums
+        for j in range(1, width):
+            paths[:, j] += paths[:, j - 1]
+        # Each walk's largest sum, since faces are at least 1, is copied out,
+        # so the slice is freed before its first hits are read; no two
+        # slices' arrays are ever held at once.
+        sums = paths[:, -1].copy()
+        hits = _membership_mask(table, paths, int(sums.max()))
+        del paths
+        hit_any, first = _first_hits(hits)
+        del hits
+        if first.size:
+            t_vals = rolls[hit_any] + 1 + first
+            completed += t_vals.size
+            sum_t += int(t_vals.sum())
+            sum_t_sq += int((t_vals * t_vals).sum())
+        rolls += width
+        done = rolls >= cfg.max_steps
+        if bound is not None:
+            # Past the declared bound the walk can never be seen to hit.
+            done |= sums > bound
+        keep = ~hit_any
+        capped += int(np.count_nonzero(keep & done))
+        keep &= ~done
+        sums = sums[keep]
+        rolls = rolls[keep]
 
     return _result_from_sums(completed, capped, sum_t, sum_t_sq)

@@ -220,21 +220,24 @@ def finite_targets(draw):
     return n, TargetSet(frozenset(h for h, flag in enumerate(flags) if flag), bound)
 
 
-# The Monte Carlo draw's shape: trials per chunk and the roll-slice widths
-# taken in turn.  mc_reference keeps its own copy, so a change to the
-# oracle's draw fails the equality test instead of moving both sides.
-MC_TRIAL_CHUNK = 1 << 14
-MC_SLICE_WIDTHS = (8, 8, 16, 32)
+# The Monte Carlo draw's shape: walks running at once and rolls per
+# slice.  mc_reference keeps its own copy, so a change to the oracle's
+# draw fails the equality test instead of moving both sides.
+MC_POOL = 1 << 14
+MC_SLICE = 8
 
 
 def mc_reference(cfg) -> McResult:
-    """``simulate_hitting``'s draw, kept over walk indices into one sums array.
+    """``simulate_hitting``'s draw, kept over walk indices into per-trial arrays.
 
-    Each chunk of at most ``MC_TRIAL_CHUNK`` walks rolls slices of
-    ``MC_SLICE_WIDTHS`` rolls in turn.  A slice draws a (running walks) x
-    width array of faces 1 .. M in walk order; a walk that hits in it
-    records the roll it hit on and leaves, and so does a walk whose sum
-    ends the slice past a finite target's horizon, counted as capped.
+    ``pool`` lists the running walks' trial indices in pool order.  Each
+    slice draws a (pool size) x width array of faces 1 .. M in the
+    narrowest type that holds M, the width being ``MC_SLICE`` or what the
+    walk with most rolls has left of ``max_steps``.  A walk that hits in
+    it records T = its earlier rolls + the roll it hit on, and leaves; so
+    does a walk that ends the slice past a finite target's horizon or
+    after ``max_steps`` rolls, counted as capped.  The next trials by
+    index then join at the end of the pool until it holds ``MC_POOL``.
     Targets are found by ``np.isin`` against the squares of the roots
     ``math.isqrt`` brackets, or against the finite target's member list.
     """
@@ -246,47 +249,43 @@ def mc_reference(cfg) -> McResult:
         return _result_from_sums(cfg.trials, 0, 0, 0)
     members = None if bound is None else target.members_upto(bound)
 
+    sums = np.full(cfg.trials, cfg.start, dtype=np.int64)
+    rolls = np.zeros(cfg.trials, dtype=np.int64)
+    pool = np.arange(min(cfg.trials, MC_POOL))
+    joined = pool.size
     completed = 0
     capped = 0
     sum_t = 0
     sum_t_sq = 0
-    remaining = cfg.trials
-    while remaining > 0:
-        chunk = min(remaining, MC_TRIAL_CHUNK)
-        remaining -= chunk
-        sums = np.full(chunk, cfg.start, dtype=np.int64)
-        alive = np.arange(chunk)
-        steps_done = 0
-        turn = 0
-        while alive.size > 0 and steps_done < cfg.max_steps:
-            width = min(MC_SLICE_WIDTHS[turn % len(MC_SLICE_WIDTHS)],
-                        cfg.max_steps - steps_done)
-            turn += 1
-            rolls = rng.integers(1, m + 1, size=(alive.size, width), dtype=np.int64)
-            paths = sums[alive, None] + np.cumsum(rolls, axis=1)
-            if members is None:
-                roots = np.arange(math.isqrt(int(paths.min())),
-                                  math.isqrt(int(paths.max())) + 1)
-                hits = np.isin(paths, roots * roots)
-            else:
-                hits = np.isin(paths, members)
-            hit_any = hits.any(axis=1)
-            first = np.argmax(hits, axis=1)
-            if hit_any.any():
-                t_vals = steps_done + first[hit_any] + 1
-                completed += int(hit_any.sum())
-                sum_t += int(t_vals.sum())
-                sum_t_sq += int((t_vals * t_vals).sum())
-            survivors = ~hit_any
-            sums[alive[survivors]] = paths[survivors, -1]
-            alive = alive[survivors]
-            if bound is not None and alive.size > 0:
-                # Past the declared bound the walk can never be seen to hit.
-                dead = sums[alive] > bound
-                capped += int(dead.sum())
-                alive = alive[~dead]
-            steps_done += width
-        capped += alive.size
+    while pool.size > 0:
+        width = min(MC_SLICE, cfg.max_steps - int(rolls[pool].max()))
+        faces = rng.integers(1, m + 1, size=(pool.size, width), dtype=np.min_scalar_type(m))
+        paths = sums[pool, None] + np.cumsum(faces, axis=1, dtype=np.int64)
+        if members is None:
+            roots = np.arange(math.isqrt(int(paths.min())),
+                              math.isqrt(int(paths.max())) + 1)
+            hits = np.isin(paths, roots * roots)
+        else:
+            hits = np.isin(paths, members)
+        hit_any = hits.any(axis=1)
+        first = np.argmax(hits, axis=1)
+        if hit_any.any():
+            t_vals = rolls[pool[hit_any]] + first[hit_any] + 1
+            completed += int(hit_any.sum())
+            sum_t += int(t_vals.sum())
+            sum_t_sq += int((t_vals * t_vals).sum())
+        sums[pool] = paths[:, -1]
+        rolls[pool] += width
+        pool = pool[~hit_any]
+        out = rolls[pool] == cfg.max_steps
+        if bound is not None:
+            # Past the declared bound the walk can never be seen to hit.
+            out |= sums[pool] > bound
+        capped += int(out.sum())
+        pool = pool[~out]
+        fresh = min(cfg.trials - joined, MC_POOL - pool.size)
+        pool = np.concatenate([pool, np.arange(joined, joined + fresh)])
+        joined += fresh
 
     return _result_from_sums(completed, capped, sum_t, sum_t_sq)
 
@@ -314,7 +313,7 @@ def simulate_ever_hit(n: int, trials: int, seed: int,
     m = die.sides
     hits = 0
     remaining = trials
-    chunk_size = max(1, min(MC_TRIAL_CHUNK, (1 << 21) // n))
+    chunk_size = max(1, min(MC_POOL, (1 << 21) // n))
     while remaining > 0:
         chunk = min(remaining, chunk_size)
         remaining -= chunk

@@ -8,6 +8,8 @@ import itertools
 import json
 import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from decimal import ROUND_CEILING, Decimal
 from fractions import Fraction
@@ -487,6 +489,15 @@ def test_roots_printed_residuals(capsys):
         for coeff in (-1, -1, -1, -1, -1, -1):
             val = val * x + coeff
         assert abs(val) < 6 * tol
+
+
+def test_import_leaves_numpy_unloaded():
+    # only simulate needs numpy; the package and the CLI load it on first use
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import hittime, hittime.cli, sys; assert 'numpy' not in sys.modules; "
+            "hittime.simulate_hitting; assert 'numpy' in sys.modules")
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_simulate_deterministic(capsys):

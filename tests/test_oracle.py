@@ -1,6 +1,7 @@
 """Exact-rational ground truth and Monte Carlo cross-checks."""
 
 import tracemalloc
+import warnings
 from fractions import Fraction
 from functools import reduce
 
@@ -97,11 +98,14 @@ MC_TARGETS = st.one_of(
 @settings(deadline=None)
 @given(target=MC_TARGETS, sides=st.integers(2, 9),
        start=st.sampled_from([0, 10, 10**10 + 1]),
-       # both sides of each slice edge of the first cycle (8, 16, 32, 64), and the second cycle
-       max_steps=st.sampled_from([1, 7, 8, 9, 16, 17, 32, 33, 64, 65, 130]),
-       trials=st.sampled_from([1, 16384, 16385]), seed=st.integers(0, 2**63))
+       # both sides of the first two slice edges (8 and 16), and 12, where
+       # walks at 8 rolls trim the slice that fresh walks start in
+       max_steps=st.sampled_from([1, 7, 8, 9, 12, 15, 16, 17, 130]),
+       # one walk, a full pool, one waiting trial, and 3616 waiting trials,
+       # fewer than the squares' first slice frees places
+       trials=st.sampled_from([1, 16384, 16385, 20000]), seed=st.integers(0, 2**63))
 def test_simulation_equals_reference_loop(target, sides, start, max_steps, trials, seed):
-    # the oracle's slice loop gives the reference loop's result field for
+    # the oracle's pool gives the reference loop's result field for
     # field, or its error
     cfg = McConfig(trials=trials, seed=seed, die=DieModel(sides), target=target,
                    start=start, max_steps=max_steps)
@@ -223,6 +227,17 @@ def test_simulation_all_capped():
     with pytest.raises(AllTrialsCappedError):
         # start above the only element: no trial can ever hit
         simulate_hitting(McConfig(trials=50, seed=9, target=target, start=5))
+
+
+def test_simulation_at_the_int64_edge():
+    # walks 9 rolls from 2^63 - 1 meet no square; each slice is trimmed
+    # to what max_steps leaves, so no sum wraps (a 16th roll would, and
+    # the float sqrt of a negative sum warns)
+    cfg = McConfig(trials=1 << 14, seed=1, start=2**63 - 1 - 6 * 9, max_steps=9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AllTrialsCappedError):
+            simulate_hitting(cfg)
 
 
 def test_simulate_config_validation():

@@ -301,8 +301,8 @@ def adversarial_walks(draw):
     the squares, 0 on periodic targets), so the cached power keeps
     reaching them, but for one that may be up to 300 states longer, which
     is stepped.  Each block has 1 or 2 targets, fewer than M, but for one
-    of M - 1, M or M + 1.  The walk starts at or before the first target,
-    and the cutoff lies in the second half.  JUMP_MIN 1 .. 5 jumps the
+    of M - 1, M or M + 1.  The first target lies at 1 .. 3 and the walk
+    starts before it, and the cutoff lies in the second half.  JUMP_MIN 1 .. 5 jumps the
     runs the power reaches, with g < M on a 130-sided die (up to 4 runs,
     as its plain-list reference is slow); 10**9 steps every state.
     """
@@ -314,13 +314,13 @@ def adversarial_walks(draw):
     longest = 300 if sides < 130 else 12
     grows[draw(st.integers(0, count - 1))] += draw(st.just(0) | st.integers(0, longest))
     blocks[draw(st.integers(0, count - 1))] = draw(st.sampled_from([sides - 1, sides, sides + 1]))
-    members, s, run = [], draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    members, s, run = [], draw(st.integers(1, 3)), draw(st.integers(1, 3))
     for grow, block in zip(grows, blocks):
         members += range(s, s + block)
         s += block + run
         run += grow
     n = draw(st.integers(max(s // 2, members[0]), s))
-    s_min = draw(st.integers(0, members[0]))
+    s_min = draw(st.integers(0, members[0] - 1))
     jump_min = draw(st.integers(1, 5) | st.just(10**9))
     return DieModel(sides), TargetSet.from_list(members), n, s_min, jump_min
 
@@ -328,6 +328,7 @@ def adversarial_walks(draw):
 @settings(deadline=None)
 @given(problem=adversarial_walks())
 @example(problem=(DieModel(9), TargetSet.from_list(list(range(1, 400, 2))), 399, 0, 1))
+@example(problem=(DieModel(6), TargetSet.from_list([2, 3, 9, 10, 20]), 20, 2, 1))  # starts on a target
 def test_a_priori_widths_cover_the_ceiling_twin(problem):
     # the reference's ceiling twin rounds every step up and measures the
     # widths of a two-sided enclosure on the kernel's own lower twin; the
