@@ -30,6 +30,7 @@ The result, a :class:`TruncationSolution`, holds both enclosures as exact
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 import operator
@@ -198,7 +199,13 @@ class TargetSet:
         self.ensure_bound(n)
         if self.elements is None:
             return [k * k for k in range(1, math.isqrt(n) + 1)]
-        return sorted(h for h in self.elements if h <= n)
+        return list(self._ascending[:bisect.bisect_right(self._ascending, n)])
+
+    @functools.cached_property
+    def _ascending(self) -> tuple[int, ...]:
+        # sorted once per target; a cached_property writes the instance
+        # dict directly, which a frozen dataclass allows
+        return tuple(sorted(self.elements))
 
     @property
     def horizon(self) -> int | None:
@@ -424,6 +431,31 @@ def solve_pair(target: TargetSet, die: DieModel, n: int, s_min: int,
     a die with faces 1 .. M steps over no shorter block, or at s_min itself
     when it is a target.  Then e is final, lo = 0 (0 <= lo <= r), and the
     walk ends with ``p_hi = 0``: ``p_hi == 0`` exactly when P is 0.
+
+    *A zero row.*  Every difference lo passes on is nonnegative: a step
+    passes a floor of lo[0] / M >= 0, a target passes 0, and a jump's
+    ``new`` is nondecreasing, floors of partial sums of nonnegative
+    products plus lo shifted by g.  So lo[0], the sum of the last M of
+    them, is lo's largest entry, and lo is zero exactly when lo[0] is 0.
+    Once it is, after a target, the walk steps, jumps and advances the
+    power no more:
+
+    * a zero row stays zero: a step passes on 0 / M = 0, a target shifts
+      zeros, and a jump's products are 0;
+    * e_lo is already a lower bound: r >= lo = 0, so every exact
+      contribution to e still to come, r[0] per state, is nonnegative,
+      and ``e_lo <= e <= E_N(s_min)``;
+    * W_E still covers the gap: a = sum(r) does not rise after the stop
+      (A keeps the l1 norm, a target drops an entry), so each skipped
+      state adds at most ``r[0] <= a <= W_P`` and each skipped jump over
+      g states at most ``g a <= g (4 W_P + 1)``, within their shares of
+      W_E;
+    * W_P and the support rule are unchanged: ``p_lo = 0`` and
+      ``P = a <= W_P``, and the support rule runs on over the targets
+      left, so ``p_hi == 0`` still holds exactly when P is 0.
+
+    A jump after the stop no longer subtracts its ``2 (M-1) rho / (M+1)``,
+    so e_lo can only rise, toward E_N.
     """
     if n < 0:
         raise ValueError("cutoff must be nonnegative")
@@ -506,6 +538,11 @@ def _forward(members: list[int], m: int, n: int, s_min: int, bits: int,
             break  # no walk survives: e is final and P is 0
         covered(t)
         p = t + 1
+        if not row0:
+            # a zero row stays zero (see solve_pair): only the support
+            # rule runs on, over the targets left
+            support = _support_left(members[gap + 1:], p, support, m)
+            break
     p_lo = sum(itertools.accumulate(row))
     width_p = rate * (n + 1 - s_min)
     width_e = (n + 1 - s_min) * (4 * width_p + 1)
@@ -530,6 +567,16 @@ def _step(row: deque, r0: int, m: int, g: int) -> tuple[int, int]:
         r0 += x - row[oldest]
         push(x)
     return r0, total
+
+
+def _support_left(members: list[int], p: int, support: int, m: int) -> int:
+    """The support rule of solve_pair over ``members``, from state p on; 0 ends it."""
+    for t in members:
+        support = (m if t > p else support) - 1
+        if not support:
+            break
+        p = t + 1
+    return support
 
 
 def _drop(row: deque, r0: int, m: int) -> int:

@@ -69,7 +69,7 @@ CUT_GUARD = 8
 
 
 def forward_reference(target, die, n, s_min, ctx, jump_min=math.inf,
-                      twins=False) -> TruncationSolution:
+                      twins=False, zero_row_stops=True) -> TruncationSolution:
     """The forward kernel's rule on plain lists, for 0 <= s_min <= n.
 
     The row r is a floor twin and a ceiling twin, each a list of M ints on
@@ -94,7 +94,11 @@ def forward_reference(target, die, n, s_min, ctx, jump_min=math.inf,
     products are shifted by c - cut, rounded the same way.  e gains
     ``2 (r' . (g+j) - r . j) / (M+1)`` over j = 0 .. M-1, rounded down with
     the lower r' and ``lo . j + (M-1) rho`` for r . j, or up with the upper
-    r' and the lower r.
+    r' and the lower r.  A floor twin that is all zero adds nothing to
+    e_lo, jumped or stepped: a zero row stays zero, and the exact terms
+    still to come are nonnegative.  With ``zero_row_stops`` False its
+    jumps still add their negative ``-2 (M-1) rho / (M+1)``, the rule
+    before the kernel stopped at a zero row.
 
     A target then drops r[0]; a ceiling twin summing to 0 ends the walk.
 
@@ -150,7 +154,8 @@ def forward_reference(target, die, n, s_min, ctx, jump_min=math.inf,
             new_lo = [down(dot(lo, col), bits - k) for col in zip(*cut_rows(power[False], k, down))]
             new_hi = [up(dot(hi, col), bits - k) for col in zip(*cut_rows(power[True], k, up))]
             after, before = range(g, g + m), range(m)
-            e_lo += (2 * (dot(new_lo, after) - dot(lo, before) - (m - 1) * rho)) // (m + 1)
+            if any(lo) or not zero_row_stops:
+                e_lo += (2 * (dot(new_lo, after) - dot(lo, before) - (m - 1) * rho)) // (m + 1)
             e_hi += -((2 * (dot(lo, before) - dot(new_hi, after))) // (m + 1))
             lo, hi = new_lo, new_hi
         else:

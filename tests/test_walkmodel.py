@@ -490,6 +490,49 @@ def test_jumps_equal_full_product_reference_at_scale(sides, k):
     assert sol == forward_reference(SQUARES, die, k * k, 0, ctx, walkmodel.JUMP_MIN)
 
 
+# Every odd state up to 1499 is a target: at 30 digits the kernel's row
+# is zero by then (P_1500 ~ 10^-108 against a 2^-278 grid).
+ODD_TARGETS = list(range(1, 1500, 2))
+
+
+@pytest.mark.parametrize("block", [True, False], ids=["block", "no-block"])
+def test_vanished_row_keeps_the_support_rule(block):
+    # after the row vanishes the kernel covers no more states, but the
+    # targets left still decide P = 0: sparse targets 50 apart, and with
+    # `block` M = 6 consecutive ones at 3000, which no walk steps over
+    ctx = make_context(30)
+    assert solve_pair(TargetSet.from_list(ODD_TARGETS), D6, 1500, 0, ctx).p_lo == 0
+    members = ODD_TARGETS + list(range(1550, 4001, 50))
+    if block:
+        members = sorted(set(members) | set(range(3000, 3006)))
+    target, n = TargetSet.from_list(members), 4000
+    sol = solve_pair(target, D6, n, 0, ctx)
+    e, p = exact_dp(target, n, 0)
+    assert sol == forward_reference(target, D6, n, 0, ctx, walkmodel.JUMP_MIN)
+    assert sol.e_lo <= e <= sol.e_hi
+    assert sol.p_lo <= p <= sol.p_hi
+    if block:
+        assert sol.p_hi == 0 == p
+    else:
+        assert sol.p_lo == 0 < p < sol.p_hi
+
+
+def test_jumps_after_the_vanished_row_add_nothing():
+    # runs of 199 states follow the vanishing, and from the second one on
+    # the cached power reaches them: the kernel skips those jumps, where
+    # the rule without the stop subtracts each one's 2 (M-1) rho / (M+1)
+    ctx = make_context(30)
+    target, n = TargetSet.from_list(ODD_TARGETS + list(range(1700, 5001, 200))), 5000
+    sol = solve_pair(target, D6, n, 0, ctx)
+    e, p = exact_dp(target, n, 0)
+    assert sol == forward_reference(target, D6, n, 0, ctx, walkmodel.JUMP_MIN)
+    assert sol.e_lo <= e <= sol.e_hi
+    assert sol.p_lo <= p <= sol.p_hi
+    unstopped = forward_reference(target, D6, n, 0, ctx, walkmodel.JUMP_MIN,
+                                  zero_row_stops=False)
+    assert sol.e_lo > unstopped.e_lo
+
+
 def test_jumping_and_stepping_kernels_intersect_on_squares():
     working = 100
     ctx = make_context(working)
@@ -555,3 +598,24 @@ def test_target_file_round_trip_property(tmp_path_factory, elements, slack):
     limit = elements[-1] + 10 if bound is None else bound
     assert parsed.declared_bound == bound
     assert parsed.members_upto(limit) == elements
+
+
+@settings(deadline=None)
+@given(elements=st.lists(st.integers(0, 500), min_size=1, unique=True),
+       slack=st.none() | st.integers(0, 100),
+       cutoffs=st.lists(st.integers(0, 700), min_size=1, max_size=5))
+def test_members_upto_equals_sorted_filter(elements, slack, cutoffs):
+    # repeated calls on one target, built from a set in any order or from
+    # the sorted list, equal a fresh sort of the elements up to the
+    # cutoff; a bounded target refuses cutoffs past its bound, and the
+    # squares list theirs
+    bound = None if slack is None else max(elements) + slack
+    targets = (TargetSet(frozenset(elements), bound), TargetSet.from_list(sorted(elements), bound))
+    for n in cutoffs:
+        for target in targets:
+            if bound is not None and n > bound:
+                with pytest.raises(CutoffExceedsBoundError):
+                    target.members_upto(n)
+            else:
+                assert target.members_upto(n) == sorted(h for h in elements if h <= n)
+        assert SQUARES.members_upto(n) == [h for h in range(n + 1) if SQUARES.membership(h)]
