@@ -13,7 +13,7 @@ that holds M, one byte for a die of up to 255 sides, and widened once.
 Each slice is a (walks x width) array, and every pass over it runs down
 its long axis: prefix sums add one column into the next, the last column
 holds each walk's largest sum, and the first hit of each walk is read
-from its membership row taken as 64-bit words.
+from its membership row taken as one 64-bit word.
 """
 
 from __future__ import annotations
@@ -235,29 +235,23 @@ def _first_hits(hits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The rows of a 2-D bool array that hold a True, and each one's first column.
 
     Returns a bool array over the rows and, for the rows it marks, in
-    order, the int64 column of their first True.  Each row is read as
-    little-endian 64-bit words of eight bools, padded with False to a
-    multiple of eight columns.  In a nonzero word x, x & -x keeps the
-    lowest set bit, bit 8b of the first True byte b, and multiplying it
-    by 0x0001020304050607 moves b into the top byte (the int64 product
-    wraps, and b <= 7 leaves the sign bit clear).  A row of several words
-    finds its first nonzero word the same way, from the row of
-    ``words != 0``.
+    order, the int64 column of their first True.  Each row, at most
+    ``_SLICE`` = 8 columns wide, is read as one little-endian 64-bit word
+    of eight bools, padded with False to eight columns; a wider row
+    raises.  In a nonzero word x, x & -x keeps the lowest set bit, bit 8b
+    of the first True byte b, and multiplying it by 0x0001020304050607
+    moves b into the top byte (the int64 product wraps, and b <= 7 leaves
+    the sign bit clear).
     """
     rows, width = hits.shape
     if width % 8:
         padded = np.zeros((rows, width + (-width) % 8), dtype=bool)
         padded[:, :width] = hits
         hits = padded
-    words = hits.view("<i8")
-    if words.shape[1] == 1:
-        x = words[:, 0]
-        hit = x != 0
-        x = x[hit]
-        return hit, (x & -x) * 0x0001020304050607 >> 56
-    hit, k = _first_hits(words != 0)
-    x = words.reshape(-1)[np.flatnonzero(hit) * words.shape[1] + k]
-    return hit, ((x & -x) * 0x0001020304050607 >> 56) + 8 * k
+    (x,) = hits.view("<i8").T
+    hit = x != 0
+    x = x[hit]
+    return hit, (x & -x) * 0x0001020304050607 >> 56
 
 
 def simulate_hitting(cfg: McConfig) -> McResult:
@@ -277,11 +271,11 @@ def simulate_hitting(cfg: McConfig) -> McResult:
     for the running sums, formed by adding each column into the next.
     The last column, every walk's largest sum, decides whether the
     squares' lookup table covers the slice, and :func:`_first_hits` reads
-    which walks hit and on which roll from the membership rows as 64-bit
-    words.  After the slice, walks that hit, passed the horizon or reached
-    ``max_steps`` leave, the others keep their order, and the next waiting
-    trials join at the end with sum ``start`` and no rolls.  Each walk
-    carries its roll count, so a hit on the slice's roll i is
+    which walks hit and on which roll from the membership rows, one 64-bit
+    word each.  After the slice, walks that hit, passed the horizon or
+    reached ``max_steps`` leave, the others keep their order, and the next
+    waiting trials join at the end with sum ``start`` and no rolls.  Each
+    walk carries its roll count, so a hit on the slice's roll i is
     T = rolls + 1 + i.
 
     A finite target is looked up in a bool table over the states up to

@@ -30,7 +30,6 @@ The result, a :class:`TruncationSolution`, holds both enclosures as exact
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 import math
 import operator
@@ -101,15 +100,29 @@ class TargetSet:
 
     ``elements`` of ``None`` means the perfect squares (unbounded,
     membership by integer square root, 0 excluded); otherwise it is the
-    finite set of target states.  A ``declared_bound`` of ``None`` means
-    membership is answerable for every nonnegative integer: always for
-    squares, and for explicit lists that enumerate the complete target set.
-    A bounded target only answers membership up to its bound, and solves
-    beyond it are refused.
+    finite set of target states as one strictly increasing tuple, which
+    membership bisects and :meth:`members_upto` slices.  A
+    ``declared_bound`` of ``None`` means membership is answerable for
+    every nonnegative integer: always for squares, and for explicit lists
+    that enumerate the complete target set.  A bounded target only answers
+    membership up to its bound, and solves beyond it are refused.
     """
 
-    elements: frozenset[int] | None = None
+    elements: tuple[int, ...] | None = None
     declared_bound: int | None = None
+
+    def __post_init__(self) -> None:
+        members = self.elements
+        if not members:  # the squares, or a bounded table with no target
+            return
+        if members[0] < 0:
+            raise TargetSetError(f"target elements must be nonnegative, got {members[0]}")
+        if not all(map(operator.lt, members, members[1:])):
+            raise TargetSetError("target elements must be strictly increasing")
+        if self.declared_bound is not None and self.declared_bound < members[-1]:
+            raise TargetSetError(
+                f"declared bound {self.declared_bound} is below the largest element {members[-1]}"
+            )
 
     @classmethod
     def perfect_squares(cls) -> "TargetSet":
@@ -124,18 +137,7 @@ class TargetSet:
         """
         if not elements:
             raise TargetSetError("explicit target set is empty")
-        prev = -1
-        for e in elements:
-            if e < 0:
-                raise TargetSetError(f"target elements must be nonnegative, got {e}")
-            if e <= prev:
-                raise TargetSetError("target elements must be strictly increasing")
-            prev = e
-        if bound is not None and bound < elements[-1]:
-            raise TargetSetError(
-                f"declared bound {bound} is below the largest element {elements[-1]}"
-            )
-        return cls(elements=frozenset(elements), declared_bound=bound)
+        return cls(elements=tuple(elements), declared_bound=bound)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "TargetSet":
@@ -186,7 +188,8 @@ class TargetSet:
             raise CutoffExceedsBoundError(
                 f"membership({h}) undefined beyond declared bound {self.declared_bound}"
             )
-        return h in self.elements
+        i = bisect.bisect_left(self.elements, h)
+        return i < len(self.elements) and self.elements[i] == h
 
     def ensure_bound(self, n: int) -> None:
         if self.declared_bound is not None and n > self.declared_bound:
@@ -199,13 +202,7 @@ class TargetSet:
         self.ensure_bound(n)
         if self.elements is None:
             return [k * k for k in range(1, math.isqrt(n) + 1)]
-        return list(self._ascending[:bisect.bisect_right(self._ascending, n)])
-
-    @functools.cached_property
-    def _ascending(self) -> tuple[int, ...]:
-        # sorted once per target; a cached_property writes the instance
-        # dict directly, which a frozen dataclass allows
-        return tuple(sorted(self.elements))
+        return list(self.elements[:bisect.bisect_right(self.elements, n)])
 
     @property
     def horizon(self) -> int | None:
@@ -218,7 +215,7 @@ class TargetSet:
         if self.elements is None:
             return None
         if self.declared_bound is None:
-            return max(self.elements)
+            return self.elements[-1]
         return self.declared_bound
 
 
@@ -290,8 +287,8 @@ def solve_pair(target: TargetSet, die: DieModel, n: int, s_min: int,
 
     A run of g non-target states between targets applies A^g, and adds
     ``r h_g`` to e with ``h_g = (I + A + ... + A^(g-1)) e_0``, the r[0]
-    summed over the run.  Runs of at least ``JUMP_MIN`` states use one
-    cached power ``A^span``: when ``g >= span``, the power advances
+    summed over the run.  Runs of at least max(``JUMP_MIN``, M) states use
+    one cached power ``A^span``: when ``g >= span``, the power advances
     toward g by at most ``max(g // M^2, JUMP_MIN)`` A-steps, and if it
     reaches g the run is crossed in one jump, ``r <- r A^g``.  The power
     only advances, so on the squares (runs of 2k states) it costs two
@@ -309,22 +306,21 @@ def solve_pair(target: TargetSet, die: DieModel, n: int, s_min: int,
 
     The power is e_0 stepped span times.  Row i of A^span is e_i stepped
     span times; its first i steps have r[0] = 0, so they are exact shifts,
-    and the row is e_0 stepped span - i times, rounding included.  e_0
-    passed on one value, q_(-M) = one, before the steps; step t passes q_t
-    on and has r[0] = c_t, so, with every other q before t = 0 zero::
+    and the row is e_0 stepped span - i times, rounding included.  Step t
+    passes q_t on and has r[0] = c_t, so c_0 = one and, with every q
+    before t = 0 zero::
 
-        c_t = q_(t-1) + ... + q_(t-M)
-        A^span[i][j] = q_(span-i-1) + ... + q_(span-i-(M-j))  for i <= span
+        c_t = q_(t-1) + ... + q_(t-M)  for t >= 1
+        A^span[i][j] = q_(span-i-1) + ... + q_(span-i-(M-j))  for i < span
 
     Advancing the power by d steps passes d values of q, of which the last
-    2M - 1 are kept.  A jump reads them with q_(-M) as 0, which leaves row
-    i = g + j of A^g, e_j, to the shift: it forms
-    ``D_k = r . (q_k, ..., q_(k-M+1))`` for k = g-1 .. g-M, and then
-    ``(r A^g)[j] = D_(g-1) + ... + D_(g-M+j) + one r[g+j]``, with r[g+j] = 0
-    past the window, is the same integer as the full product.  The floored
-    partial sums F_i = (D_(g-1) + ... + D_(g-1-i)) / one are r'[M-1-i] but
-    for the shift, so the differences of r' are F_i - F_(i-1), plus those
-    of r shifted by g.
+    2M - 1 are kept.  A jump crosses g >= M states, so the rows of A^g it
+    uses, i <= M - 1 < g, read only the kept q_(g-1) .. q_(g-2M+1): it
+    forms ``D_k = r . (q_k, ..., q_(k-M+1))`` for k = g-1 .. g-M, and then
+    ``(r A^g)[j] = D_(g-1) + ... + D_(g-M+j)`` is the same integer as the
+    full product.  The floored partial sums
+    F_i = (D_(g-1) + ... + D_(g-1-i)) / one are r'[M-1-i], so the
+    differences of r' are F_i - F_(i-1).
 
     One identity on Python ints gives these sums with one product of
     full-size factors per jump; every other product has a factor that is
@@ -427,15 +423,18 @@ def solve_pair(target: TargetSet, die: DieModel, n: int, s_min: int,
     0 beyond them, with k = 1 at the start (r = e_0).  A step or a jump
     from k >= 1 has r[0] > 0, so it leaves every entry positive: k = M.  A
     target shifts r left: k - 1.  So P = sum(r) is 0 exactly when k
-    reaches 0: at the M-th target in a row after a non-target state, since
-    a die with faces 1 .. M steps over no shorter block, or at s_min itself
-    when it is a target.  Then e is final, lo = 0 (0 <= lo <= r), and the
-    walk ends with ``p_hi = 0``: ``p_hi == 0`` exactly when P is 0.
+    reaches 0: at s_min itself when it is a target, or else at the M-th
+    target in a row, since a die with faces 1 .. M steps over no shorter
+    block.  So P = 0 exactly when s_min is a target or the targets in
+    [s_min, N] hold M consecutive states, which the kernel reads once off
+    the sorted members, and then ``p_hi = 0``: ``p_hi == 0`` exactly when
+    P is 0.  From that target on e is final and lo = 0 (0 <= lo <= r), so
+    the zero-row stop below ends the walk there.
 
     *A zero row.*  Every difference lo passes on is nonnegative: a step
     passes a floor of lo[0] / M >= 0, a target passes 0, and a jump's
     ``new`` is nondecreasing, floors of partial sums of nonnegative
-    products plus lo shifted by g.  So lo[0], the sum of the last M of
+    products.  So lo[0], the sum of the last M of
     them, is lo's largest entry, and lo is zero exactly when lo[0] is 0.
     Once it is, after a target, the walk steps, jumps and advances the
     power no more:
@@ -450,9 +449,7 @@ def solve_pair(target: TargetSet, die: DieModel, n: int, s_min: int,
       state adds at most ``r[0] <= a <= W_P`` and each skipped jump over
       g states at most ``g a <= g (4 W_P + 1)``, within their shares of
       W_E;
-    * W_P and the support rule are unchanged: ``p_lo = 0`` and
-      ``P = a <= W_P``, and the support rule runs on over the targets
-      left, so ``p_hi == 0`` still holds exactly when P is 0.
+    * W_P still covers P: ``p_lo = 0`` and ``P = a <= W_P``.
 
     A jump after the stop no longer subtracts its ``2 (M-1) rho / (M+1)``,
     so e_lo can only rise, toward E_N.
@@ -475,13 +472,15 @@ def _forward(members: list[int], m: int, n: int, s_min: int, bits: int,
     # the bound on r's l1 deficit grows by at most this many units per
     # covered state (see solve_pair)
     rate = 2 * m + (m * m >> CUT_GUARD)
-    # e_0's differences, newest first: its one is q_(-M)
+    # P = 0 exactly: s_min is a target or M consecutive states are (see solve_pair)
+    zero_p = members[:1] == [s_min] or m - 1 in map(operator.sub, members[m - 1:], members)
+    # runs of at least this many states may be jumped
+    least = max(JUMP_MIN, m)
+    # e_0's differences, newest first: r[0] = one is their sum
     unit = [0] * (m - 1) + [one]
     # the row r (see solve_pair): its differences and r[0]
     row, row0 = deque(unit, maxlen=m), one
     e = 0
-    # the exact row is positive on its first `support` entries, 0 beyond
-    support = 1
     # the cached power A^span: e_0 stepped span times, keeping
     # q_(span-1) .. q_(span-2M+1), and its r[0]
     span = 0
@@ -498,25 +497,19 @@ def _forward(members: list[int], m: int, n: int, s_min: int, bits: int,
 
     for gap, t in enumerate(members + [n + 1]):
         g = t - p
-        if JUMP_MIN <= g and span <= g:
+        if least <= g and span <= g:
             d = min(g - span, max(g // (m * m), JUMP_MIN))
             power0 = _step(power, power0, m, d)[0]
             span += d
-        if JUMP_MIN <= g == span:
+        if least <= g == span:
             rho = rate * (p - s_min)
             rev = list(itertools.accumulate(row))  # r[M-1] .. r[0]
             # the power's q window, oldest first, cut to what r's mass can see
             cut = max(0, bits - (sum(rev) + rho).bit_length() - CUT_GUARD)
-            window = [v >> cut for v in reversed(power)]
-            if g < m:  # the window must not see q_(-M)
-                window[m - 1 - g] = 0
             keep = bits - cut
-            # r'[M-1-i] <- (D_(g-1) + ... + D_(g-1-i) + 2^keep r[g+M-1-i]) / 2^keep,
-            # where the multiple of 2^keep, r shifted by g, passes the
-            # rounding whole
-            pad = [0] * min(g, m)
-            new = [(v >> keep) + x for v, x in
-                   zip(itertools.accumulate(_jump_products(rev, window)), pad + rev)]
+            # r'[M-1-i] <- (D_(g-1) + ... + D_(g-1-i)) / 2^keep
+            new = [v >> keep for v in itertools.accumulate(
+                _jump_products(rev, [v >> cut for v in reversed(power)]))]
             # r h_g = 2/(M+1) (r' . (g+j) - r . j), with r . j read as its
             # upper bound, this row's r . j plus (M-1) rho
             after, before = range(g + m - 1, g - 1, -1), range(m - 1, -1, -1)
@@ -533,23 +526,17 @@ def _forward(members: list[int], m: int, n: int, s_min: int, bits: int,
         if t > n:
             break
         row0 = _drop(row, row0, m)
-        support = (m if t > p else support) - 1
-        if not support:
-            break  # no walk survives: e is final and P is 0
         covered(t)
         p = t + 1
         if not row0:
-            # a zero row stays zero (see solve_pair): only the support
-            # rule runs on, over the targets left
-            support = _support_left(members[gap + 1:], p, support, m)
-            break
+            break  # a zero row stays zero (see solve_pair): e_lo is final
     p_lo = sum(itertools.accumulate(row))
     width_p = rate * (n + 1 - s_min)
     width_e = (n + 1 - s_min) * (4 * width_p + 1)
     return TruncationSolution(cutoff=n, start=s_min,
                               e_lo=Fraction(e, one), e_hi=Fraction(e + width_e, one),
                               p_lo=Fraction(p_lo, one),
-                              p_hi=Fraction(p_lo + width_p if support else 0, one))
+                              p_hi=Fraction(0 if zero_p else p_lo + width_p, one))
 
 
 def _step(row: deque, r0: int, m: int, g: int) -> tuple[int, int]:
@@ -567,16 +554,6 @@ def _step(row: deque, r0: int, m: int, g: int) -> tuple[int, int]:
         r0 += x - row[oldest]
         push(x)
     return r0, total
-
-
-def _support_left(members: list[int], p: int, support: int, m: int) -> int:
-    """The support rule of solve_pair over ``members``, from state p on; 0 ends it."""
-    for t in members:
-        support = (m if t > p else support) - 1
-        if not support:
-            break
-        p = t + 1
-    return support
 
 
 def _drop(row: deque, r0: int, m: int) -> int:

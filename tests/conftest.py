@@ -82,9 +82,9 @@ def forward_reference(target, die, n, s_min, ctx, jump_min=math.inf,
     to ``r[1:] + r[0] / M`` with ``r[0] / M`` appended, the division
     rounded down or up.
 
-    With ``jump_min``, a run of g >= jump_min states may instead be jumped
-    as in the kernel: the cached power A^span (M rows per twin, each a unit
-    row stepped span times on 2^-c) first advances
+    With ``jump_min``, a run of g >= max(jump_min, M) states may instead
+    be jumped as in the kernel: the cached power A^span (M rows per twin,
+    each a unit row stepped span times on 2^-c) first advances
     ``min(g - span, max(g // M^2, jump_min))`` steps if ``span <= g``, and
     if span then equals g, r becomes ``r' = r A^g``, a full dot product per
     twin, using the power cut to what r's mass can see: with
@@ -138,9 +138,10 @@ def forward_reference(target, die, n, s_min, ctx, jump_min=math.inf,
     power = {rounds_up: [list(row) for row in unit] for rounds_up in (False, True)}
     e_lo = e_hi = span = 0
     p = s_min
+    least = max(jump_min, m)
     for t in [s for s in range(s_min, n + 1) if target.membership(s)] + [n + 1]:
         g = t - p
-        if jump_min <= g and span <= g:
+        if least <= g and span <= g:
             d = min(g - span, max(g // (m * m), jump_min))
             for rounds_up, rows in power.items():
                 for i, row in enumerate(rows):
@@ -148,7 +149,7 @@ def forward_reference(target, die, n, s_min, ctx, jump_min=math.inf,
                         row = step(row, rounds_up)
                     rows[i] = row
             span += d
-        if jump_min <= g == span:
+        if least <= g == span:
             rho = rate * (p - s_min)
             k = max(0, bits - (sum(lo) + rho).bit_length() - CUT_GUARD)
             new_lo = [down(dot(lo, col), bits - k) for col in zip(*cut_rows(power[False], k, down))]
@@ -222,7 +223,7 @@ def finite_targets(draw):
         gap = draw(st.integers(2, 3))
         rnd = draw(st.randoms(use_true_random=False))
         flags = [h % gap != 0 and rnd.random() < 0.9 for h in range(bound + 1)]
-    return n, TargetSet(frozenset(h for h, flag in enumerate(flags) if flag), bound)
+    return n, TargetSet(tuple(h for h, flag in enumerate(flags) if flag), bound)
 
 
 # The Monte Carlo draw's shape: walks running at once and rolls per

@@ -64,6 +64,17 @@ def test_explicit_list_validation():
         TargetSet.from_list([3, 7], bound=5)
 
 
+def test_direct_constructor_validates_the_tuple():
+    # the tuple that membership bisects must be strictly increasing and
+    # nonnegative however the target is built
+    with pytest.raises(TargetSetError):
+        TargetSet((3, 2))
+    with pytest.raises(TargetSetError):
+        TargetSet((-1, 4))
+    with pytest.raises(TargetSetError):
+        TargetSet((3, 7), 5)
+
+
 def test_bounded_list_refuses_beyond_bound():
     t = TargetSet.from_list([3, 7], bound=50)
     assert not t.membership(50)
@@ -74,7 +85,7 @@ def test_bounded_list_refuses_beyond_bound():
 
 
 def test_predicate_table():
-    t = TargetSet(frozenset(h for h in range(1, 101) if h % 5 == 0), 100)
+    t = TargetSet(tuple(range(5, 101, 5)), 100)
     assert t.membership(10)
     assert not t.membership(11)
     assert t.horizon == 100
@@ -302,9 +313,10 @@ def adversarial_walks(draw):
     reaching them, but for one that may be up to 300 states longer, which
     is stepped.  Each block has 1 or 2 targets, fewer than M, but for one
     of M - 1, M or M + 1.  The first target lies at 1 .. 3 and the walk
-    starts before it, and the cutoff lies in the second half.  JUMP_MIN 1 .. 5 jumps the
-    runs the power reaches, with g < M on a 130-sided die (up to 4 runs,
-    as its plain-list reference is slow); 10**9 steps every state.
+    starts before it, and the cutoff lies in the second half.  JUMP_MIN
+    1 .. 5 jumps the runs of at least M states the power reaches; a
+    130-sided die (up to 4 runs, as its plain-list reference is slow)
+    steps its runs, all shorter than M, and 10**9 steps every state.
     """
     sides = draw(st.integers(2, 9) | st.just(130))
     count = draw(st.integers(1, 40 if sides < 130 else 4))
@@ -329,13 +341,20 @@ def adversarial_walks(draw):
 @given(problem=adversarial_walks())
 @example(problem=(DieModel(9), TargetSet.from_list(list(range(1, 400, 2))), 399, 0, 1))
 @example(problem=(DieModel(6), TargetSet.from_list([2, 3, 9, 10, 20]), 20, 2, 1))  # starts on a target
+# runs of M - 1 states, stepped, alternate with runs of M states, which
+# the power reaches one A-step per run and then jumps
+@example(problem=(DieModel(6), TargetSet.from_list(list(itertools.accumulate([1] + [6, 7] * 8))),
+                  110, 0, 1))
+@example(problem=(DieModel(3), TargetSet.from_list(list(range(1, 400, 4))), 399, 0, 1))
 def test_a_priori_widths_cover_the_ceiling_twin(problem):
     # the reference's ceiling twin rounds every step up and measures the
     # widths of a two-sided enclosure on the kernel's own lower twin; the
-    # kernel's proven widths W_E and W_P (solve_pair) contain it, and its
-    # support rule ends the walk exactly where the ceiling twin reaches 0.
-    # The explicit example jumps every other state, where each jump's
-    # (M-1) rho weighs most: the measured E width is about 10% of W_E
+    # kernel's proven widths W_E and W_P (solve_pair) contain it, and p_hi
+    # is 0 exactly where the ceiling twin reaches 0.  The first explicit
+    # example steps its runs of one state, all shorter than M; the last
+    # jumps every run of M = 3 states, the shortest a jump crosses, where
+    # each jump's (M-1) rho weighs most: the measured E width is about 3%
+    # of W_E
     die, target, n, s_min, jump_min = problem
     ctx = make_context(30)
     with mock.patch.object(walkmodel, "JUMP_MIN", jump_min):
@@ -483,8 +502,8 @@ def test_long_cuts_equal_full_product_reference(jump_min, sides, n, seed):
 def test_jumps_equal_full_product_reference_at_scale(sides, k):
     # with the default JUMP_MIN, on the squares to N = K^2 at 200 digits,
     # the runs of 2j >= 128 states from j = 64 on are jumped: at certify's
-    # size K = 500 on a six-sided die, and with a 130-sided die, whose run
-    # of 128 states is jumped with g < M
+    # size K = 500 on a six-sided die; a 130-sided die steps its run of
+    # 128 states, shorter than M, and jumps the runs from 130 states on
     die, ctx = DieModel(sides), make_context(200)
     sol = solve_pair(SQUARES, die, k * k, 0, ctx)
     assert sol == forward_reference(SQUARES, die, k * k, 0, ctx, walkmodel.JUMP_MIN)
@@ -515,6 +534,46 @@ def test_vanished_row_keeps_the_support_rule(block):
         assert sol.p_hi == 0 == p
     else:
         assert sol.p_lo == 0 < p < sol.p_hi
+
+
+@st.composite
+def vanished_rows(draw):
+    """A die, a target, a cutoff N <= 5000 and a start on which the row vanishes.
+
+    Every odd state up to 1499 is a target, which drives the kernel's row
+    to zero at 30 digits on every die of 2 .. 9 sides.  Sparse targets 2 ..
+    300 apart follow, up to N, and one block of M - 1 or exactly M
+    consecutive targets lies among them, with a non-target on each side:
+    a die with faces 1 .. M steps over the first and never over the
+    second.  The walk starts at 0 .. 3, on a target at 1 and 3.
+    """
+    sides = draw(st.integers(2, 9))
+    n = draw(st.integers(2000, 5000))
+    members, s = list(ODD_TARGETS), 1499
+    while True:
+        s += draw(st.integers(2, 300))
+        if s > n:
+            break
+        members.append(s)
+    size = draw(st.sampled_from([sides - 1, sides]))
+    start = draw(st.integers(1501, n - size))
+    members = [h for h in members if not start - 1 <= h <= start + size]
+    members = sorted(members + list(range(start, start + size)))
+    return DieModel(sides), TargetSet.from_list(members), n, draw(st.integers(0, 3))
+
+
+@settings(deadline=None)
+@given(problem=vanished_rows())
+def test_p_zero_read_off_the_members_after_the_row_vanishes(problem):
+    # the kernel covers no state past the zero row, and the members left
+    # still decide P = 0 exactly: p_hi is 0 exactly when the exact P is
+    die, target, n, s_min = problem
+    sol = solve_pair(target, die, n, s_min, make_context(30))
+    e, p = exact_dp(target, n, s_min, die)
+    assert sol.p_lo == 0
+    assert (sol.p_hi == 0) == (p == 0)
+    assert sol.e_lo <= e <= sol.e_hi
+    assert sol.p_lo <= p <= sol.p_hi
 
 
 def test_jumps_after_the_vanished_row_add_nothing():
@@ -605,12 +664,13 @@ def test_target_file_round_trip_property(tmp_path_factory, elements, slack):
        slack=st.none() | st.integers(0, 100),
        cutoffs=st.lists(st.integers(0, 700), min_size=1, max_size=5))
 def test_members_upto_equals_sorted_filter(elements, slack, cutoffs):
-    # repeated calls on one target, built from a set in any order or from
-    # the sorted list, equal a fresh sort of the elements up to the
-    # cutoff; a bounded target refuses cutoffs past its bound, and the
-    # squares list theirs
+    # repeated calls on one target, built from the sorted tuple or the
+    # sorted list, equal a fresh sort of the elements up to the cutoff; a
+    # bounded target refuses cutoffs past its bound, and the squares list
+    # theirs
     bound = None if slack is None else max(elements) + slack
-    targets = (TargetSet(frozenset(elements), bound), TargetSet.from_list(sorted(elements), bound))
+    targets = (TargetSet(tuple(sorted(elements)), bound),
+               TargetSet.from_list(sorted(elements), bound))
     for n in cutoffs:
         for target in targets:
             if bound is not None and n > bound:
