@@ -322,18 +322,23 @@ def solve_pair(target: TargetSet, die: DieModel, n: int, s_min: int,
     F_i = (D_(g-1) + ... + D_(g-1-i)) / one are r'[M-1-i], so the
     differences of r' are F_i - F_(i-1).
 
-    One identity on Python ints gives these sums with one product of
-    full-size factors per jump; every other product has a factor that is
-    short on long runs.  With S = sum(r), base b = q_(g-1) and
-    delta_t = q_t - b, one product serves every window::
+    Two identities on Python ints give these sums in fewer products.
+    With S = sum(r), base b = q_(g-1) and delta_t = q_t - b, one product
+    serves every window::
 
         D_k = S b + r . (delta_k, ..., delta_(k-M+1))
 
     A is a mixing stochastic matrix, so q_t converges like |w|^t, where
     |w| < 1 is the largest modulus of A's other eigenvalues (about
     2^-0.454 for M = 6): on long runs delta is hundreds of bits shorter
-    than q.  Both sides are the same integer, so the floor that follows
-    acts on exactly the sums of the plain products.
+    than q, though on the first jumps it is nearly as long.  The M dots
+    with delta form one Hankel matrix-vector product, which
+    :func:`_jump_products` splits into 2x2 blocks for dice of up to six
+    sides (Fan and Hasan, IEEE Trans. Computers 56, 2007; the transposed
+    Karatsuba of Hanrot, Quercia and Zimmermann, AAECC 14, 2004): 18
+    products in place of 36 for M = 6, so a jump's sums cost 19.  Both
+    sides of each identity are the same integer, so the floor that
+    follows acts on exactly the sums of the plain products.
 
     A jump's E term ``r h_g`` comes from Wald's identity: the mean roll is
     (M+1)/2, so ``l(s) = -2s/(M+1)`` solves E_N's off-target recursion
@@ -571,11 +576,71 @@ def _jump_products(r: list[int], q: list[int]) -> list[int]:
     """A jump's exact sums ``D_(g-1), ..., D_(g-M)``.
 
     ``r`` holds r[M-1] .. r[0], and ``q`` q_(g-2M+1) .. q_(g-1), so
-    D_(g-1-k) is r's dot with ``q[M-1-k:2M-1-k]``.  Uses the identity in
-    :func:`solve_pair`, so the jump costs one product of full-size factors.
+    D_(g-1-k) is r's dot with ``q[M-1-k:2M-1-k]``.  With the identity in
+    :func:`solve_pair`, D_(g-1-k) = S b + y_(M-1-k), where
+
+        y_k = d[k] x[0] + ... + d[k+M-1] x[M-1],   k = 0 .. M-1,
+
+    x = r and d = delta, oldest first (its last entry, delta_(g-1), is 0).
+    The y form a Hankel matrix-vector product, split in 18 products for
+    M <= 6 (Fan and Hasan, IEEE Trans. Computers 56, 2007; transposed
+    Karatsuba, Hanrot, Quercia and Zimmermann, AAECC 14, 2004), not M^2.
+    A die of fewer sides pads x with zeros to 6 entries and d with zeros
+    to 11, and keeps y_(M-1) .. y_0: the padding adds only zero terms.
+
+    For M = 6, with the 2x2 Hankel blocks T_j = (d[2j], d[2j+1], d[2j+2])
+    and X_a = (x[2a], x[2a+1]), the outputs Y_a = (y[2a], y[2a+1]) are
+    ``Y_a = T_a X_0 + T_(a+1) X_1 + T_(a+2) X_2``.  Six block products::
+
+        P = T2 (X0+X1+X2)      U = (T1-T2)(X0+X1)    V = (T3-T2)(X1+X2)
+        A = (T0-T1) X0         B = (T4-T3) X2        C = (T1+T3-2 T2) X1
+
+    give Y0 = P+U+A, Y1 = P+U+V-C and Y2 = P+V+B (expand: each T_j X_a
+    appears once, the rest cancel).  A block (a, c, e) times (u, v) is
+    (a u + c v, c u + e v), three products: with p = c (u+v), it is
+    (p + (a-c) u, p + (e-c) v).  Every step is exact on Python ints, so
+    the sums are the plain dots' integers.  Dice of more than six sides
+    take the plain M^2 dots.
     """
     m = len(r)
     b = q[-1]
-    delta = [*(v - b for v in q[:-1]), 0]
     base = sum(r) * b
-    return [base + _dot(r, delta[k:k + m]) for k in range(m - 1, -1, -1)]
+    if m > 6:
+        delta = [*(v - b for v in q[:-1]), 0]
+        return [base + _dot(r, delta[k:k + m]) for k in range(m - 1, -1, -1)]
+    pad = 6 - m
+    x0, x1, x2, x3, x4, x5 = *r, *[0] * pad
+    d0, d1, d2, d3, d4, d5, d6, d7, d8, d9 = *(v - b for v in q[:-1]), *[0] * (2 * pad)
+    # d10 = 0.  The outer split's block differences:
+    t12 = (d2 - d4, d3 - d5, d4 - d6)  # T1 - T2
+    t32 = (d6 - d4, d7 - d5, d8 - d6)  # T3 - T2
+    # P = T2 (X0+X1+X2)
+    u, v = x0 + x2 + x4, x1 + x3 + x5
+    a, c, e = d4, d5, d6
+    p = c * (u + v)
+    p0, p1 = p + (a - c) * u, p + (e - c) * v
+    # U = (T1-T2)(X0+X1)
+    u, v = x0 + x2, x1 + x3
+    a, c, e = t12
+    p = c * (u + v)
+    u0, u1 = p + (a - c) * u, p + (e - c) * v
+    # V = (T3-T2)(X1+X2)
+    u, v = x2 + x4, x3 + x5
+    a, c, e = t32
+    p = c * (u + v)
+    v0, v1 = p + (a - c) * u, p + (e - c) * v
+    # A = (T0-T1) X0
+    a, c, e = d0 - d2, d1 - d3, t12[0]
+    p = c * (x0 + x1)
+    a0, a1 = p + (a - c) * x0, p + (e - c) * x1
+    # B = (T4-T3) X2
+    a, c, e = t32[2], d9 - d7, -d8
+    p = c * (x4 + x5)
+    b0, b1 = p + (a - c) * x4, p + (e - c) * x5
+    # C = (T1+T3-2 T2) X1
+    a, c, e = t12[0] + t32[0], t12[1] + t32[1], t12[2] + t32[2]
+    p = c * (x2 + x3)
+    c0, c1 = p + (a - c) * x2, p + (e - c) * x3
+    pu0, pu1 = base + p0 + u0, base + p1 + u1
+    pv0, pv1 = base + p0 + v0, base + p1 + v1
+    return [pv1 + b1, pv0 + b0, pu1 + v1 - c1, pu0 + v0 - c0, pu1 + a1, pu0 + a0][pad:]

@@ -430,13 +430,15 @@ def test_stepper_equals_plain_list_steps_and_drops(sides, bits, data):
 
 
 @settings(deadline=None)
-@given(sides=st.integers(2, 9), bits=st.integers(1, 160),
+@given(sides=st.integers(2, 9), bits=st.integers(1, 4200),
        span=st.integers(0, 12) | st.integers(0, 300), data=st.data())
 def test_jump_products_equal_plain_dots(sides, bits, span, data):
     # a jump's sums, from the shared base of the q window, equal plain dot
     # products of the row with its window of the power as the stepper
     # builds it from e_0; spans below 2M - 1 leave q_(-M) = one and zeros
-    # in the window
+    # in the window.  Up to the north star's c = 4,161 bits the factors
+    # pass CPython's Karatsuba cutoff, with row entries of mixed lengths;
+    # dice of up to six sides take the block split, larger ones the dots
     m, one = sides, 1 << bits
     power = deque([0] * (m - 1) + [one] + [0] * (m - 1), maxlen=2 * m - 1)
     walkmodel._step(power, one, m, span)
@@ -447,6 +449,22 @@ def test_jump_products_equal_plain_dots(sides, bits, span, data):
     # q[k] is q_(span-1-k)
     got = walkmodel._jump_products(row[::-1], q[::-1])
     assert got == [sum(x * y for x, y in zip(row, q[k:k + m])) for k in range(m)]
+
+
+@pytest.mark.parametrize("sides", range(2, 10))
+def test_jump_products_on_every_basis_pair(sides):
+    # _jump_products and the plain dots are both bilinear in (r, q): q's
+    # base b and its differences are linear in q.  So equality on every
+    # pair of basis vectors, r = X e_i and q = Y e_j, proves the identity
+    # for all inputs.  Each pair is taken with q = b + Y e_j for b = 0
+    # and b != 0, so the base's product S b and the differences from b
+    # both carry weight
+    m, x, y = sides, 3**90, 5**70
+    for i, j, b in itertools.product(range(m), range(2 * m - 1), (0, 7**40)):
+        r = [x * (k == i) for k in range(m)]
+        q = [b + y * (k == j) for k in range(2 * m - 1)]
+        plain = [sum(u * v for u, v in zip(r, q[k:k + m])) for k in range(m - 1, -1, -1)]
+        assert walkmodel._jump_products(r, q) == plain, (i, j, b)
 
 
 @settings(deadline=None)
@@ -498,12 +516,15 @@ def test_long_cuts_equal_full_product_reference(jump_min, sides, n, seed):
     assert sol.p_hi < Fraction(1, 1 << fraction_bits(ctx) // 2)
 
 
-@pytest.mark.parametrize("sides, k", [(6, 500), (130, 70)], ids=["d6-K500", "d130-K70"])
+@pytest.mark.parametrize("sides, k", [(6, 500), (4, 400), (130, 70)],
+                         ids=["d6-K500", "d4-K400", "d130-K70"])
 def test_jumps_equal_full_product_reference_at_scale(sides, k):
     # with the default JUMP_MIN, on the squares to N = K^2 at 200 digits,
     # the runs of 2j >= 128 states from j = 64 on are jumped: at certify's
-    # size K = 500 on a six-sided die; a 130-sided die steps its run of
-    # 128 states, shorter than M, and jumps the runs from 130 states on
+    # size K = 500 on a six-sided die; on a four-sided die, whose jumps
+    # take the block split padded to six entries; a 130-sided die steps
+    # its run of 128 states, shorter than M, and jumps the runs from 130
+    # states on with plain dots
     die, ctx = DieModel(sides), make_context(200)
     sol = solve_pair(SQUARES, die, k * k, 0, ctx)
     assert sol == forward_reference(SQUARES, die, k * k, 0, ctx, walkmodel.JUMP_MIN)
