@@ -333,10 +333,10 @@ def solve_pair(target: TargetSet, die: DieModel, n: int, s_min: int,
     2^-0.454 for M = 6): on long runs delta is hundreds of bits shorter
     than q, though on the first jumps it is nearly as long.  The M dots
     with delta form one Hankel matrix-vector product, which
-    :func:`_jump_products` splits into 2x2 blocks for dice of up to six
-    sides (Fan and Hasan, IEEE Trans. Computers 56, 2007; the transposed
+    :func:`_jump_products` splits into 2x2 blocks for a six-sided die
+    (Fan and Hasan, IEEE Trans. Computers 56, 2007; the transposed
     Karatsuba of Hanrot, Quercia and Zimmermann, AAECC 14, 2004): 18
-    products in place of 36 for M = 6, so a jump's sums cost 19.  Both
+    products in place of 36, so a jump's sums cost 19.  Both
     sides of each identity are the same integer, so the floor that
     follows acts on exactly the sums of the plain products.
 
@@ -583,12 +583,10 @@ def _jump_products(r: list[int], q: list[int]) -> list[int]:
 
     x = r and d = delta, oldest first (its last entry, delta_(g-1), is 0).
     The y form a Hankel matrix-vector product, split in 18 products for
-    M <= 6 (Fan and Hasan, IEEE Trans. Computers 56, 2007; transposed
-    Karatsuba, Hanrot, Quercia and Zimmermann, AAECC 14, 2004), not M^2.
-    A die of fewer sides pads x with zeros to 6 entries and d with zeros
-    to 11, and keeps y_(M-1) .. y_0: the padding adds only zero terms.
+    M = 6 (Fan and Hasan, IEEE Trans. Computers 56, 2007; transposed
+    Karatsuba, Hanrot, Quercia and Zimmermann, AAECC 14, 2004), not 36.
 
-    For M = 6, with the 2x2 Hankel blocks T_j = (d[2j], d[2j+1], d[2j+2])
+    With the 2x2 Hankel blocks T_j = (d[2j], d[2j+1], d[2j+2])
     and X_a = (x[2a], x[2a+1]), the outputs Y_a = (y[2a], y[2a+1]) are
     ``Y_a = T_a X_0 + T_(a+1) X_1 + T_(a+2) X_2``.  Six block products::
 
@@ -599,18 +597,17 @@ def _jump_products(r: list[int], q: list[int]) -> list[int]:
     appears once, the rest cancel).  A block (a, c, e) times (u, v) is
     (a u + c v, c u + e v), three products: with p = c (u+v), it is
     (p + (a-c) u, p + (e-c) v).  Every step is exact on Python ints, so
-    the sums are the plain dots' integers.  Dice of more than six sides
-    take the plain M^2 dots.
+    the sums are the plain dots' integers.  Other dice take the plain M^2
+    dots.
     """
     m = len(r)
     b = q[-1]
     base = sum(r) * b
-    if m > 6:
+    if m != 6:
         delta = [*(v - b for v in q[:-1]), 0]
         return [base + _dot(r, delta[k:k + m]) for k in range(m - 1, -1, -1)]
-    pad = 6 - m
-    x0, x1, x2, x3, x4, x5 = *r, *[0] * pad
-    d0, d1, d2, d3, d4, d5, d6, d7, d8, d9 = *(v - b for v in q[:-1]), *[0] * (2 * pad)
+    x0, x1, x2, x3, x4, x5 = r
+    d0, d1, d2, d3, d4, d5, d6, d7, d8, d9 = (v - b for v in q[:-1])
     # d10 = 0.  The outer split's block differences:
     t12 = (d2 - d4, d3 - d5, d4 - d6)  # T1 - T2
     t32 = (d6 - d4, d7 - d5, d8 - d6)  # T3 - T2
@@ -643,4 +640,4 @@ def _jump_products(r: list[int], q: list[int]) -> list[int]:
     c0, c1 = p + (a - c) * x2, p + (e - c) * x3
     pu0, pu1 = base + p0 + u0, base + p1 + u1
     pv0, pv1 = base + p0 + v0, base + p1 + v1
-    return [pv1 + b1, pv0 + b0, pu1 + v1 - c1, pu0 + v0 - c0, pu1 + a1, pu0 + a0][pad:]
+    return [pv1 + b1, pv0 + b0, pu1 + v1 - c1, pu0 + v0 - c0, pu1 + a1, pu0 + a0]

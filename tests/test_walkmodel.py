@@ -438,7 +438,7 @@ def test_jump_products_equal_plain_dots(sides, bits, span, data):
     # builds it from e_0; spans below 2M - 1 leave q_(-M) = one and zeros
     # in the window.  Up to the north star's c = 4,161 bits the factors
     # pass CPython's Karatsuba cutoff, with row entries of mixed lengths;
-    # dice of up to six sides take the block split, larger ones the dots
+    # six-sided dice take the block split, the others the dots
     m, one = sides, 1 << bits
     power = deque([0] * (m - 1) + [one] + [0] * (m - 1), maxlen=2 * m - 1)
     walkmodel._step(power, one, m, span)
@@ -521,10 +521,10 @@ def test_long_cuts_equal_full_product_reference(jump_min, sides, n, seed):
 def test_jumps_equal_full_product_reference_at_scale(sides, k):
     # with the default JUMP_MIN, on the squares to N = K^2 at 200 digits,
     # the runs of 2j >= 128 states from j = 64 on are jumped: at certify's
-    # size K = 500 on a six-sided die; on a four-sided die, whose jumps
-    # take the block split padded to six entries; a 130-sided die steps
-    # its run of 128 states, shorter than M, and jumps the runs from 130
-    # states on with plain dots
+    # size K = 500 on a six-sided die, whose jumps take the block split;
+    # on a four-sided die, whose jumps take plain dots; a 130-sided die
+    # steps its run of 128 states, shorter than M, and jumps the runs
+    # from 130 states on with plain dots
     die, ctx = DieModel(sides), make_context(200)
     sol = solve_pair(SQUARES, die, k * k, 0, ctx)
     assert sol == forward_reference(SQUARES, die, k * k, 0, ctx, walkmodel.JUMP_MIN)
