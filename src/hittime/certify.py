@@ -45,12 +45,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import hitprob, walkmodel
-from .numerics import GUARD_DIGITS, PrecisionContext
+from .numerics import GUARD_DIGITS, PrecisionContext, PrecisionTooLowError
 
 __all__ = [
     "DivergentSeriesError",
     "InvertedIntervalError",
-    "PrecisionInsufficientError",
     "OvershootBounds",
     "CertifiedEstimate",
     "sigma_series",
@@ -73,14 +72,6 @@ class InvertedIntervalError(ValueError):
     """Certified interval with upper end not above its lower end (internal failure)."""
 
 
-class PrecisionInsufficientError(ValueError):
-    """Working precision too low for the requested certification."""
-
-    def __init__(self, message: str, required_digits: int):
-        super().__init__(message)
-        self.required_digits = required_digits
-
-
 @dataclass(frozen=True)
 class OvershootBounds:
     """Residual-time bounds (L, U) beyond the cutoff N = K^2.
@@ -99,21 +90,21 @@ class OvershootBounds:
 class CertifiedEstimate:
     """Point value, rigorous radius, and certified digit count at one cutoff.
 
-    Every real is exact; E_N and P are the lower ends of the solve's enclosure.
+    Every real is exact.  ``solution`` and ``bounds`` are the solve and the
+    overshoot bounds the interval was composed from.
     """
 
     point_value: Fraction
     error_radius: Fraction
     certified_digits: int
-    e_n_value: Fraction
-    overshoot_prob: Fraction
-    lower_bound: Fraction
-    upper_bound: Fraction
-    K: int
-    N: int
-    start: int
     working_digits: int
-    exact: bool = False  # degenerate case: zero overshoot probability
+    solution: walkmodel.TruncationSolution
+    bounds: OvershootBounds
+
+    @property
+    def exact(self) -> bool:
+        """Degenerate case: no path crosses the cutoff, so the radius is 0."""
+        return self.solution.p_hi == 0
 
 
 def sigma_series(d: int, r: Fraction, t: Fraction, k: int) -> Fraction:
@@ -205,19 +196,17 @@ def compose_estimate(solution: walkmodel.TruncationSolution,
     When ``P_hi == 0`` no path crosses the cutoff: the truncation is exact,
     the estimate is flagged ``exact`` with radius 0, and its certified
     digits are those the solve's enclosure ``[E_lo, E_hi]`` pins down.
+    The interval is never empty: ``E_hi - E_lo`` is W_E >= 1 unit of the
+    grid when the start lies at or below the cutoff, and above it
+    ``P = 1`` and ``U > L``.
     """
     lower = solution.e_lo + bounds.lower * solution.p_lo
     upper = solution.e_hi + bounds.upper * solution.p_hi
-    exact = solution.p_hi == 0
-    cap = max(ctx.working_digits - GUARD_DIGITS, 0)
-    digits = cap if upper == lower else min(certified_digit_count(lower, upper), cap)
+    digits = min(certified_digit_count(lower, upper), ctx.working_digits - GUARD_DIGITS)
     return CertifiedEstimate(
-        point_value=lower, error_radius=Fraction(0) if exact else upper - lower,
-        certified_digits=digits,
-        e_n_value=solution.e_lo, overshoot_prob=solution.p_lo,
-        lower_bound=bounds.lower, upper_bound=bounds.upper,
-        K=bounds.K, N=solution.cutoff, start=solution.start,
-        working_digits=ctx.working_digits, exact=exact)
+        point_value=lower, error_radius=Fraction(0) if solution.p_hi == 0 else upper - lower,
+        certified_digits=digits, working_digits=ctx.working_digits,
+        solution=solution, bounds=bounds)
 
 
 def certify_squares(k: int, ctx: PrecisionContext, start: int = 0,
@@ -233,11 +222,10 @@ def certify_squares(k: int, ctx: PrecisionContext, start: int = 0,
         raise ValueError(f"K must be >= {MIN_K}, got {k}")
     required = recommended_digits(k)
     if ctx.working_digits < required:
-        raise PrecisionInsufficientError(
+        raise PrecisionTooLowError(
             f"certifying K={k} needs at least {required} working digits "
             f"(got {ctx.working_digits}); the overshoot probability decays "
-            f"like 10^(-0.146 K) and would be lost to roundoff",
-            required_digits=required)
+            f"like 10^(-0.146 K) and would be lost to roundoff")
     n = k * k
     if not 0 <= start <= n:
         raise walkmodel.ConfigError("start state must lie in [0, N]")

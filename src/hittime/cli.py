@@ -8,10 +8,15 @@ Subcommands::
     roots      characteristic roots and their moduli
     simulate   Monte Carlo estimate of the hitting time
 
+Each command returns its JSON payload and its text lines, and
+:func:`main` prints the one ``--format`` asks for.
+
 Exit codes: 0 success, 2 usage/config error (a
 :class:`~hittime.walkmodel.ConfigError`, or a target or output path that
-cannot be read or written), 3 insufficient precision, 4 internal failure
-(any other ``ValueError`` included).  All real numbers in JSON output are
+cannot be read or written), 3 insufficient precision (a
+:class:`~hittime.numerics.PrecisionTooLowError`: fewer than 30 digits, or
+fewer than ``certify``'s cutoff needs), 4 internal failure (any other
+``ValueError`` included).  All real numbers in JSON output are
 decimal digit strings, never binary floats, so reports are
 precision-lossless and diffable.  Working precision is set by
 ``--precision`` alone, on ``certify``, ``solve`` and ``roots``; no
@@ -71,10 +76,6 @@ def _output(out_path: str | None) -> Iterator[TextIO]:
             yield fh
 
 
-def _emit(text: str, out: TextIO) -> None:
-    out.write(text if text.endswith("\n") else text + "\n")
-
-
 def _progress_printer():
     """Stderr progress for a solve, which reports gaps between targets covered.
 
@@ -101,7 +102,7 @@ def _progress_printer():
     return progress
 
 
-def cmd_certify(args, out: TextIO) -> int:
+def cmd_certify(args) -> tuple[dict, list[str]]:
     k = args.K
     if k is None:
         raise ConfigError("certify needs --K")
@@ -113,23 +114,18 @@ def cmd_certify(args, out: TextIO) -> int:
     est = certify.certify_squares(k, ctx, start=args.s, progress=_progress_printer())
     runtime = time.monotonic() - t0
     report = certification_report(est, runtime)
-    if args.format == "json":
-        _emit(json.dumps(report, indent=2), out)
-    else:
-        w = est.working_digits
-        lines = [
-            f"K = {est.K}   N = {est.N}   start = {est.start}   precision = {w} digits",
-            f"E_N({est.start})      = {report['E_N_0']}",
-            f"P_s(A_N)    = {report['P0_AN']}",
-            f"L_N         = {digit_string(est.lower_bound, 40, ROUND_FLOOR)}",
-            f"U_N         = {digit_string(est.upper_bound, 40, ROUND_CEILING)}",
-            f"point_value = {report['point_value']}",
-            f"error_radius = {digit_string(Decimal(report['error_radius']), 40, ROUND_CEILING)}",
-            f"certified_digits = {est.certified_digits}",
-            f"runtime_seconds = {runtime:.2f}",
-        ]
-        _emit("\n".join(lines), out)
-    return EXIT_OK
+    lines = [
+        f"K = {k}   N = {report['N']}   start = {report['start']}   precision = {precision} digits",
+        f"E_N({report['start']})      = {report['E_N_0']}",
+        f"P_s(A_N)    = {report['P0_AN']}",
+        f"L_N         = {digit_string(est.bounds.lower, 40, ROUND_FLOOR)}",
+        f"U_N         = {digit_string(est.bounds.upper, 40, ROUND_CEILING)}",
+        f"point_value = {report['point_value']}",
+        f"error_radius = {digit_string(Decimal(report['error_radius']), 40, ROUND_CEILING)}",
+        f"certified_digits = {report['certified_digits']}",
+        f"runtime_seconds = {runtime:.2f}",
+    ]
+    return report, lines
 
 
 def certification_report(est: certify.CertifiedEstimate, runtime: float) -> dict:
@@ -141,20 +137,20 @@ def certification_report(est: certify.CertifiedEstimate, runtime: float) -> dict
     the printed ``[point, point + radius]`` contains the proven interval.
     An ``exact`` estimate keeps radius 0.
     """
-    w = est.working_digits
+    sol, bounds, w = est.solution, est.bounds, est.working_digits
     point = round_to_digits(est.point_value, w, ROUND_FLOOR)
     radius = (Fraction(0) if est.exact
               else est.point_value + est.error_radius - Fraction(point))
     return {
         "schema": SCHEMA_VERSION,
-        "K": est.K,
-        "N": est.N,
-        "start": est.start,
+        "K": bounds.K,
+        "N": sol.cutoff,
+        "start": sol.start,
         "precision_digits": w,
-        "E_N_0": digit_string(est.e_n_value, w, ROUND_FLOOR),
-        "P0_AN": digit_string(est.overshoot_prob, w, ROUND_FLOOR),
-        "L_N": digit_string(est.lower_bound, w, ROUND_FLOOR),
-        "U_N": digit_string(est.upper_bound, w, ROUND_CEILING),
+        "E_N_0": digit_string(sol.e_lo, w, ROUND_FLOOR),
+        "P0_AN": digit_string(sol.p_lo, w, ROUND_FLOOR),
+        "L_N": digit_string(bounds.lower, w, ROUND_FLOOR),
+        "U_N": digit_string(bounds.upper, w, ROUND_CEILING),
         "point_value": str(point),
         "error_radius": digit_string(radius, w, ROUND_CEILING),
         "certified_digits": est.certified_digits,
@@ -163,7 +159,7 @@ def certification_report(est: certify.CertifiedEstimate, runtime: float) -> dict
     }
 
 
-def cmd_solve(args, out: TextIO) -> int:
+def cmd_solve(args) -> tuple[dict, list[str]]:
     n = args.N
     if n is None:
         raise ConfigError("solve needs --N")
@@ -182,66 +178,49 @@ def cmd_solve(args, out: TextIO) -> int:
     runtime = time.monotonic() - t0
     uncertified = not (args.target == "squares" and args.die == 6)
     w = ctx.working_digits
+    payload = {
+        "schema": SCHEMA_VERSION,
+        "N": n,
+        "start": sol.start,
+        "die_sides": die.sides,
+        "target": args.target,
+        "precision_digits": w,
+        "E_N": digit_string(sol.e_n_value, w),
+        "P_overshoot": digit_string(sol.overshoot_prob, w),
+        "uncertified": uncertified,
+        "runtime_seconds": f"{runtime:.3f}",
+    }
+    lines = ["UNCERTIFIED (raw truncated solve; no error bounds attached)"] if uncertified else []
+    lines += [
+        f"N = {n}   start = {sol.start}   die = {die.sides}   precision = {w}",
+        f"E_N({sol.start}) = {payload['E_N']}",
+        f"P_{sol.start}(A_N) = {payload['P_overshoot']}",
+    ]
     # a P below the grid 2^-c has lower end 0; its upper end then tells a
     # positive P from none
-    p_upper = digit_string(sol.p_hi, w, ROUND_CEILING) if sol.p_lo == 0 < sol.p_hi else None
-    if args.format == "json":
-        payload = {
-            "schema": SCHEMA_VERSION,
-            "N": n,
-            "start": sol.start,
-            "die_sides": die.sides,
-            "target": args.target,
-            "precision_digits": w,
-            "E_N": digit_string(sol.e_n_value, w),
-            "P_overshoot": digit_string(sol.overshoot_prob, w),
-            "uncertified": uncertified,
-            "runtime_seconds": f"{runtime:.3f}",
-        }
-        if p_upper is not None:
-            payload["P_overshoot_upper"] = p_upper
-        _emit(json.dumps(payload, indent=2), out)
-    else:
-        lines = []
-        if uncertified:
-            lines.append("UNCERTIFIED (raw truncated solve; no error bounds attached)")
-        lines += [
-            f"N = {n}   start = {sol.start}   die = {die.sides}   precision = {w}",
-            f"E_N({sol.start}) = {digit_string(sol.e_n_value, w)}",
-            f"P_{sol.start}(A_N) = {digit_string(sol.overshoot_prob, w)}",
-        ]
-        if p_upper is not None:
-            lines.append(f"P_{sol.start}(A_N) < {p_upper}   (below the working grid;"
-                         " a higher --precision gives its digits)")
-        _emit("\n".join(lines), out)
-    return EXIT_OK
+    if sol.p_lo == 0 < sol.p_hi:
+        upper = payload["P_overshoot_upper"] = digit_string(sol.p_hi, w, ROUND_CEILING)
+        lines.append(f"P_{sol.start}(A_N) < {upper}   (below the working grid;"
+                     " a higher --precision gives its digits)")
+    return payload, lines
 
 
-def cmd_pn(args, out: TextIO) -> int:
+def cmd_pn(args) -> tuple[dict, list[str]]:
     if args.max < 1:
         raise ConfigError("--max must be >= 1")
     rows = []
     den = 1
     for q in itertools.islice(hitprob.pn_numerators(), 1, args.max + 1):
         den *= 6  # p_n = q / 6^n, in lowest terms
-        if args.exact:
-            rows.append(f"{q}/{den}")
-        else:
-            # p_n lies in [1/6, 1), so its 15 significant digits are 15
-            # decimal places, rounded once (half-even) from the exact value
-            digits, rem = divmod(q * 10**15, den)
-            digits += 2 * rem > den or (2 * rem == den and digits & 1)
-            rows.append(f"0.{digits:015d}")
-    if args.format == "json":
-        payload = {"schema": SCHEMA_VERSION,
-                   "rows": [{"n": n, "p_n": p} for n, p in enumerate(rows, start=1)]}
-        _emit(json.dumps(payload, indent=2), out)
-    else:
-        _emit("\n".join(["n,p_n"] + [f"{n},{p}" for n, p in enumerate(rows, start=1)]), out)
-    return EXIT_OK
+        # p_n lies in [1/6, 1) and its denominator has a factor 3, so its
+        # 15 significant digits are 15 decimal places, never cut short
+        rows.append(f"{q}/{den}" if args.exact else digit_string(Fraction(q, den), 15))
+    payload = {"schema": SCHEMA_VERSION,
+               "rows": [{"n": n, "p_n": p} for n, p in enumerate(rows, start=1)]}
+    return payload, ["n,p_n"] + [f"{n},{p}" for n, p in enumerate(rows, start=1)]
 
 
-def cmd_roots(args, out: TextIO) -> int:
+def cmd_roots(args) -> tuple[dict, list[str]]:
     precision = _resolve_precision(args, default=50)
     ctx = make_context(precision)
     roots = hitprob.compute_roots(ctx)
@@ -263,23 +242,17 @@ def cmd_roots(args, out: TextIO) -> int:
         "modulus_v": digit_string(roots.modulus_v, w),
         "modulus_w": digit_string(roots.modulus_w, w),
     }
-    if args.format == "json":
-        _emit(json.dumps(payload, indent=2), out)
-    else:
-        lines = [f"characteristic roots at {w} digits"]
-        for key in ("root_unit", "u", "v_plus", "v_minus", "w_plus", "w_minus",
-                    "modulus_u", "modulus_v", "modulus_w"):
-            val = payload[key]
-            if isinstance(val, dict):
-                sign, mag = ("-", val["im"][1:]) if val["im"].startswith("-") else ("+", val["im"])
-                lines.append(f"{key:10s} = {val['re']} {sign} {mag} i")
-            else:
-                lines.append(f"{key:10s} = {val}")
-        _emit("\n".join(lines), out)
-    return EXIT_OK
+    lines = [f"characteristic roots at {w} digits"]
+    for key, val in itertools.islice(payload.items(), 2, None):  # past schema and digits
+        if isinstance(val, dict):
+            sign, mag = ("-", val["im"][1:]) if val["im"].startswith("-") else ("+", val["im"])
+            lines.append(f"{key:10s} = {val['re']} {sign} {mag} i")
+        else:
+            lines.append(f"{key:10s} = {val}")
+    return payload, lines
 
 
-def cmd_simulate(args, out: TextIO) -> int:
+def cmd_simulate(args) -> tuple[dict, list[str]]:
     from . import oracle  # numpy, which no other command needs
 
     target = _parse_target(args.target)
@@ -303,17 +276,13 @@ def cmd_simulate(args, out: TextIO) -> int:
         "flagged": res.flagged,
         "runtime_seconds": f"{runtime:.3f}",
     }
-    if args.format == "json":
-        _emit(json.dumps(payload, indent=2), out)
-    else:
-        lines = [
-            f"mean = {res.mean!r}  (std_error = {res.std_error:.3g}, "
-            f"{res.trials_completed} completed, {res.capped_trials} capped)",
-        ]
-        if res.flagged:
-            lines.append("FLAGGED: capped trials present; mean is not a valid E[T] estimate")
-        _emit("\n".join(lines), out)
-    return EXIT_OK
+    lines = [
+        f"mean = {res.mean!r}  (std_error = {res.std_error:.3g}, "
+        f"{res.trials_completed} completed, {res.capped_trials} capped)",
+    ]
+    if res.flagged:
+        lines.append("FLAGGED: capped trials present; mean is not a valid E[T] estimate")
+    return payload, lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -376,8 +345,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         with _output(args.out) as out:
-            return args.func(args, out)
-    except (certify.PrecisionInsufficientError, PrecisionTooLowError) as exc:
+            payload, lines = args.func(args)
+            text = json.dumps(payload, indent=2) if args.format == "json" else "\n".join(lines)
+            out.write(text + "\n")
+    except PrecisionTooLowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECISION
     except (ConfigError, OSError) as exc:
@@ -389,6 +360,7 @@ def main(argv: list[str] | None = None) -> int:
         # ArithmeticError holds oracle's AllTrialsCappedError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -41,7 +41,8 @@ _EMIN = -(10**9)
 
 
 class PrecisionTooLowError(ValueError):
-    """Requested working precision is below the supported minimum."""
+    """Requested working precision is below the supported minimum, or below
+    what the requested certification needs."""
 
 
 @dataclass(frozen=True)

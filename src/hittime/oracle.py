@@ -78,12 +78,11 @@ def dp_tables(target: TargetSet, n: int, s_min: int = 0,
     where a neighbor beyond the cutoff has E = 0 and P = 1, so it adds
     nothing to E' and ``M^(j-1) M^(n+1-s-j) = M^(n-s)`` to P'.  Both are 0
     on target states.  The values become :class:`Fraction` only on return.
-    Dense arrays and full M-neighbor sums keep this solver independent of
-    the forward kernel's window map.  It meets the targets, as the kernel
-    does, through :meth:`TargetSet.members_upto`, which
-    ``test_members_upto_equals_sorted_filter`` checks against a plain
-    filter of the elements, and on the squares against
-    :meth:`TargetSet.membership`.
+    Dense arrays, full M-neighbor sums and a :meth:`TargetSet.membership`
+    query per state keep this solver independent of the forward kernel's
+    window map and of the member list it walks
+    (:meth:`TargetSet.members_upto`), so a fault in either cannot reach
+    both sides of a comparison with the kernel.
     """
     e_arr, p_arr = _scaled_tables(target, n, s_min, die)
     scale = die.sides ** (n + 1 - s_min)
@@ -100,8 +99,7 @@ def _scaled_tables(target: TargetSet, n: int, s_min: int,
     """``dp_tables``' integers E'(s) and P'(s), on the scales M^(n+1-s)."""
     if n < 0 or s_min < 0 or s_min > n:
         raise ValueError("need 0 <= s_min <= N")
-    # the targets <= n, walked down in step with s: the next one is members[-1]
-    members = target.members_upto(n)
+    target.ensure_bound(n)
     m = die.sides
     size = n - s_min + 1
     weights = [m ** j for j in range(m)]  # M^(j-1) for neighbor s + j
@@ -111,8 +109,7 @@ def _scaled_tables(target: TargetSet, n: int, s_min: int,
     for s in range(n, s_min - 1, -1):
         idx = s - s_min
         beyond, scale = scale, scale * m  # M^(n-s) and M^(n+1-s)
-        if members and members[-1] == s:
-            members.pop()
+        if target.membership(s):
             continue  # arrays already hold exact zeros
         acc_e = scale
         acc_p = 0

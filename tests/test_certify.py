@@ -11,7 +11,6 @@ from conftest import agreed_digits, rational_to_decimal
 from hittime.certify import (
     DivergentSeriesError,
     InvertedIntervalError,
-    PrecisionInsufficientError,
     certified_digit_count,
     certify_squares,
     compose_estimate,
@@ -21,6 +20,7 @@ from hittime.certify import (
 )
 from hittime.numerics import (
     GUARD_DIGITS,
+    PrecisionTooLowError,
     digit_string,
     make_context,
 )
@@ -175,7 +175,7 @@ def test_certify_published_prefix():
     assert est.certified_digits >= 21
     assert digit_string(est.point_value, 205).startswith(PUBLISHED_21)
     assert est.error_radius > 0
-    assert est.N == 250000
+    assert est.solution.cutoff == 250000
     assert not est.exact
 
 
@@ -203,9 +203,9 @@ def test_certify_nested_intervals():
 
 
 def test_certify_requires_enough_precision():
-    with pytest.raises(PrecisionInsufficientError) as err:
+    with pytest.raises(PrecisionTooLowError) as err:
         certify_squares(500, make_context(60))
-    assert err.value.required_digits == recommended_digits(500)
+    assert f"at least {recommended_digits(500)} working digits" in str(err.value)
     with pytest.raises(ValueError):
         certify_squares(3, make_context(100))
 
@@ -215,12 +215,12 @@ def test_certify_nonzero_start():
     ctx = make_context(recommended_digits(20))
     est0 = certify_squares(20, ctx, start=0)
     est5 = certify_squares(20, ctx, start=5)
-    assert est5.start == 5
+    assert est5.solution.start == 5
     assert est5.point_value != est0.point_value
     e_ref, _ = exact_dp(TargetSet.perfect_squares(), 400, 5)
     # point value is a strict lower bound that lies close above E_N(5)
-    assert Fraction(est5.e_n_value) <= Fraction(est5.point_value)
-    assert agreed_digits(rational_to_decimal(est5.e_n_value, ctx),
+    assert Fraction(est5.solution.e_lo) <= Fraction(est5.point_value)
+    assert agreed_digits(rational_to_decimal(est5.solution.e_lo, ctx),
                          rational_to_decimal(e_ref, ctx), 40) >= 35
     with pytest.raises(ValueError):
         certify_squares(20, ctx, start=401)

@@ -76,10 +76,10 @@ def test_certify_report_contains_proven_interval():
         radius = Fraction(Decimal(report["error_radius"]))
         assert point <= est.point_value
         assert point + radius >= est.point_value + est.error_radius
-        assert Fraction(Decimal(report["E_N_0"])) <= est.e_n_value
-        assert Fraction(Decimal(report["P0_AN"])) <= est.overshoot_prob
-        assert Fraction(Decimal(report["L_N"])) <= est.lower_bound
-        assert Fraction(Decimal(report["U_N"])) >= est.upper_bound
+        assert Fraction(Decimal(report["E_N_0"])) <= est.solution.e_lo
+        assert Fraction(Decimal(report["P0_AN"])) <= est.solution.p_lo
+        assert Fraction(Decimal(report["L_N"])) <= est.bounds.lower
+        assert Fraction(Decimal(report["U_N"])) >= est.bounds.upper
         assert report["certified_digits"] == est.certified_digits
 
 
@@ -456,6 +456,70 @@ def test_certify_payload_pinned(capsys):
     payload = json.loads(out)
     del payload["runtime_seconds"]
     assert payload == SOLVE_10000
+
+
+TEXT_OUTPUTS = [
+    (("certify", "--K", "10", "--format", "text"),
+     "K = 10   N = 100   start = 0   precision = 62 digits\n"
+     "E_N(0)      = 6.0391239141805396771824605092070798425346946851268273007267145\n"
+     "P_s(A_N)    = 0.041073550143038930565983497942045809582967066156972200171099731\n"
+     "L_N         = 14.10775581398433307589204826462408658986\n"
+     "U_N         = 91.41615066221100588756408006249710591938\n"
+     "point_value = 6.6185795300119741853101213718568244582578016912238807768274944\n"
+     "error_radius = 3.175330232276490779926983194577352231358\n"
+     "certified_digits = 0\n"),
+    (("solve", "--target", "{sparse}", "--N", "30", "--precision", "30", "--format", "text"),
+     "UNCERTIFIED (raw truncated solve; no error bounds attached)\n"
+     "N = 30   start = 0   die = 6   precision = 30\n"
+     "E_N(0) = 5.38931742281014501732610681489\n"
+     "P_0(A_N) = 0.413056025929862980366638856315\n"),
+    (("solve", "--target", "{short}", "--N", "4000", "--precision", "30", "--format", "text"),
+     "UNCERTIFIED (raw truncated solve; no error bounds attached)\n"
+     "N = 4000   start = 0   die = 6   precision = 30\n"
+     "E_N(0) = 2.00000000000000000000000000000\n"
+     "P_0(A_N) = 0\n"
+     "P_0(A_N) < 9.88578139942156017670749487011E-80   (below the working grid;"
+     " a higher --precision gives its digits)\n"),
+    (("pn", "--max", "3"),
+     "n,p_n\n1,0.166666666666667\n2,0.194444444444444\n3,0.226851851851852\n"),
+    (("pn", "--max", "3", "--exact"),
+     "n,p_n\n1,1/6\n2,7/36\n3,49/216\n"),
+    (("roots", "--precision", "30", "--format", "text"),
+     "characteristic roots at 30 digits\n"
+     "root_unit  = 1\n"
+     "u          = -0.670332047603096827743186427118\n"
+     "v_plus     = -0.375695199225259924691710623749 + 0.570175161011412263754748824948 i\n"
+     "v_minus    = -0.375695199225259924691710623749 - 0.570175161011412263754748824948 i\n"
+     "w_plus     = 0.294194556360141671896637170642 + 0.668367097443301064782919206077 i\n"
+     "w_minus    = 0.294194556360141671896637170642 - 0.668367097443301064782919206077 i\n"
+     "modulus_u  = 0.670332047603096827743186427118\n"
+     "modulus_v  = 0.682822522296458558434907497827\n"
+     "modulus_w  = 0.730249966748868585923911353809\n"),
+    (("simulate", "--trials", "1000", "--seed", "1", "--format", "text"),
+     "mean = 6.457  (std_error = 0.321, 1000 completed, 0 capped)\n"),
+    (("simulate", "--target", "{bounded}", "--trials", "1000", "--seed", "1", "--format", "text"),
+     "mean = 2.9356521739130437  (std_error = 0.0849, 575 completed, 425 capped)\n"
+     "FLAGGED: capped trials present; mean is not a valid E[T] estimate\n"),
+]
+
+
+def test_text_formats_pinned(capsys, tmp_path):
+    # every text and CSV format byte for byte, but certify's runtime line:
+    # a file target without and with P's upper end (the odd states to 1499,
+    # where the row is zero at 30 digits, then 3000 .. 3004), and simulate
+    # plain and flagged on a bounded file
+    files = {"sparse": "3\n7\n20\n",
+             "short": "".join(f"{h}\n" for h in [*range(1, 1500, 2), *range(3000, 3005)]),
+             "bounded": "# bound 40\n3\n7\n20\n"}
+    for name, text in files.items():
+        (tmp_path / f"{name}.txt").write_text(text)
+        files[name] = f"file:{tmp_path / name}.txt"
+    for argv, expected in TEXT_OUTPUTS:
+        code, out, _ = run_cli(capsys, *(a.format(**files) for a in argv))
+        assert code == 0
+        kept = "".join(line for line in out.splitlines(True)
+                       if not line.startswith("runtime_seconds = "))
+        assert kept == expected, argv
 
 
 def test_roots_nonconvergence_exits_4(capsys, monkeypatch):

@@ -626,6 +626,41 @@ def test_jumping_and_stepping_kernels_intersect_on_squares():
         assert enc.p_hi - enc.p_lo <= Fraction(1, 10 ** working) * enc.p_lo
 
 
+def stepped_twin(k: int, c: int) -> tuple[int, ...]:
+    """E_N(0) and P to the squares at N = K^2 from a six-sided die, enclosed
+    by a floor row and a ceiling row stepped through every state.
+
+    It shares no rule with the kernel: no jump, cached power, cut, Wald
+    term or a priori width, and it finds the squares with its own counter.
+    Returns ``(e_lo, e_hi, p_lo, p_hi)`` in units of 2^-c.
+    """
+    lo, hi = [1 << c] + [0] * 5, [1 << c] + [0] * 5
+    e_lo = e_hi = 0
+    root = 1
+    for s in range(k * k + 1):
+        if s == root * root:
+            lo, hi = lo[1:] + [0], hi[1:] + [0]
+            root += 1
+            continue
+        e_lo, e_hi = e_lo + lo[0], e_hi + hi[0]
+        down, up = lo[0] // 6, -(-hi[0] // 6)
+        lo = [v + down for v in lo[1:]] + [down]
+        hi = [v + up for v in hi[1:]] + [up]
+    return e_lo, e_hi, sum(lo), sum(hi)
+
+
+def test_kernel_meets_stepped_twin_at_certify_scale():
+    # at K = 800 and 180 digits the kernel jumps the 736 runs of 2k >= 128
+    # states; an enclosure that a shared rule bent away from E_N or P would
+    # miss the twin's, which is about 2^31 units of 2^-c wide
+    ctx = make_context(180)
+    c = fraction_bits(ctx)
+    sol = solve_pair(SQUARES, D6, 800 * 800, 0, ctx)
+    e_lo, e_hi, p_lo, p_hi = (Fraction(v, 1 << c) for v in stepped_twin(800, c))
+    assert sol.e_lo <= e_hi and e_lo <= sol.e_hi
+    assert sol.p_lo <= p_hi and p_lo <= sol.p_hi
+
+
 def test_progress_reports_ascending_states(monkeypatch):
     # about every 1000 states covered, also inside a long target-free
     # stretch, the solve reports the gaps between targets covered so far,
