@@ -295,14 +295,23 @@ def solve_pair(target: TargetSet, die: DieModel, n: int, s_min: int,
     A-steps per run.  Every other run steps r state by state.  An A-step
     of the power costs about one state step, so the cap keeps what is
     spent advancing toward a run the power does not reach to about 1/M^2
-    of the cost of stepping that run.
+    of the cost of stepping that run.  If after an advance the power's
+    kept values of q (below) are all one value x, it is a fixed point: its
+    r[0] is M x, so a step passes M x / M = x on and leaves it as it was.
+    Then A^g is A^span, rounding included, for every g >= span, so span
+    is set to g without stepping and the run is jumped.  A lone long run
+    is thus jumped once the power settles within the cap.  The rows used
+    are exactly the rows stepping would give, so the widths below hold.
 
-    Every row, r and the cached power alike, is kept in one difference
-    form: the last M values d that it passed on, newest first, and r[0].
-    A step passes x = r[0] / M on, rounded down, and
+    The cached power, and r while it is stepped, are kept in one
+    difference form: the last M values d that the row passed on, newest
+    first, and r[0].  A step passes x = r[0] / M on, rounded down, and
     ``r'[j] = r[j+1] + x``, so ``r[j] = d[0] + ... + d[M-1-j]``, and r[0]
     gains x and loses the oldest d.  A target is a step that passes 0 on.
-    One loop steps either row.
+    One loop steps either row.  A jump reads r as its values and leaves
+    r' as its values, so r stays in that form, a target shifting it to
+    ``(r[1], ..., r[M-1], 0)``, until a run is stepped: its differences
+    are rebuilt once, there.
 
     The power is e_0 stepped span times.  Row i of A^span is e_i stepped
     span times; its first i steps have r[0] = 0, so they are exact shifts,
@@ -339,6 +348,17 @@ def solve_pair(target: TargetSet, die: DieModel, n: int, s_min: int,
     products in place of 36, so a jump's sums cost 19.  Both
     sides of each identity are the same integer, so the floor that
     follows acts on exactly the sums of the plain products.
+
+    *A flat window.*  After the cut (below), the 2M - 1 kept values of q
+    are often one value b: on the squares at K = 1200 and 240 digits,
+    every jump from k = 709 on, 491 of 1,136.  Then every delta is 0 and
+    every D_k is S b, so F_i is (i+1) S b and, the products being
+    shifted by c - cut, ``r'[M-1-i] = ((i+1) S b) / 2^(c-cut)``, rounded
+    down: one product in place of 19, and no partial sums.  These are the
+    integers the products give, so the floors, the bounds and the widths
+    below are unchanged.  The check, the cut window's largest value equal
+    to its smallest, runs on every jump: q is not monotone, so a later
+    window need not be flat.
 
     A jump's E term ``r h_g`` comes from Wald's identity: the mean roll is
     (M+1)/2, so ``l(s) = -2s/(M+1)`` solves E_N's off-target recursion
@@ -392,7 +412,8 @@ def solve_pair(target: TargetSet, die: DieModel, n: int, s_min: int,
     floor, added to M entries, loses at most M - 1 more.  A target drops
     an entry of r and one of lo below it, so a does not rise.  A jump over
     g >= 1 states keeps the norm of (r - lo) A^g; each power row used is
-    e_0 stepped at most g times, so its floors lose at most (M - 1) g
+    e_0 stepped at most g times (a settled power's rows are those of the
+    steps it skips), so its floors lose at most (M - 1) g
     units of its sum, and as lo's mass is at most P <= 1 they cost lo at
     most (M - 1) g units; the cut costs less than M(M+1)/2 2^-CUT_GUARD,
     which is below 1 + floor(M^2 / 2^CUT_GUARD), and the M final floors
@@ -483,8 +504,9 @@ def _forward(members: list[int], m: int, n: int, s_min: int, bits: int,
     least = max(JUMP_MIN, m)
     # e_0's differences, newest first: r[0] = one is their sum
     unit = [0] * (m - 1) + [one]
-    # the row r (see solve_pair): its differences and r[0]
-    row, row0 = deque(unit, maxlen=m), one
+    # the row r (see solve_pair): its differences and r[0]; after a jump
+    # r[M-1] .. r[0] in rev instead, until a run is stepped
+    row, row0, rev = deque(unit, maxlen=m), one, None
     e = 0
     # the cached power A^span: e_0 stepped span times, keeping
     # q_(span-1) .. q_(span-2M+1), and its r[0]
@@ -506,22 +528,35 @@ def _forward(members: list[int], m: int, n: int, s_min: int, bits: int,
             d = min(g - span, max(g // (m * m), JUMP_MIN))
             power0 = _step(power, power0, m, d)[0]
             span += d
+            # q_(span-1) .. q_(span-2M+1) all x: a fixed point (see solve_pair)
+            if span < g and power[0] == power[-1] and power.count(power[0]) == 2 * m - 1:
+                span = g
         if least <= g == span:
             rho = rate * (p - s_min)
-            rev = list(itertools.accumulate(row))  # r[M-1] .. r[0]
-            # the power's q window, oldest first, cut to what r's mass can see
-            cut = max(0, bits - (sum(rev) + rho).bit_length() - CUT_GUARD)
+            if rev is None:
+                rev = list(itertools.accumulate(row))
+            total = sum(rev)
+            # the power's q window, cut to what r's mass can see
+            cut = max(0, bits - (total + rho).bit_length() - CUT_GUARD)
             keep = bits - cut
-            # r'[M-1-i] <- (D_(g-1) + ... + D_(g-1-i)) / 2^keep
-            new = [v >> keep for v in itertools.accumulate(
-                _jump_products(rev, [v >> cut for v in reversed(power)]))]
+            b = power[0] >> cut
+            if power[-1] >> cut == b and max(power) >> cut == min(power) >> cut:
+                # a flat window (see solve_pair): every D_k is total b
+                base = total * b
+                new = [(i + 1) * base >> keep for i in range(m)]
+            else:
+                # r'[M-1-i] <- (D_(g-1) + ... + D_(g-1-i)) / 2^keep
+                new = [v >> keep for v in itertools.accumulate(
+                    _jump_products(rev, [v >> cut for v in reversed(power)]))]
             # r h_g = 2/(M+1) (r' . (g+j) - r . j), with r . j read as its
             # upper bound, this row's r . j plus (M-1) rho
             after, before = range(g + m - 1, g - 1, -1), range(m - 1, -1, -1)
             e += 2 * (_dot(new, after) - _dot(rev, before) - (m - 1) * rho) // (m + 1)
-            row.extend(map(operator.sub, new, [0, *new]))  # pushes out all M old ones
-            row0 = new[-1]
+            rev = new
         else:
+            if rev is not None:
+                row.extend(map(operator.sub, rev, [0, *rev]))  # pushes out all M old ones
+                row0, rev = rev[-1], None
             while g:  # in pieces, so long stretches report progress
                 run = min(g, PROGRESS_INTERVAL)
                 row0, add = _step(row, row0, m, run)
@@ -530,12 +565,16 @@ def _forward(members: list[int], m: int, n: int, s_min: int, bits: int,
                 covered(t - g - 1)
         if t > n:
             break
-        row0 = _drop(row, row0, m)
+        if rev is None:
+            row0 = _drop(row, row0, m)
+        else:
+            rev = [0, *rev[:-1]]
+            row0 = rev[-1]
         covered(t)
         p = t + 1
         if not row0:
             break  # a zero row stays zero (see solve_pair): e_lo is final
-    p_lo = sum(itertools.accumulate(row))
+    p_lo = sum(itertools.accumulate(row) if rev is None else rev)
     width_p = rate * (n + 1 - s_min)
     width_e = (n + 1 - s_min) * (4 * width_p + 1)
     return TruncationSolution(cutoff=n, start=s_min,

@@ -85,9 +85,14 @@ def forward_reference(target, die, n, s_min, ctx, jump_min=math.inf,
     With ``jump_min``, a run of g >= max(jump_min, M) states may instead
     be jumped as in the kernel: the cached power A^span (M rows per twin,
     each a unit row stepped span times on 2^-c) first advances
-    ``min(g - span, max(g // M^2, jump_min))`` steps if ``span <= g``, and
-    if span then equals g, r becomes ``r' = r A^g``, a full dot product per
-    twin, using the power cut to what r's mass can see: with
+    ``min(g - span, max(g // M^2, jump_min))`` steps if ``span <= g``.  A
+    twin whose M rows all read (Mx, (M-1)x, ..., x) is settled: a step of
+    either rounding passes Mx / M = x on and gives it back, so it is not
+    stepped further.  If the floor twin is settled after the advance, span
+    becomes g, as in the kernel, and the ceiling twin is stepped on to g,
+    stopping once it too is settled, so each twin is A^g of its own
+    rounding.  If span then equals g, r becomes ``r' = r A^g``, a full dot
+    product per twin, using the power cut to what r's mass can see: with
     ``cut = c - bitlen(sum(lo) + rho) - CUT_GUARD`` (at least 0), each term
     of an entry of A^g (the differences along its row, of which the entry
     is the suffix sum) is divided by 2^cut, rounded down or up, and the
@@ -125,6 +130,19 @@ def forward_reference(target, die, n, s_min, ctx, jump_min=math.inf,
     def up(x, k):
         return -(-x >> k)
 
+    def settled(rows):
+        # every row (Mx, (M-1)x, ..., x): a step of either rounding passes
+        # Mx / M = x on and gives the row back
+        fixed = [(m - j) * rows[0][-1] for j in range(m)]
+        return all(row == fixed for row in rows)
+
+    def advance(rows, d, rounds_up):
+        for _ in range(d):
+            if settled(rows):
+                break
+            rows = [step(row, rounds_up) for row in rows]
+        return rows
+
     def cut_rows(rows, k, rnd):
         cut = []
         for row in rows:
@@ -143,11 +161,10 @@ def forward_reference(target, die, n, s_min, ctx, jump_min=math.inf,
         g = t - p
         if least <= g and span <= g:
             d = min(g - span, max(g // (m * m), jump_min))
-            for rounds_up, rows in power.items():
-                for i, row in enumerate(rows):
-                    for _ in range(d):
-                        row = step(row, rounds_up)
-                    rows[i] = row
+            power[False] = advance(power[False], d, False)
+            if span + d < g and settled(power[False]):
+                d = g - span
+            power[True] = advance(power[True], d, True)
             span += d
         if least <= g == span:
             rho = rate * (p - s_min)

@@ -494,40 +494,67 @@ def test_jump_e_term_is_walds_identity(sides, g, data):
 
 @pytest.mark.parametrize("jump_min", [1, 2])
 @settings(deadline=None, max_examples=10)
-@given(sides=st.integers(2, 9), n=st.integers(1000, 3000), seed=st.integers(0, 2**32))
-def test_long_cuts_equal_full_product_reference(jump_min, sides, n, seed):
-    # a target every 2 or 3 states drives P far below 2^-CUT_GUARD, so
-    # each jump cuts the power by up to nearly all of its c bits; the
-    # kernel still equals the plain-list reference bit for bit.  The runs
-    # between targets are 1 or 2 states long, so jump_min 1 and 2 jump
-    # every run the cached power reaches
+@given(sides=st.integers(2, 9), seed=st.integers(0, 2**32), data=st.data())
+def test_long_cuts_equal_full_product_reference(jump_min, sides, seed, data):
+    # a target every M + 1 or M + 2 states, up to N in [500 M, 1000 M],
+    # drives P far below 2^-CUT_GUARD, so each jump cuts the power by up
+    # to nearly all of its c bits; the kernel still equals the plain-list
+    # reference bit for bit.  The runs between targets are M or M + 1
+    # states long, at least max(jump_min, M), so jump_min 1 and 2 jump
+    # every run the cached power reaches, which it does one or two A-steps
+    # per run; the first jumps' windows are not flat and take the products
+    n = data.draw(st.integers(500 * sides, 1000 * sides), label="n")
     rng = random.Random(seed)
     members, s = [], 0
     while s <= n:
-        s += rng.randint(2, 3)
+        s += rng.randint(sides + 1, sides + 2)
         members.append(s)
     target = TargetSet.from_list(members)
     die = DieModel(sides)
     ctx = make_context(30)
-    with mock.patch.object(walkmodel, "JUMP_MIN", jump_min):
+    with (mock.patch.object(walkmodel, "JUMP_MIN", jump_min),
+          mock.patch.object(walkmodel, "_jump_products",
+                            wraps=walkmodel._jump_products) as products):
         sol = solve_pair(target, die, n, 0, ctx)
+    assert products.called
     assert sol == forward_reference(target, die, n, 0, ctx, jump_min)
     # the last jumps cut the power by more than half of its c bits
     assert sol.p_hi < Fraction(1, 1 << fraction_bits(ctx) // 2)
 
 
-@pytest.mark.parametrize("sides, k", [(6, 500), (4, 400), (130, 70)],
-                         ids=["d6-K500", "d4-K400", "d130-K70"])
-def test_jumps_equal_full_product_reference_at_scale(sides, k):
-    # with the default JUMP_MIN, on the squares to N = K^2 at 200 digits,
-    # the runs of 2j >= 128 states from j = 64 on are jumped: at certify's
-    # size K = 500 on a six-sided die, whose jumps take the block split;
-    # on a four-sided die, whose jumps take plain dots; a 130-sided die
-    # steps its run of 128 states, shorter than M, and jumps the runs
-    # from 130 states on with plain dots
-    die, ctx = DieModel(sides), make_context(200)
+@pytest.mark.parametrize("sides, k, digits", [(6, 500, 200), (4, 400, 200), (130, 70, 200),
+                                               (6, 500, 100)],
+                         ids=["d6-K500", "d4-K400", "d130-K70", "d6-K500-100digits"])
+def test_jumps_equal_full_product_reference_at_scale(sides, k, digits):
+    # with the default JUMP_MIN, on the squares to N = K^2, the runs of
+    # 2j >= 128 states from j = 64 on are jumped: at certify's size K = 500
+    # on a six-sided die, whose jumps take the block split; on a four-sided
+    # die, whose jumps take plain dots; a 130-sided die steps its run of
+    # 128 states, shorter than M, and jumps the runs from 130 states on
+    # with plain dots.  At 200 digits no cut window is flat; at 100 digits
+    # 125 of the six-sided die's 436 jumps see one
+    die, ctx = DieModel(sides), make_context(digits)
     sol = solve_pair(SQUARES, die, k * k, 0, ctx)
     assert sol == forward_reference(SQUARES, die, k * k, 0, ctx, walkmodel.JUMP_MIN)
+
+
+def test_settled_power_jumps_a_lone_run():
+    # after the targets 3, 7 and 20 one run of 99,980 states follows; the
+    # cached power's one advance toward it, 2,777 A-steps, reaches a fixed
+    # point, so the run is jumped, not stepped, with the rows stepping
+    # would give: the kernel equals the reference bit for bit, its widths
+    # cover the ceiling twin, and it meets the stepping kernel
+    target, n, ctx = TargetSet.from_list([3, 7, 20]), 10**5, make_context(30)
+    with mock.patch.object(walkmodel, "_step", wraps=walkmodel._step) as stepper:
+        sol = solve_pair(target, D6, n, 0, ctx)
+    assert sum(call.args[3] for call in stepper.call_args_list) < 3000
+    assert sol == forward_reference(target, D6, n, 0, ctx, walkmodel.JUMP_MIN)
+    twin = forward_reference(target, D6, n, 0, ctx, walkmodel.JUMP_MIN, twins=True)
+    assert sol.e_lo <= twin.e_hi <= sol.e_hi and sol.p_lo <= twin.p_hi <= sol.p_hi
+    with mock.patch.object(walkmodel, "JUMP_MIN", 10**9):
+        stepping = solve_pair(target, D6, n, 0, ctx)
+    assert max(sol.e_lo, stepping.e_lo) <= min(sol.e_hi, stepping.e_hi)
+    assert max(sol.p_lo, stepping.p_lo) <= min(sol.p_hi, stepping.p_hi)
 
 
 # Every odd state up to 1499 is a target: at 30 digits the kernel's row
