@@ -354,7 +354,7 @@ def solve_pair(target: TargetSet, die: DieModel, n: int, s_min: int,
     every jump from k = 709 on, 491 of 1,136.  Then every delta is 0 and
     every D_k is S b, so F_i is (i+1) S b and, the products being
     shifted by c - cut, ``r'[M-1-i] = ((i+1) S b) / 2^(c-cut)``, rounded
-    down: one product in place of 19, and no partial sums.  These are the
+    down: one full-size product in place of 19, and no partial sums.  These are the
     integers the products give, so the floors, the bounds and the widths
     below are unchanged.  The check, the cut window's largest value equal
     to its smallest, runs on every jump: q is not monotone, so a later
