@@ -287,21 +287,22 @@ def solve_pair(target: TargetSet, die: DieModel, n: int, s_min: int,
 
     A run of g non-target states between targets applies A^g, and adds
     ``r h_g`` to e with ``h_g = (I + A + ... + A^(g-1)) e_0``, the r[0]
-    summed over the run.  Runs of at least max(``JUMP_MIN``, M) states use
-    one cached power ``A^span``: when ``g >= span``, the power advances
-    toward g by at most ``max(g // M^2, JUMP_MIN)`` A-steps, and if it
-    reaches g the run is crossed in one jump, ``r <- r A^g``.  The power
-    only advances, so on the squares (runs of 2k states) it costs two
-    A-steps per run.  Every other run steps r state by state.  An A-step
-    of the power costs about one state step, so the cap keeps what is
-    spent advancing toward a run the power does not reach to about 1/M^2
-    of the cost of stepping that run.  If after an advance the power's
-    kept values of q (below) are all one value x, it is a fixed point: its
-    r[0] is M x, so a step passes M x / M = x on and leaves it as it was.
-    Then A^g is A^span, rounding included, for every g >= span, so span
-    is set to g without stepping and the run is jumped.  A lone long run
-    is thus jumped once the power settles within the cap.  The rows used
-    are exactly the rows stepping would give, so the widths below hold.
+    summed over the run.  A run of at least L = max(``JUMP_MIN``, M)
+    states with ``g >= span`` is crossed in one jump, ``r <- r A^g``, with
+    one cached power ``A^span``.  First the power advances toward g in
+    pieces of at most L A-steps, and between pieces it stops if its kept
+    values of q (below) are all one value x.  Then it is a fixed point:
+    its r[0] is M x, so a step passes M x / M = x on and leaves it as it
+    was, and A^span is A^g, rounding included, for every g >= span.  span
+    counts only the A-steps taken, so a later run no shorter than span is
+    jumped with none.  On the squares (runs of 2k states) the power
+    advances two A-steps per run; a lone long run costs the A-steps to
+    the fixed point, about c/0.454 on a six-sided die (c below).  Every
+    other run steps r state by state.  An A-step costs about one state
+    step, and the power only advances, at most g - span steps toward a
+    run of g, so an advance never costs more than stepping the run it
+    reaches.  The rows used are exactly the rows stepping would give, so
+    the widths below hold.
 
     The cached power, and r while it is stepped, are kept in one
     difference form: the last M values d that the row passed on, newest
@@ -525,13 +526,11 @@ def _forward(members: list[int], m: int, n: int, s_min: int, bits: int,
     for gap, t in enumerate(members + [n + 1]):
         g = t - p
         if least <= g and span <= g:
-            d = min(g - span, max(g // (m * m), JUMP_MIN))
-            power0 = _step(power, power0, m, d)[0]
-            span += d
-            # q_(span-1) .. q_(span-2M+1) all x: a fixed point (see solve_pair)
-            if span < g and power[0] == power[-1] and power.count(power[0]) == 2 * m - 1:
-                span = g
-        if least <= g == span:
+            # a fixed power is A^g already (see solve_pair)
+            while span < g and not _fixed(power):
+                d = min(g - span, least)
+                power0 = _step(power, power0, m, d)[0]
+                span += d
             rho = rate * (p - s_min)
             if rev is None:
                 rev = list(itertools.accumulate(row))
@@ -598,6 +597,15 @@ def _step(row: deque, r0: int, m: int, g: int) -> tuple[int, int]:
         r0 += x - row[oldest]
         push(x)
     return r0, total
+
+
+def _fixed(power: deque) -> bool:
+    """Whether the kept values q_(span-1) .. q_(span-2M+1) are all one value x.
+
+    Then the power is a fixed point: its r[0] is M x, so a step passes x
+    on and leaves it as it was (see :func:`solve_pair`).
+    """
+    return power.count(power[0]) == len(power)
 
 
 def _drop(row: deque, r0: int, m: int) -> int:

@@ -82,16 +82,17 @@ def forward_reference(target, die, n, s_min, ctx, jump_min=math.inf,
     to ``r[1:] + r[0] / M`` with ``r[0] / M`` appended, the division
     rounded down or up.
 
-    With ``jump_min``, a run of g >= max(jump_min, M) states may instead
-    be jumped as in the kernel: the cached power A^span (M rows per twin,
-    each a unit row stepped span times on 2^-c) first advances
-    ``min(g - span, max(g // M^2, jump_min))`` steps if ``span <= g``.  A
-    twin whose M rows all read (Mx, (M-1)x, ..., x) is settled: a step of
-    either rounding passes Mx / M = x on and gives it back, so it is not
-    stepped further.  If the floor twin is settled after the advance, span
-    becomes g, as in the kernel, and the ceiling twin is stepped on to g,
-    stopping once it too is settled, so each twin is A^g of its own
-    rounding.  If span then equals g, r becomes ``r' = r A^g``, a full dot
+    With ``jump_min``, a run of g >= max(jump_min, M) states is instead
+    jumped as in the kernel if the floor twin's cached power A^span (M
+    rows, each a unit row stepped span times on 2^-c) has ``span <= g``.
+    A twin whose M rows all read (Mx, (M-1)x, ..., x) is settled: a step
+    of either rounding passes Mx / M = x on and gives it back, so it is
+    A^g for every g >= span.  The floor power advances toward g in pieces
+    of at most max(jump_min, M) steps, as the kernel's, and stops between
+    pieces once settled.  The ceiling power keeps its own span: it steps
+    toward g one step at a time, stopping once settled, and restarts from
+    the unit rows when g is below its span, so each twin is A^g of its
+    own rounding.  r then becomes ``r' = r A^g``, a full dot
     product per twin, using the power cut to what r's mass can see: with
     ``cut = c - bitlen(sum(lo) + rho) - CUT_GUARD`` (at least 0), each term
     of an entry of A^g (the differences along its row, of which the entry
@@ -136,12 +137,15 @@ def forward_reference(target, die, n, s_min, ctx, jump_min=math.inf,
         fixed = [(m - j) * rows[0][-1] for j in range(m)]
         return all(row == fixed for row in rows)
 
-    def advance(rows, d, rounds_up):
-        for _ in range(d):
-            if settled(rows):
-                break
-            rows = [step(row, rounds_up) for row in rows]
-        return rows
+    def advance(rows, span, g, piece, rounds_up):
+        # step toward g in pieces of at most `piece` steps, stopping
+        # between pieces at a settled twin, which is A^g already
+        while span < g and not settled(rows):
+            d = min(g - span, piece)
+            for _ in range(d):
+                rows = [step(row, rounds_up) for row in rows]
+            span += d
+        return rows, span
 
     def cut_rows(rows, k, rnd):
         cut = []
@@ -154,19 +158,17 @@ def forward_reference(target, die, n, s_min, ctx, jump_min=math.inf,
     hi = list(lo)
     unit = [[one if j == i else 0 for j in range(m)] for i in range(m)]
     power = {rounds_up: [list(row) for row in unit] for rounds_up in (False, True)}
-    e_lo = e_hi = span = 0
+    e_lo = e_hi = 0
+    span = {rounds_up: 0 for rounds_up in (False, True)}
     p = s_min
     least = max(jump_min, m)
     for t in [s for s in range(s_min, n + 1) if target.membership(s)] + [n + 1]:
         g = t - p
-        if least <= g and span <= g:
-            d = min(g - span, max(g // (m * m), jump_min))
-            power[False] = advance(power[False], d, False)
-            if span + d < g and settled(power[False]):
-                d = g - span
-            power[True] = advance(power[True], d, True)
-            span += d
-        if least <= g == span:
+        if least <= g and span[False] <= g:
+            power[False], span[False] = advance(power[False], span[False], g, least, False)
+            if span[True] > g:
+                power[True], span[True] = [list(row) for row in unit], 0
+            power[True], span[True] = advance(power[True], span[True], g, 1, True)
             rho = rate * (p - s_min)
             k = max(0, bits - (sum(lo) + rho).bit_length() - CUT_GUARD)
             new_lo = [down(dot(lo, col), bits - k) for col in zip(*cut_rows(power[False], k, down))]

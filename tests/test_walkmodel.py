@@ -311,8 +311,10 @@ def adversarial_walks(draw):
     targets.  Each run is 0 .. 2 states longer than the one before (2 on
     the squares, 0 on periodic targets), so the cached power keeps
     reaching them, but for one that may be up to 300 states longer, which
-    is stepped.  Each block has 1 or 2 targets, fewer than M, but for one
-    of M - 1, M or M + 1.  The first target lies at 1 .. 3 and the walk
+    the power advances to in pieces of max(JUMP_MIN, M) A-steps and jumps;
+    the shorter runs after it are stepped until one is as long.  Each
+    block has 1 or 2 targets, fewer than M, but for one of M - 1, M or
+    M + 1.  The first target lies at 1 .. 3 and the walk
     starts before it, and the cutoff lies in the second half.  JUMP_MIN
     1 .. 5 jumps the runs of at least M states the power reaches; a
     130-sided die (up to 4 runs, as its plain-list reference is slow)
@@ -538,16 +540,13 @@ def test_jumps_equal_full_product_reference_at_scale(sides, k, digits):
     assert sol == forward_reference(SQUARES, die, k * k, 0, ctx, walkmodel.JUMP_MIN)
 
 
-def test_settled_power_jumps_a_lone_run():
-    # after the targets 3, 7 and 20 one run of 99,980 states follows; the
-    # cached power's one advance toward it, 2,777 A-steps, reaches a fixed
-    # point, so the run is jumped, not stepped, with the rows stepping
-    # would give: the kernel equals the reference bit for bit, its widths
-    # cover the ceiling twin, and it meets the stepping kernel
-    target, n, ctx = TargetSet.from_list([3, 7, 20]), 10**5, make_context(30)
+def check_jumps_with_few_steps(target, n, ctx, most):
+    # the kernel steps fewer than `most` states and A-steps of its power,
+    # equals the reference bit for bit, its widths cover the ceiling twin,
+    # and it meets the stepping kernel
     with mock.patch.object(walkmodel, "_step", wraps=walkmodel._step) as stepper:
         sol = solve_pair(target, D6, n, 0, ctx)
-    assert sum(call.args[3] for call in stepper.call_args_list) < 3000
+    assert sum(call.args[3] for call in stepper.call_args_list) < most
     assert sol == forward_reference(target, D6, n, 0, ctx, walkmodel.JUMP_MIN)
     twin = forward_reference(target, D6, n, 0, ctx, walkmodel.JUMP_MIN, twins=True)
     assert sol.e_lo <= twin.e_hi <= sol.e_hi and sol.p_lo <= twin.p_hi <= sol.p_hi
@@ -555,6 +554,39 @@ def test_settled_power_jumps_a_lone_run():
         stepping = solve_pair(target, D6, n, 0, ctx)
     assert max(sol.e_lo, stepping.e_lo) <= min(sol.e_hi, stepping.e_hi)
     assert max(sol.p_lo, stepping.p_lo) <= min(sol.p_hi, stepping.p_hi)
+
+
+@pytest.mark.parametrize("n, digits", [(2 * 10**4, 30), (10**5, 30), (10**6, 300)],
+                         ids=["N20000-30digits", "N100000-30digits", "N1000000-300digits"])
+def test_settled_power_jumps_a_lone_run(n, digits):
+    # after the targets 3, 7 and 20 one run of nearly N states follows; the
+    # cached power advances toward it in pieces of JUMP_MIN A-steps until
+    # it reaches a fixed point, after about c/0.454 A-steps, c the fraction
+    # bits, so the run is jumped, not stepped, with the rows stepping would
+    # give.  At N = 2*10^4 and 30 digits, and at N = 10^6 and 300 digits,
+    # the run is shorter than M^2 times the A-steps to the fixed point
+    check_jumps_with_few_steps(TargetSet.from_list([3, 7, 20]), n, make_context(digits), 3000)
+
+
+def test_fixed_power_jumps_a_shorter_run():
+    # the power settles on the run of 19,999 states after 20 at a span
+    # far below it; a fixed power is A^g for every g >= span, so the
+    # shorter runs that follow, of 999 and, last, 980 states, are jumped
+    # with no A-steps.  Had the first jump set span to 19,999, they would
+    # all be stepped
+    target = TargetSet.from_list([3, 7, 20, *range(20020, 40021, 1000)])
+    check_jumps_with_few_steps(target, 40000, make_context(30), 1000)
+
+
+def test_fixed_point_needs_every_kept_value():
+    # the power is fixed only when all 2M - 1 kept values of q are equal:
+    # equal ends around a different inner value are not enough
+    m = 6
+    assert walkmodel._fixed(deque([7] * (2 * m - 1), maxlen=2 * m - 1))
+    for inner in range(1, 2 * m - 2):
+        window = [7] * (2 * m - 1)
+        window[inner] = 8
+        assert not walkmodel._fixed(deque(window, maxlen=2 * m - 1))
 
 
 # Every odd state up to 1499 is a target: at 30 digits the kernel's row
@@ -691,9 +723,12 @@ def test_kernel_meets_stepped_twin_at_certify_scale():
 def test_progress_reports_ascending_states(monkeypatch):
     # about every 1000 states covered, also inside a long target-free
     # stretch, the solve reports the gaps between targets covered so far,
-    # with the covered share of the current gap
+    # with the covered share of the current gap.  The cached power jumps
+    # 3, 7, 20's lone gap, so that case steps every state instead
     monkeypatch.setattr(walkmodel, "PROGRESS_INTERVAL", 1000)
-    for target, total in ((SQUARES, 94), (TargetSet.from_list([3, 7, 20]), 1)):
+    for target, total, jump_min in ((SQUARES, 94, walkmodel.JUMP_MIN),
+                                    (TargetSet.from_list([3, 7, 20]), 1, 10**9)):
+        monkeypatch.setattr(walkmodel, "JUMP_MIN", jump_min)
         seen = []
         solve_pair(target, D6, 10**4, 50, make_context(30),
                    progress=lambda done, gaps: seen.append((done, gaps)))
