@@ -36,6 +36,10 @@ satisfy lower < E(s) < upper.  The number of certified digits is the
 length of the decimal prefix shared by the two endpoints, which the
 interval cannot straddle.  Nothing is rounded until the report prints it,
 outward (:func:`hittime.cli.certification_report`).
+
+The solve's fixed-point grid follows K, not the printed precision
+(:func:`solve_digits`), so digits printed past what the enclosure
+supports are rounding residue of that grid.
 """
 
 from __future__ import annotations
@@ -45,7 +49,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import hitprob, walkmodel
-from .numerics import GUARD_DIGITS, PrecisionContext, PrecisionTooLowError
+from .numerics import (
+    GUARD_DIGITS,
+    MIN_WORKING_DIGITS,
+    PrecisionContext,
+    PrecisionTooLowError,
+    make_context,
+)
 
 __all__ = [
     "DivergentSeriesError",
@@ -58,6 +68,7 @@ __all__ = [
     "certify_squares",
     "certified_digit_count",
     "recommended_digits",
+    "solve_digits",
     "MIN_K",
 ]
 
@@ -172,20 +183,53 @@ def certified_digit_count(lower: Fraction, upper: Fraction) -> int:
 
 
 def recommended_digits(k: int) -> int:
-    """Minimum working precision for certifying at cutoff root K.
+    """Minimum printed precision for certifying at cutoff root K.
 
     P_0, and with it the radius (U_N - L_N) P_0, decays roughly like
     10^(-0.146 K), so about 0.15 K digits are what the interval can
-    certify.  The point must be carried that deep and beyond: the solve's
-    enclosure of E_N(0) is W_E = (N + 1)(48 (N + 1) + 1) units of 2^-c
-    wide, c = walkmodel.fraction_bits(ctx), proven in
-    :func:`~hittime.walkmodel.solve_pair`: 2^41.5, 2^46.5, 2^49.5 and
-    2^56.7 units at K = 500, 1200, 2000 and 7000 with 135, 240, 360 and
-    1200 digits.  That lies 355, 360, 368 and 726 bits below the radius,
-    with the 60 digits of slack, the guard digits and the guard bits, so
-    rounding never costs a certified digit.
+    certify.  The certified count is capped at the printed digits less
+    :data:`~hittime.numerics.GUARD_DIGITS` (:func:`compose_estimate`), so
+    the 60 digits of slack keep that cap above the count: 45 digits above
+    0.15 K, and so above the radius's leading zeros, at every K.  The
+    solve runs on the coarser grid of :func:`solve_digits`, not at this
+    precision.
     """
     return math.ceil(0.15 * k) + 60
+
+
+def solve_digits(k: int) -> int:
+    """Working digits of the grid :func:`certify_squares` solves on.
+
+    A function of K alone: ``max(MIN_WORKING_DIGITS, ceil(K log10(7/5)))``.
+    The radius (U_N - L_N) P_0 is what limits the certified digits, and
+    P_0 is about (5/7)^K: a walk passes each of the K squares up to N
+    and misses it with probability about 1 - 2/7, as p_m tends to 2/7.
+    So the radius has about K log10(7/5), or 0.146 K, leading zeros
+    (2^-569.5 at K = 1200), and no digit past them can be certified.  The
+    solve only needs its enclosure narrow against that radius; more bits
+    refine digits the interval cannot certify.
+
+    With these d digits the grid has c = walkmodel.fraction_bits of
+    d + GUARD_DIGITS digits plus GUARD_BITS, at least
+    K log2(7/5) + 177 bits, and the solve's proven widths, W_E and
+    U_N W_P units of 2^-c (:func:`~hittime.walkmodel.solve_pair`), grow
+    like 48 N^2: both are known a priori (Higham, Accuracy and Stability
+    of Numerical Algorithms, ch. 3).  Measured, the widths
+    ``(e_hi - e_lo) + U_N (p_hi - p_lo)`` lie 147 bits below the radius
+    at K = 1200 (c = 763), 145.5 at K = 2000 (c = 1152) and 138 at
+    K = 7000 (c = 3577); for K <= 205,
+    where MIN_WORKING_DIGITS sets the grid, 153 to 268 bits.  The margin
+    falls by about 3.5 bits per doubling of K, as the widths grow like K^4
+    and U_N - L_N like K, so it stays above 100 bits to K of about 10^7.
+    The radius is then (U_N - L_N) P_0 to within a relative 2^-138, and
+    from start 0 certified_digits is that of a solve at the printed
+    precision at every K checked.  An exact estimate, from a start on a
+    square, has no radius: its digits are those W_E pins down on this
+    grid, at least 72 places (or the cap, if lower).
+    :func:`recommended_digits` is above this at every K, so the printed
+    precision never falls below the grid's.
+    """
+    return max(MIN_WORKING_DIGITS, math.ceil(k * math.log10(7 / 5)))
 
 
 def compose_estimate(solution: walkmodel.TruncationSolution,
@@ -216,7 +260,10 @@ def certify_squares(k: int, ctx: PrecisionContext, start: int = 0,
     Runs the truncated solve at cutoff N = K^2 on a fair six-sided
     die, evaluates the overshoot constants, and composes the certified
     interval.  The true expectation lies strictly inside
-    ``(point_value, point_value + error_radius)``.
+    ``(point_value, point_value + error_radius)``.  The solve runs on the
+    grid of :func:`solve_digits`, set by K alone; ``ctx`` sets the printed
+    digits, the cap on the certified count, and the refusal below
+    :func:`recommended_digits`.
     """
     if k < MIN_K:
         raise ValueError(f"K must be >= {MIN_K}, got {k}")
@@ -232,5 +279,6 @@ def certify_squares(k: int, ctx: PrecisionContext, start: int = 0,
     bounds = overshoot_bounds(k)
     target = walkmodel.TargetSet.perfect_squares()
     die = walkmodel.DieModel(6)
-    solution = walkmodel.solve_pair(target, die, n, start, ctx, progress)
+    solution = walkmodel.solve_pair(target, die, n, start,
+                                    make_context(solve_digits(k)), progress)
     return compose_estimate(solution, bounds, ctx)

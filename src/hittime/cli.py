@@ -18,11 +18,14 @@ cannot be read or written), 3 insufficient precision (a
 fewer than ``certify``'s cutoff needs), 4 internal failure (any other
 ``ValueError`` included).  All real numbers in JSON output are
 decimal digit strings, never binary floats, so reports are
-precision-lossless and diffable.  Working precision is set by
-``--precision`` alone, on ``certify``, ``solve`` and ``roots``; no
-environment variable is read.  Progress for long solves, in gaps between
-targets covered, goes to stderr only.  An ``--out`` file is opened before
-any work, so a path that cannot be written fails at once.
+precision-lossless and diffable.  ``--precision`` sets the working
+precision of ``solve`` and ``roots``; on ``certify`` it sets the digits
+printed and the cap on the certified count, while the solve runs on the
+grid its radius can use, a function of ``--K`` alone
+(:func:`hittime.certify.solve_digits`).  No environment variable is
+read.  Progress for long solves, in gaps between targets covered, goes
+to stderr only.  An ``--out`` file is opened before any work, so a path
+that cannot be written fails at once.
 """
 
 from __future__ import annotations

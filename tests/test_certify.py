@@ -17,6 +17,7 @@ from hittime.certify import (
     overshoot_bounds,
     recommended_digits,
     sigma_series,
+    solve_digits,
 )
 from hittime.numerics import (
     GUARD_DIGITS,
@@ -122,6 +123,27 @@ def test_audit_of_certification_pipeline():
     assert agreed_digits(rational_to_decimal(est.point_value, ctx),
                          rational_to_decimal(fine.point_value, ctx),
                          ctx.working_digits) >= est.certified_digits
+
+
+def test_solve_grid_follows_k_not_printed_digits():
+    # the solve runs on solve_digits(K) whatever the printed precision, so
+    # 135 and 400 digits compose the same interval from the same bits
+    coarse = certify_squares(500, make_context(135))
+    fine = certify_squares(500, make_context(400))
+    assert coarse.solution == fine.solution
+    assert coarse.certified_digits == fine.certified_digits == 68
+    assert recommended_digits(500) == 135 > solve_digits(500)
+
+
+@pytest.mark.parametrize("k", [4, 27, 50, 206, 500, 1200, 2000])
+def test_solve_widths_lie_far_below_radius(k):
+    # the grid solve_digits(K) keeps the solve's proven widths at least
+    # 2^100 times below the radius (U - L) P they are added to
+    est = certify_squares(k, make_context(recommended_digits(k)))
+    sol = est.solution
+    assert sol.p_hi > 0
+    widths = (sol.e_hi - sol.e_lo) + est.bounds.upper * (sol.p_hi - sol.p_lo)
+    assert widths * 2**100 <= est.error_radius
 
 
 def test_overshoot_bounds_validation():

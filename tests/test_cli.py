@@ -55,13 +55,18 @@ def test_certify_json_report(capsys):
     low = Decimal(report["L_N"])
     high = Decimal(report["U_N"])
     assert low < high
-    # point = E_N + L*P and radius = (U-L)*P, allowing reporting round-off;
-    # the radius is measured from the printed point, which is rounded down
-    # by up to one unit in its last printed digit
+    # point = E_N + L*P and radius = (U-L)*P plus the solve's proven widths
+    # (e_hi - e_lo) + U*(p_hi - p_lo), allowing reporting round-off; the
+    # radius is measured from the printed point, which is rounded down by
+    # up to one unit in its last printed digit
     w = report["precision_digits"]
+    est = certify.certify_squares(500, make_context(200))
+    sol = est.solution
+    widths = (sol.e_hi - sol.e_lo) + est.bounds.upper * (sol.p_hi - sol.p_lo)
     with decimal.localcontext(decimal.Context(prec=250)):
         assert abs(point - (e_n + low * p0)) <= Decimal("1e-180")
-        assert abs(radius - (high - low) * p0) \
+        expected = (high - low) * p0 + Decimal(widths.numerator) / widths.denominator
+        assert abs(radius - expected) \
             <= Decimal(10) ** (1 - w) + abs(radius) * Decimal("1e-150")
 
 
@@ -386,21 +391,24 @@ def test_roots_payload_pinned(capsys):
 
 
 # `hittime certify --K 500 --precision 200 --format json`, its values but
-# `error_radius`, whose digits past those P supports follow the width of
-# E_N's enclosure: a change to the solve's lower ends or to L_N and U_N
-# must leave every digit in place.
+# `error_radius`.  The solve runs on the grid of certify.solve_digits(500),
+# 74 digits, so the digits of E_N_0, P0_AN and point_value past what the
+# enclosure supports (116, 47 and 68 significant digits) are that grid's
+# rounding residue: a change to the solve's grid moves them, while a
+# change to its lower ends or to L_N and U_N must leave every digit in
+# place.
 CERTIFY_500_200 = {
     "E_N_0": (
         "7.07976423755110510389555305690818489468171144426320880590887310"
-        "1517292927553395149931679503118284241222152625135033019653609985"
-        "4686961885961645422322911874642033418352999723239337089804161653"
-        "215860978"
+        "1517292927553395149931679503118284241222152625135033019637168053"
+        "9818970832623996629239576489909741050864988099703218626340997012"
+        "462360285"
     ),
     "P0_AN": (
-        "1.02536401332114330176158135290038287030427589785993463680340249"
-        "5178041963026855626469546674464943798253847524679128495193166117"
-        "4631564054373052687779946672142288637585356096490383037961182139"
-        "075838300E-73"
+        "1.02536401332114330176158135290038287030427589785993463459175186"
+        "4924890935364676831080145462797625871226779648667756793289902166"
+        "9322171499768975762859300628058072161785011795092862383485420526"
+        "923764837E-73"
     ),
     "L_N": (
         "585.999999999999999999999999999999999999999999999999999999999999"
@@ -416,9 +424,9 @@ CERTIFY_500_200 = {
     ),
     "point_value": (
         "7.07976423755110510389555305690818489468171144426320880590887310"
-        "1517292987639726330550676986346951521184588824965600634245779702"
-        "1480824060294235756060308985796384654810065499993986551773459836"
-        "411205811"
+        "1517292987639726330550676986346951521184588824965600634229337641"
+        "0585563678610084752940199502874982250273748638596092745646477880"
+        "345030107"
     ),
     "certified_digits": 68,
 }
