@@ -37,9 +37,11 @@ length of the decimal prefix shared by the two endpoints, which the
 interval cannot straddle.  Nothing is rounded until the report prints it,
 outward (:func:`hittime.cli.certification_report`).
 
-The solve's fixed-point grid follows K, not the printed precision
-(:func:`solve_digits`), so digits printed past what the enclosure
-supports are rounding residue of that grid.
+An estimate is a function of K and the start state alone: the solve's
+fixed-point grid follows K (:func:`solve_digits`), and no precision is
+passed in.  How many digits to print, and the cap that keeps the
+reported count inside them, belong to the report; digits printed past
+what the enclosure supports are rounding residue of the grid.
 """
 
 from __future__ import annotations
@@ -49,13 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import hitprob, walkmodel
-from .numerics import (
-    GUARD_DIGITS,
-    MIN_WORKING_DIGITS,
-    PrecisionContext,
-    PrecisionTooLowError,
-    make_context,
-)
+from .numerics import MIN_WORKING_DIGITS, make_context
 
 __all__ = [
     "DivergentSeriesError",
@@ -108,7 +104,6 @@ class CertifiedEstimate:
     point_value: Fraction
     error_radius: Fraction
     certified_digits: int
-    working_digits: int
     solution: walkmodel.TruncationSolution
     bounds: OvershootBounds
 
@@ -139,10 +134,11 @@ def overshoot_bounds(k: int) -> OvershootBounds:
 
     The series are evaluated exactly at ``epsilon(2K - 4)``, the supremum
     of |p_m - 2/7| over m >= 2K - 4 rounded up.  L decreases and U
-    increases in eps, so both stay on their safe side.
+    increases in eps, so both stay on their safe side.  A K below
+    :data:`MIN_K` is an input error.
     """
     if k < MIN_K:
-        raise ValueError(f"K must be >= {MIN_K}, got {k}")
+        raise walkmodel.ConfigError(f"K must be >= {MIN_K}, got {k}")
     eps = hitprob.epsilon(2 * k - 4)
     r_minus = Fraction(5, 7) - eps
     r_plus = Fraction(5, 7) + eps
@@ -183,16 +179,18 @@ def certified_digit_count(lower: Fraction, upper: Fraction) -> int:
 
 
 def recommended_digits(k: int) -> int:
-    """Minimum printed precision for certifying at cutoff root K.
+    """Default printed precision of ``hittime certify`` at cutoff root K.
 
     P_0, and with it the radius (U_N - L_N) P_0, decays roughly like
     10^(-0.146 K), so about 0.15 K digits are what the interval can
-    certify.  The certified count is capped at the printed digits less
-    :data:`~hittime.numerics.GUARD_DIGITS` (:func:`compose_estimate`), so
-    the 60 digits of slack keep that cap above the count: 45 digits above
-    0.15 K, and so above the radius's leading zeros, at every K.  The
-    solve runs on the coarser grid of :func:`solve_digits`, not at this
-    precision.
+    certify.  The report counts at most the printed digits less
+    :data:`~hittime.numerics.GUARD_DIGITS`
+    (:func:`hittime.cli.certification_report`), so the 60 digits of slack
+    keep that cap 45 digits above 0.15 K, and so above the radius's
+    leading zeros, at every K.  It is a default, not a minimum: fewer
+    printed digits, down to :data:`~hittime.numerics.MIN_WORKING_DIGITS`,
+    report a count capped lower, from the same estimate.  The solve runs
+    on the grid of :func:`solve_digits`, whatever is printed.
     """
     return math.ceil(0.15 * k) + 60
 
@@ -225,15 +223,14 @@ def solve_digits(k: int) -> int:
     from start 0 certified_digits is that of a solve at the printed
     precision at every K checked.  An exact estimate, from a start on a
     square, has no radius: its digits are those W_E pins down on this
-    grid, at least 72 places (or the cap, if lower).
-    :func:`recommended_digits` is above this at every K, so the printed
-    precision never falls below the grid's.
+    grid, at least 72 places, of which the report shows at most its
+    printed digits less GUARD_DIGITS.
     """
     return max(MIN_WORKING_DIGITS, math.ceil(k * math.log10(7 / 5)))
 
 
 def compose_estimate(solution: walkmodel.TruncationSolution,
-                     bounds: OvershootBounds, ctx: PrecisionContext) -> CertifiedEstimate:
+                     bounds: OvershootBounds) -> CertifiedEstimate:
     """Combine a truncated solve with overshoot bounds into an estimate.
 
     The interval ``(E_lo + L P_lo, E_hi + U P_hi)`` is composed exactly.
@@ -246,39 +243,29 @@ def compose_estimate(solution: walkmodel.TruncationSolution,
     """
     lower = solution.e_lo + bounds.lower * solution.p_lo
     upper = solution.e_hi + bounds.upper * solution.p_hi
-    digits = min(certified_digit_count(lower, upper), ctx.working_digits - GUARD_DIGITS)
     return CertifiedEstimate(
         point_value=lower, error_radius=Fraction(0) if solution.p_hi == 0 else upper - lower,
-        certified_digits=digits, working_digits=ctx.working_digits,
+        certified_digits=certified_digit_count(lower, upper),
         solution=solution, bounds=bounds)
 
 
-def certify_squares(k: int, ctx: PrecisionContext, start: int = 0,
-                    progress=None) -> CertifiedEstimate:
+def certify_squares(k: int, start: int = 0, progress=None) -> CertifiedEstimate:
     """Certified estimate of the expected hitting time to the squares.
 
     Runs the truncated solve at cutoff N = K^2 on a fair six-sided
     die, evaluates the overshoot constants, and composes the certified
     interval.  The true expectation lies strictly inside
-    ``(point_value, point_value + error_radius)``.  The solve runs on the
-    grid of :func:`solve_digits`, set by K alone; ``ctx`` sets the printed
-    digits, the cap on the certified count, and the refusal below
-    :func:`recommended_digits`.
+    ``(point_value, point_value + error_radius)``.  The result depends on
+    K and the start alone: the solve runs on the grid of
+    :func:`solve_digits`, and the digits to print are the report's
+    (:func:`hittime.cli.certification_report`).
     """
-    if k < MIN_K:
-        raise ValueError(f"K must be >= {MIN_K}, got {k}")
-    required = recommended_digits(k)
-    if ctx.working_digits < required:
-        raise PrecisionTooLowError(
-            f"certifying K={k} needs at least {required} working digits "
-            f"(got {ctx.working_digits}); the overshoot probability decays "
-            f"like 10^(-0.146 K) and would be lost to roundoff")
+    bounds = overshoot_bounds(k)
     n = k * k
     if not 0 <= start <= n:
         raise walkmodel.ConfigError("start state must lie in [0, N]")
-    bounds = overshoot_bounds(k)
     target = walkmodel.TargetSet.perfect_squares()
     die = walkmodel.DieModel(6)
     solution = walkmodel.solve_pair(target, die, n, start,
                                     make_context(solve_digits(k)), progress)
-    return compose_estimate(solution, bounds, ctx)
+    return compose_estimate(solution, bounds)

@@ -14,8 +14,8 @@ Each command returns its JSON payload and its text lines, and
 Exit codes: 0 success, 2 usage/config error (a
 :class:`~hittime.walkmodel.ConfigError`, or a target or output path that
 cannot be read or written), 3 insufficient precision (a
-:class:`~hittime.numerics.PrecisionTooLowError`: fewer than 30 digits, or
-fewer than ``certify``'s cutoff needs), 4 internal failure (any other
+:class:`~hittime.numerics.PrecisionTooLowError`: a ``--precision``
+below 30 digits), 4 internal failure (any other
 ``ValueError`` included).  All real numbers in JSON output are
 decimal digit strings, never binary floats, so reports are
 precision-lossless and diffable.  ``--precision`` sets the working
@@ -43,7 +43,7 @@ from fractions import Fraction
 from typing import Iterator, TextIO
 
 from . import __version__, certify, hitprob, walkmodel
-from .numerics import PrecisionTooLowError, digit_string, make_context, round_to_digits
+from .numerics import GUARD_DIGITS, PrecisionTooLowError, digit_string, make_context, round_to_digits
 from .walkmodel import ConfigError
 
 __all__ = ["main"]
@@ -109,16 +109,16 @@ def cmd_certify(args) -> tuple[dict, list[str]]:
     k = args.K
     if k is None:
         raise ConfigError("certify needs --K")
-    if k < certify.MIN_K:
-        raise ConfigError(f"certify needs K >= {certify.MIN_K}, got {k}")
-    precision = _resolve_precision(args, default=certify.recommended_digits(k))
-    ctx = make_context(precision)
+    if args.precision is not None:
+        make_context(args.precision)  # refuse below 30 digits before the solve
     t0 = time.monotonic()
-    est = certify.certify_squares(k, ctx, start=args.s, progress=_progress_printer())
+    est = certify.certify_squares(k, start=args.s, progress=_progress_printer())
     runtime = time.monotonic() - t0
-    report = certification_report(est, runtime)
+    # the default follows K, which certify_squares has checked
+    digits = _resolve_precision(args, default=certify.recommended_digits(k))
+    report = certification_report(est, digits, runtime)
     lines = [
-        f"K = {k}   N = {report['N']}   start = {report['start']}   precision = {precision} digits",
+        f"K = {k}   N = {report['N']}   start = {report['start']}   precision = {digits} digits",
         f"E_N({report['start']})      = {report['E_N_0']}",
         f"P_s(A_N)    = {report['P0_AN']}",
         f"L_N         = {digit_string(est.bounds.lower, 40, ROUND_FLOOR)}",
@@ -131,16 +131,19 @@ def cmd_certify(args) -> tuple[dict, list[str]]:
     return report, lines
 
 
-def certification_report(est: certify.CertifiedEstimate, runtime: float) -> dict:
-    """JSON-ready certification report; all reals as digit strings.
+def certification_report(est: certify.CertifiedEstimate, digits: int,
+                         runtime: float) -> dict:
+    """JSON-ready certification report at ``digits`` significant digits.
 
     This is where the exact certified values become decimals, each rounded
     once, outward: lower ends (point, E_N, P, L_N) down and upper ends
     (U_N, radius) up.  The radius is measured from the printed point, so
     the printed ``[point, point + radius]`` contains the proven interval.
-    An ``exact`` estimate keeps radius 0.
+    An ``exact`` estimate keeps radius 0.  The certified count reported
+    is the estimate's, capped at ``digits - GUARD_DIGITS``, so the printed
+    point carries every counted place.
     """
-    sol, bounds, w = est.solution, est.bounds, est.working_digits
+    sol, bounds, w = est.solution, est.bounds, digits
     point = round_to_digits(est.point_value, w, ROUND_FLOOR)
     radius = (Fraction(0) if est.exact
               else est.point_value + est.error_radius - Fraction(point))
@@ -156,7 +159,7 @@ def certification_report(est: certify.CertifiedEstimate, runtime: float) -> dict
         "U_N": digit_string(bounds.upper, w, ROUND_CEILING),
         "point_value": str(point),
         "error_radius": digit_string(radius, w, ROUND_CEILING),
-        "certified_digits": est.certified_digits,
+        "certified_digits": min(est.certified_digits, w - GUARD_DIGITS),
         "exact": est.exact,
         "runtime_seconds": f"{runtime:.3f}",
     }

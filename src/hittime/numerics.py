@@ -1,13 +1,15 @@
 """Arithmetic substrate: fixed-precision decimal floats and exact rationals.
 
-All modules in this package do their decimal arithmetic through a
-:class:`PrecisionContext`, which wraps a :class:`decimal.Context` carrying
-``working_digits + GUARD_DIGITS`` significant digits.  Values are plain
-:class:`decimal.Decimal` objects; exact arithmetic uses
-:class:`fractions.Fraction`.  Bounds are rounded toward the side they
-bound (:func:`round_to_digits`, :func:`digit_string`), and identical
-operation sequences at identical precision reproduce identical digit
-strings.
+A :class:`PrecisionContext` sets the precision of the two computations
+that take one: the roots (:func:`hittime.hitprob.compute_roots`), in a
+:class:`decimal.Context` carrying ``working_digits + GUARD_DIGITS``
+significant digits, and the solve's fixed-point grid
+(:func:`hittime.walkmodel.solve_pair`).  Certification takes none: it
+works in exact :class:`fractions.Fraction` values, and its solve's grid
+follows K.  Exact values become decimals only when printed, each rounded
+once (:func:`round_to_digits`, :func:`digit_string`), bounds toward the
+side they bound, and identical operation sequences at identical
+precision reproduce identical digit strings.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ __all__ = [
 MIN_WORKING_DIGITS = 30
 # Digits carried internally beyond the working precision.  They keep the
 # roundoff of `hittime roots`' Newton loop below the printed digits and,
-# through internal_digits, widen the solver's fixed point; certify counts
-# at most working - GUARD_DIGITS digits.
+# through internal_digits, widen the solver's fixed point; certify's
+# report counts at most working - GUARD_DIGITS digits.
 GUARD_DIGITS = 15
 
 # Generous exponent range: overshoot probabilities sit around 1e-1000 and
@@ -41,8 +43,7 @@ _EMIN = -(10**9)
 
 
 class PrecisionTooLowError(ValueError):
-    """Requested working precision is below the supported minimum, or below
-    what the requested certification needs."""
+    """Requested working precision is below the supported minimum."""
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from unittest import mock
 
 from conftest import agreed_digits, forward_reference, rational_to_decimal
 from hittime import walkmodel
-from hittime.certify import certify_squares, recommended_digits, sigma_series
+from hittime.certify import certify_squares, sigma_series
 from hittime.cli import main
 from hittime.hitprob import compute_roots, pn_exact, pn_numerators
 from hittime.numerics import digit_string, make_context
@@ -166,8 +166,8 @@ def test_criterion_08_monotonicity_and_nesting():
     for n in (16, 100, 400, 2500, 10000):
         values.append(solve_pair(SQUARES, D6, n, 0, ctx).e_n_value)
     assert all(a <= b for a, b in zip(values, values[1:]))
-    est50 = certify_squares(50, make_context(recommended_digits(50)))
-    est200 = certify_squares(200, make_context(recommended_digits(200)))
+    est50 = certify_squares(50)
+    est200 = certify_squares(200)
     low = Fraction(est50.point_value)
     high = low + Fraction(est50.error_radius)
     assert low < Fraction(est200.point_value) < high

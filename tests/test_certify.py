@@ -1,5 +1,6 @@
 """Overshoot constants, interval composition, and digit certification."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import agreed_digits, rational_to_decimal
+from hittime import cli
 from hittime.certify import (
     DivergentSeriesError,
     InvertedIntervalError,
@@ -19,14 +21,9 @@ from hittime.certify import (
     sigma_series,
     solve_digits,
 )
-from hittime.numerics import (
-    GUARD_DIGITS,
-    PrecisionTooLowError,
-    digit_string,
-    make_context,
-)
+from hittime.numerics import digit_string, make_context
 from hittime.oracle import exact_dp
-from hittime.walkmodel import DieModel, TargetSet, solve_pair
+from hittime.walkmodel import ConfigError, DieModel, TargetSet, solve_pair
 
 # independently published 21-digit reference value for the squares target
 PUBLISHED_21 = "7.079764237551105103895"
@@ -114,24 +111,29 @@ def test_overshoot_bounds_round_outward():
 
 
 def test_audit_of_certification_pipeline():
-    # rerunning the whole K=500 pipeline at doubled precision must agree on
-    # at least as many digits as the certification claims
+    # composing K=500 from a solve on a grid of 400 digits, far finer than
+    # solve_digits(500), must agree on at least the certified digits
     ctx = make_context(200)
-    est = certify_squares(500, ctx)
-    fine = certify_squares(500, make_context(400))
+    est = certify_squares(500)
+    fine = compose_estimate(
+        solve_pair(TargetSet.perfect_squares(), DieModel(6), 500**2, 0, make_context(400)),
+        overshoot_bounds(500))
     assert est.certified_digits == 68
     assert agreed_digits(rational_to_decimal(est.point_value, ctx),
                          rational_to_decimal(fine.point_value, ctx),
                          ctx.working_digits) >= est.certified_digits
 
 
-def test_solve_grid_follows_k_not_printed_digits():
-    # the solve runs on solve_digits(K) whatever the printed precision, so
-    # 135 and 400 digits compose the same interval from the same bits
-    coarse = certify_squares(500, make_context(135))
-    fine = certify_squares(500, make_context(400))
-    assert coarse.solution == fine.solution
-    assert coarse.certified_digits == fine.certified_digits == 68
+def test_solve_grid_follows_k_not_printed_digits(capsys):
+    # the estimate is a function of K and the start alone, so printing it
+    # at the default 135 digits or at 400 certifies the same places
+    reports = []
+    for precision in ("135", "400"):
+        assert cli.main(["certify", "--K", "500", "--precision", precision]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    coarse, fine = reports
+    assert coarse["certified_digits"] == fine["certified_digits"] == 68
+    assert coarse["point_value"][:2 + 68] == fine["point_value"][:2 + 68]
     assert recommended_digits(500) == 135 > solve_digits(500)
 
 
@@ -139,7 +141,7 @@ def test_solve_grid_follows_k_not_printed_digits():
 def test_solve_widths_lie_far_below_radius(k):
     # the grid solve_digits(K) keeps the solve's proven widths at least
     # 2^100 times below the radius (U - L) P they are added to
-    est = certify_squares(k, make_context(recommended_digits(k)))
+    est = certify_squares(k)
     sol = est.solution
     assert sol.p_hi > 0
     widths = (sol.e_hi - sol.e_lo) + est.bounds.upper * (sol.p_hi - sol.p_lo)
@@ -147,8 +149,11 @@ def test_solve_widths_lie_far_below_radius(k):
 
 
 def test_overshoot_bounds_validation():
-    with pytest.raises(ValueError):
+    # the one check on K: below MIN_K is an input error, before any solve
+    with pytest.raises(ConfigError):
         overshoot_bounds(3)
+    with pytest.raises(ConfigError):
+        certify_squares(3)
 
 
 def test_certified_digit_count_examples():
@@ -193,7 +198,7 @@ def test_certified_digit_count_is_the_shared_prefix(lower, width):
 
 
 def test_certify_published_prefix():
-    est = certify_squares(500, make_context(200))
+    est = certify_squares(500)
     assert est.certified_digits >= 21
     assert digit_string(est.point_value, 205).startswith(PUBLISHED_21)
     assert est.error_radius > 0
@@ -204,16 +209,14 @@ def test_certify_published_prefix():
 def test_certify_point_values_increase_with_k():
     points = []
     for k in (8, 16, 50, 100, 300):
-        ctx = make_context(recommended_digits(k))
-        points.append(certify_squares(k, ctx).point_value)
+        points.append(certify_squares(k).point_value)
     assert all(a < b for a, b in zip(points, points[1:]))
 
 
 def test_certify_nested_intervals():
     estimates = {}
     for k in (8, 16, 50, 100, 300):
-        ctx = make_context(recommended_digits(k))
-        estimates[k] = certify_squares(k, ctx)
+        estimates[k] = certify_squares(k)
     ks = sorted(estimates)
     for i, k1 in enumerate(ks):
         e1 = estimates[k1]
@@ -224,19 +227,11 @@ def test_certify_nested_intervals():
             assert lo < Fraction(e2.point_value) < hi
 
 
-def test_certify_requires_enough_precision():
-    with pytest.raises(PrecisionTooLowError) as err:
-        certify_squares(500, make_context(60))
-    assert f"at least {recommended_digits(500)} working digits" in str(err.value)
-    with pytest.raises(ValueError):
-        certify_squares(3, make_context(100))
-
-
 def test_certify_nonzero_start():
     # bounds hold for every start state in [0, N]
     ctx = make_context(recommended_digits(20))
-    est0 = certify_squares(20, ctx, start=0)
-    est5 = certify_squares(20, ctx, start=5)
+    est0 = certify_squares(20, start=0)
+    est5 = certify_squares(20, start=5)
     assert est5.solution.start == 5
     assert est5.point_value != est0.point_value
     e_ref, _ = exact_dp(TargetSet.perfect_squares(), 400, 5)
@@ -245,7 +240,7 @@ def test_certify_nonzero_start():
     assert agreed_digits(rational_to_decimal(est5.solution.e_lo, ctx),
                          rational_to_decimal(e_ref, ctx), 40) >= 35
     with pytest.raises(ValueError):
-        certify_squares(20, ctx, start=401)
+        certify_squares(20, start=401)
 
 
 def test_degenerate_composition_has_zero_radius():
@@ -253,18 +248,17 @@ def test_degenerate_composition_has_zero_radius():
     bounds = overshoot_bounds(10)
     dense = TargetSet.from_list(list(range(1, 101)), 100)
     sol = solve_pair(dense, DieModel(6), 100, 0, ctx)
-    est = compose_estimate(sol, bounds, ctx)
+    est = compose_estimate(sol, bounds)
     assert est.exact
     assert est.error_radius == 0
     assert est.point_value == sol.e_lo
-    assert est.certified_digits == ctx.working_digits - GUARD_DIGITS
+    assert est.certified_digits == certified_digit_count(sol.e_lo, sol.e_hi)
 
 
 def test_interval_contains_exact_small_case():
     # at K = 8 the interval is wide but must still contain the true value,
     # approximated here by a much deeper truncation
-    ctx = make_context(recommended_digits(8))
-    est = certify_squares(8, ctx)
+    est = certify_squares(8)
     deep = solve_pair(TargetSet.perfect_squares(), DieModel(6), 10000, 0, make_context(80))
     truth = Fraction(deep.e_n_value)  # converged far beyond K=8 resolution
     assert Fraction(est.point_value) < truth < Fraction(est.point_value) + Fraction(est.error_radius)

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import agreed_digits, pn_reference, rational_to_decimal
+from test_acceptance import REFERENCE_E0
 from hittime import certify, cli, hitprob, oracle, walkmodel
 from hittime.cli import main
 from hittime.numerics import digit_string, make_context, round_to_digits
@@ -60,7 +61,7 @@ def test_certify_json_report(capsys):
     # radius is measured from the printed point, which is rounded down by
     # up to one unit in its last printed digit
     w = report["precision_digits"]
-    est = certify.certify_squares(500, make_context(200))
+    est = certify.certify_squares(500)
     sol = est.solution
     widths = (sol.e_hi - sol.e_lo) + est.bounds.upper * (sol.p_hi - sol.p_lo)
     with decimal.localcontext(decimal.Context(prec=250)):
@@ -73,10 +74,9 @@ def test_certify_json_report(capsys):
 def test_certify_report_contains_proven_interval():
     # every printed end is rounded outward from the exact interval:
     # point down, point + radius up, so the print contains the proof
-    ctx = make_context(200)
     for k in (500, 501, 502, 503):
-        est = certify.certify_squares(k, ctx)
-        report = cli.certification_report(est, 0.0)
+        est = certify.certify_squares(k)
+        report = cli.certification_report(est, 200, 0.0)
         point = Fraction(Decimal(report["point_value"]))
         radius = Fraction(Decimal(report["error_radius"]))
         assert point <= est.point_value
@@ -86,6 +86,15 @@ def test_certify_report_contains_proven_interval():
         assert Fraction(Decimal(report["L_N"])) <= est.bounds.lower
         assert Fraction(Decimal(report["U_N"])) >= est.bounds.upper
         assert report["certified_digits"] == est.certified_digits
+
+
+def test_certify_report_caps_certified_digits():
+    # the report counts at most its printed digits less GUARD_DIGITS; an
+    # exact estimate, from a start on a square, certifies more places
+    est = certify.certify_squares(4, start=4)
+    assert est.exact and est.certified_digits > 46
+    digits = certify.recommended_digits(4)  # 61, certify's default at K = 4
+    assert cli.certification_report(est, digits, 0.0)["certified_digits"] == 46
 
 
 def test_certify_text_report(capsys):
@@ -110,6 +119,11 @@ def test_certify_rejects_small_k(capsys):
     code, _, err = run_cli(capsys, "certify", "--K", "3")
     assert code == 2
     assert "K" in err
+    # K is checked before its default precision, ceil(0.15 K) + 60, is
+    # formed: at K = -1000 that would be -90 digits, a precision error
+    code, _, err = run_cli(capsys, "certify", "--K", "-1000")
+    assert code == 2
+    assert "K must be >= 4" in err
     code, out, err = run_cli(capsys, "certify")
     assert code == 2
     assert out == ""
@@ -117,13 +131,18 @@ def test_certify_rejects_small_k(capsys):
 
 
 def test_certify_rejects_bad_precision(capsys):
-    code, _, err = run_cli(capsys, "certify", "--K", "500", "--precision", "60")
-    assert code == 3
-    assert "digits" in err
-    # below the supported minimum of 30 digits is insufficient precision too
-    code, _, err = run_cli(capsys, "certify", "--K", "10", "--precision", "20")
+    # only the supported minimum of 30 digits refuses
+    code, _, err = run_cli(capsys, "certify", "--K", "500", "--precision", "20")
     assert code == 3
     assert "30" in err
+    # below recommended_digits(500) = 135, certify prints fewer digits and
+    # counts at most 40 - GUARD_DIGITS of them
+    code, out, _ = run_cli(capsys, "certify", "--K", "500", "--precision", "40")
+    assert code == 0
+    report = json.loads(out)
+    assert report["precision_digits"] == 40
+    assert report["certified_digits"] == 25
+    assert report["point_value"][:27] == REFERENCE_E0[:27]
 
 
 def test_inverted_interval_is_internal_failure(capsys, monkeypatch):
