@@ -59,7 +59,10 @@ class SizeCapError(ConfigError):
 
 
 class AllTrialsCappedError(ArithmeticError):
-    """Every simulated trial hit the step cap; no estimate is possible.
+    """Every simulated trial was capped; no estimate is possible.
+
+    A trial is capped when its walk reaches the step cap, or passes the
+    target's horizon, the last state it could still hit, without hitting.
 
     The mean over no completed trial is 0/0, hence an ``ArithmeticError``.
     """
@@ -193,7 +196,8 @@ class McResult:
 
 def _result_from_sums(completed: int, capped: int, sum_t: int, sum_t_sq: int) -> McResult:
     if completed == 0:
-        raise AllTrialsCappedError("every trial hit the step cap")
+        raise AllTrialsCappedError("every trial was capped: each walk reached the step cap "
+                                   "or passed the target's horizon without hitting")
     mean = Fraction(sum_t, completed)
     if completed > 1:
         var = (Fraction(sum_t_sq) - Fraction(sum_t * sum_t, completed)) / (completed - 1)

@@ -304,15 +304,17 @@ def solve_pair(target: TargetSet, die: DieModel, n: int, s_min: int,
     reaches.  The rows used are exactly the rows stepping would give, so
     the widths below hold.
 
-    The cached power, and r while it is stepped, are kept in one
-    difference form: the last M values d that the row passed on, newest
+    r is kept as its values r[M-1] .. r[0] from start to end: a jump
+    reads and writes them, a target shifts them to
+    ``(r[1], ..., r[M-1], 0)``, and the zero-row stop and P read them.
+    Stepping works in a difference form instead, which the cached power
+    keeps throughout: the last M values d that the row passed on, newest
     first, and r[0].  A step passes x = r[0] / M on, rounded down, and
     ``r'[j] = r[j+1] + x``, so ``r[j] = d[0] + ... + d[M-1-j]``, and r[0]
-    gains x and loses the oldest d.  A target is a step that passes 0 on.
-    One loop steps either row.  A jump reads r as its values and leaves
-    r' as its values, so r stays in that form, a target shifting it to
-    ``(r[1], ..., r[M-1], 0)``, until a run is stepped: its differences
-    are rebuilt once, there.
+    gains x and loses the oldest d.  One loop steps either row.  A stepped
+    run builds r's differences ``d[M-1-j] = r[j] - r[j+1]`` (r[M] = 0) at
+    its start and reads r's values back as their partial sums at its end,
+    both exactly.
 
     The power is e_0 stepped span times.  Row i of A^span is e_i stepped
     span times; its first i steps have r[0] = 0, so they are exact shifts,
@@ -458,11 +460,12 @@ def solve_pair(target: TargetSet, die: DieModel, n: int, s_min: int,
     P is 0.  From that target on e is final and lo = 0 (0 <= lo <= r), so
     the zero-row stop below ends the walk there.
 
-    *A zero row.*  Every difference lo passes on is nonnegative: a step
-    passes a floor of lo[0] / M >= 0, a target passes 0, and a jump's
-    ``new`` is nondecreasing, floors of partial sums of nonnegative
-    products.  So lo[0], the sum of the last M of
-    them, is lo's largest entry, and lo is zero exactly when lo[0] is 0.
+    *A zero row.*  lo is nonincreasing and nonnegative,
+    ``lo[0] >= ... >= lo[M-1] >= 0``: so is e_0; a step adds a floor of
+    lo[0] / M >= 0 to every entry of ``(lo[1], ..., lo[M-1], 0)``, and a
+    target is that shift alone; and a jump's ``new``, lo'[M-1] .. lo'[0],
+    is nondecreasing, floors of partial sums of nonnegative products.  So
+    lo[0] is lo's largest entry, and lo is zero exactly when lo[0] is 0.
     Once it is, after a target, the walk steps, jumps and advances the
     power no more:
 
@@ -503,16 +506,14 @@ def _forward(members: list[int], m: int, n: int, s_min: int, bits: int,
     zero_p = members[:1] == [s_min] or m - 1 in map(operator.sub, members[m - 1:], members)
     # runs of at least this many states may be jumped
     least = max(JUMP_MIN, m)
-    # e_0's differences, newest first: r[0] = one is their sum
-    unit = [0] * (m - 1) + [one]
-    # the row r (see solve_pair): its differences and r[0]; after a jump
-    # r[M-1] .. r[0] in rev instead, until a run is stepped
-    row, row0, rev = deque(unit, maxlen=m), one, None
+    # the row r (see solve_pair) as its values r[M-1] .. r[0], from e_0
+    rev = [0] * (m - 1) + [one]
     e = 0
     # the cached power A^span: e_0 stepped span times, keeping
-    # q_(span-1) .. q_(span-2M+1), and its r[0]
+    # q_(span-1) .. q_(span-2M+1), newest first, and its r[0]; e_0's
+    # differences, newest first, are its values r[M-1] .. r[0]
     span = 0
-    power, power0 = deque(unit + [0] * (m - 1), maxlen=2 * m - 1), one
+    power, power0 = deque(rev + [0] * (m - 1), maxlen=2 * m - 1), one
     p = s_min
     report_at = s_min + PROGRESS_INTERVAL - 1
 
@@ -532,8 +533,6 @@ def _forward(members: list[int], m: int, n: int, s_min: int, bits: int,
                 power0 = _step(power, power0, m, d)[0]
                 span += d
             rho = rate * (p - s_min)
-            if rev is None:
-                rev = list(itertools.accumulate(row))
             total = sum(rev)
             # the power's q window, cut to what r's mass can see
             cut = max(0, bits - (total + rho).bit_length() - CUT_GUARD)
@@ -552,28 +551,24 @@ def _forward(members: list[int], m: int, n: int, s_min: int, bits: int,
             after, before = range(g + m - 1, g - 1, -1), range(m - 1, -1, -1)
             e += 2 * (_dot(new, after) - _dot(rev, before) - (m - 1) * rho) // (m + 1)
             rev = new
-        else:
-            if rev is not None:
-                row.extend(map(operator.sub, rev, [0, *rev]))  # pushes out all M old ones
-                row0, rev = rev[-1], None
+        elif g:
+            # r's differences, newest first, for the stepper, and r[0]
+            row, row0 = deque(map(operator.sub, rev, [0, *rev]), maxlen=m), rev[-1]
             while g:  # in pieces, so long stretches report progress
                 run = min(g, PROGRESS_INTERVAL)
                 row0, add = _step(row, row0, m, run)
                 e += add
                 g -= run
                 covered(t - g - 1)
+            rev = list(itertools.accumulate(row))
         if t > n:
             break
-        if rev is None:
-            row0 = _drop(row, row0, m)
-        else:
-            rev = [0, *rev[:-1]]
-            row0 = rev[-1]
+        rev = [0, *rev[:-1]]  # a target: r <- (r[1], ..., r[M-1], 0)
         covered(t)
         p = t + 1
-        if not row0:
+        if not rev[-1]:
             break  # a zero row stays zero (see solve_pair): e_lo is final
-    p_lo = sum(itertools.accumulate(row) if rev is None else rev)
+    p_lo = sum(rev)
     width_p = rate * (n + 1 - s_min)
     width_e = (n + 1 - s_min) * (4 * width_p + 1)
     return TruncationSolution(cutoff=n, start=s_min,
@@ -606,13 +601,6 @@ def _fixed(power: deque) -> bool:
     on and leaves it as it was (see :func:`solve_pair`).
     """
     return power.count(power[0]) == len(power)
-
-
-def _drop(row: deque, r0: int, m: int) -> int:
-    """Cover a target state: pass 0 on; return r[0] less its oldest difference."""
-    r0 -= row[m - 1]
-    row.appendleft(0)
-    return r0
 
 
 def _dot(a: list[int], b) -> int:

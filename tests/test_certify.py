@@ -156,6 +156,21 @@ def test_overshoot_bounds_validation():
         certify_squares(3)
 
 
+def test_residual_time_lies_between_the_paper_bounds():
+    # tau(K), the expected time past N = K^2 given an overshoot, is
+    # (E(0) - E_N(0)) / P_N.  Exact DP encloses it without the kernel:
+    # E(0) lies between E_4900(0) and E_4900(0) + P_4900 U_70, the deep
+    # cutoff 70^2 plus the paper's bound on its own tail
+    squares = TargetSet.perfect_squares()
+    deep_e, deep_p = exact_dp(squares, 70 * 70, 0)
+    tail = deep_p * overshoot_bounds(70).upper
+    for k in range(4, 41):
+        e_n, p_n = exact_dp(squares, k * k, 0)
+        bounds = overshoot_bounds(k)
+        tau_lo, tau_hi = (deep_e - e_n) / p_n, (deep_e + tail - e_n) / p_n
+        assert bounds.lower < tau_lo <= tau_hi < bounds.upper, k
+
+
 def test_certified_digit_count_examples():
     assert certified_digit_count(Fraction("1.0"), Fraction("1.2")) == 0
     assert certified_digit_count(Fraction("0.123449"), Fraction("0.123451")) == 4

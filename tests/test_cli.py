@@ -632,6 +632,19 @@ def test_simulate_huge_horizon_is_usage_error(capsys, tmp_path):
     assert peak < 10**6
 
 
+def test_simulate_with_every_walk_past_the_horizon_exits_4(capsys, tmp_path):
+    # from s = 100 no walk can hit 3, 7 or 20: each is capped for passing
+    # the horizon at once, not for reaching the step cap, and the message
+    # names both causes
+    p = tmp_path / "lone.txt"
+    p.write_text("3\n7\n20\n")
+    code, out, err = run_cli(capsys, "simulate", "--target", f"file:{p}", "--s", "100")
+    assert code == 4
+    assert out == ""
+    assert err == ("error: every trial was capped: each walk reached the step cap "
+                   "or passed the target's horizon without hitting\n")
+
+
 @pytest.mark.parametrize("seed", [-1, 2**128])
 def test_simulate_seed_out_of_range_is_usage_error(capsys, seed):
     # Philox keys are 128-bit; McConfig names the range before numpy sees it

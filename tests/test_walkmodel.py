@@ -395,12 +395,11 @@ def test_jumps_equal_full_product_reference(jump_min, problem, sides, data):
 
 @settings(deadline=None)
 @given(sides=st.integers(2, 9), bits=st.integers(1, 160), data=st.data())
-def test_stepper_equals_plain_list_steps_and_drops(sides, bits, data):
+def test_stepper_equals_plain_list_steps(sides, bits, data):
     # a row in difference form, newest first, r[j] = d[0] + ... + d[M-1-j],
-    # stepped in pieces by the one stepper with targets between the pieces,
-    # gives the entries, r[0] and the sum of r[0] of plain-list steps and
-    # drops; in the power's wider window the values passed on (0 for a
-    # target) follow the row's differences
+    # stepped in pieces by the one stepper gives the entries, r[0] and the
+    # sum of r[0] of plain-list steps; in the power's wider window the
+    # values passed on follow the row's differences
     m = sides
     width = data.draw(st.sampled_from([m, 2 * m - 1]), label="width")
     entry = st.just(0) | st.integers(0, 1 << bits)
@@ -411,21 +410,16 @@ def test_stepper_equals_plain_list_steps_and_drops(sides, bits, data):
     history = [plain[-1], *(a - b for a, b in zip(plain[-2::-1], plain[:0:-1])), *older]
     row = deque(history, maxlen=width)
     r0 = plain[0]
-    pieces = data.draw(st.lists(st.integers(0, 40) | st.none(), max_size=8), label="pieces")
+    pieces = data.draw(st.lists(st.integers(0, 40), max_size=8), label="pieces")
     for piece in pieces:
-        if piece is None:  # a target
-            r0 = walkmodel._drop(row, r0, m)
-            plain = plain[1:] + [0]
-            history.insert(0, 0)
-        else:
-            r0, got = walkmodel._step(row, r0, m, piece)
-            total = 0
-            for _ in range(piece):
-                total += plain[0]
-                x = plain[0] // m
-                plain = [v + x for v in plain[1:]] + [x]
-                history.insert(0, x)
-            assert got == total
+        r0, got = walkmodel._step(row, r0, m, piece)
+        total = 0
+        for _ in range(piece):
+            total += plain[0]
+            x = plain[0] // m
+            plain = [v + x for v in plain[1:]] + [x]
+            history.insert(0, x)
+        assert got == total
         assert list(itertools.accumulate(list(row)[:m]))[::-1] == plain
         assert r0 == plain[0]
         assert list(row) == history[:width]
