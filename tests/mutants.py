@@ -10,8 +10,8 @@ replaces the entry's source fragment, which must occur exactly once in its
 module, by the mutant.  It then runs the entry's tests with
 ``HYPOTHESIS_PROFILE=ci`` and ``PYTHONPATH`` pointed at the copy, and
 requires every one of them to fail.  It exits 1 if a fragment is missing
-or occurs more than once, or if a named test passes on its mutant (the
-mutant survives it).  pytest does not collect this file.
+or occurs more than once, or if a named test passes or is skipped on its
+mutant (the mutant survives it).  pytest does not collect this file.
 
 Add an entry when a change brings in a rule that a one-line slip could
 break while the rest of the code stays plausible (an index, an order, a
@@ -154,9 +154,10 @@ def check(mutant: Mutant) -> str | None:
             cwd=ROOT, env=env, capture_output=True, text=True)
     if run.returncode not in (0, 1):
         return f"pytest exited {run.returncode}:\n{run.stdout}{run.stderr}"
-    passed = re.findall(r"^PASSED (\S+)", run.stdout, re.MULTILINE)
-    if passed:
-        return "it survives " + ", ".join(passed)
+    failed = set(re.findall(r"^FAILED (\S+)", run.stdout, re.MULTILINE))
+    survived = [t for t in mutant.tests if t not in failed]
+    if survived:
+        return "it survives " + ", ".join(survived)
     return None
 
 
