@@ -183,10 +183,10 @@ def recommended_digits(k: int) -> int:
 
     P_0, and with it the radius (U_N - L_N) P_0, decays roughly like
     10^(-0.146 K), so about 0.15 K digits are what the interval can
-    certify.  The report counts at most the printed digits less
-    :data:`~hittime.numerics.GUARD_DIGITS`
-    (:func:`hittime.cli.certification_report`), so the 60 digits of slack
-    keep that cap 45 digits above 0.15 K, and so above the radius's
+    certify.  The report counts at most the decimal places its printed
+    point shows (:func:`hittime.cli.certification_report`), one fewer
+    than the printed digits for a point in [1, 10), so the 60 digits of
+    slack keep that cap 59 digits above 0.15 K, and so above the radius's
     leading zeros, at every K.  It is a default, not a minimum: fewer
     printed digits, down to :data:`~hittime.numerics.MIN_WORKING_DIGITS`,
     report a count capped lower, from the same estimate.  The solve runs
@@ -223,8 +223,8 @@ def solve_digits(k: int) -> int:
     from start 0 certified_digits is that of a solve at the printed
     precision at every K checked.  An exact estimate, from a start on a
     square, has no radius: its digits are those W_E pins down on this
-    grid, at least 72 places, of which the report shows at most its
-    printed digits less GUARD_DIGITS.
+    grid, at least 72 places, of which the report counts at most the
+    decimal places its printed point shows.
     """
     return max(MIN_WORKING_DIGITS, math.ceil(k * math.log10(7 / 5)))
 

@@ -43,7 +43,7 @@ from fractions import Fraction
 from typing import Iterator, TextIO
 
 from . import __version__, certify, hitprob, walkmodel
-from .numerics import GUARD_DIGITS, PrecisionTooLowError, digit_string, make_context, round_to_digits
+from .numerics import PrecisionTooLowError, digit_string, make_context, round_to_digits
 from .walkmodel import ConfigError
 
 __all__ = ["main"]
@@ -82,16 +82,15 @@ def _output(out_path: str | None) -> Iterator[TextIO]:
 def _progress_printer():
     """Stderr progress for a solve, which reports gaps between targets covered.
 
-    The solve's cost per gap is roughly constant on the squares, while the
-    states per gap grow, so the ETA extrapolates the rate in gaps, taken
-    since the previous line.  The count includes the covered share of the
-    current gap, so the ETA also holds when one long gap takes most of the
-    time.  The first line has no ETA: its rate counts every gap covered
-    since the start, the cheap short ones too.
+    The solve reports at targets only, with the whole gaps covered so far.
+    Its cost per gap is roughly constant on the squares, while the states
+    per gap grow, so the ETA extrapolates the rate in gaps, taken since
+    the previous line.  The first line has no ETA: its rate counts every
+    gap covered since the start, the cheap short ones too.
     """
     last = [time.monotonic(), None]  # time and count of the previous line
 
-    def progress(done: float, total: int) -> None:
+    def progress(done: int, total: int) -> None:
         now = time.monotonic()
         if now - last[0] < 2.0:
             return
@@ -99,8 +98,7 @@ def _progress_printer():
         rate = (done - (last[1] or 0)) / (now - last[0])
         last[:] = now, done
         eta = f", ETA {(total - done) / rate:,.0f} s" if rate > 0 and not first else ""
-        count = f"{done:.2f}".rstrip("0").rstrip(".")
-        print(f"covered {count}/{total} gaps ({rate:,.1f}/s{eta})", file=sys.stderr)
+        print(f"covered {done}/{total} gaps ({rate:,.1f}/s{eta})", file=sys.stderr)
 
     return progress
 
@@ -140,8 +138,9 @@ def certification_report(est: certify.CertifiedEstimate, digits: int,
     (U_N, radius) up.  The radius is measured from the printed point, so
     the printed ``[point, point + radius]`` contains the proven interval.
     An ``exact`` estimate keeps radius 0.  The certified count reported
-    is the estimate's, capped at ``digits - GUARD_DIGITS``, so the printed
-    point carries every counted place.
+    is the estimate's, capped at the decimal places the printed point
+    shows, ``digits - 1 - point.adjusted()``, so it carries every counted
+    place.
     """
     sol, bounds, w = est.solution, est.bounds, digits
     point = round_to_digits(est.point_value, w, ROUND_FLOOR)
@@ -159,7 +158,7 @@ def certification_report(est: certify.CertifiedEstimate, digits: int,
         "U_N": digit_string(bounds.upper, w, ROUND_CEILING),
         "point_value": str(point),
         "error_radius": digit_string(radius, w, ROUND_CEILING),
-        "certified_digits": min(est.certified_digits, w - GUARD_DIGITS),
+        "certified_digits": min(est.certified_digits, w - 1 - point.adjusted()),
         "exact": est.exact,
         "runtime_seconds": f"{runtime:.3f}",
     }

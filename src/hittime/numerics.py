@@ -32,8 +32,7 @@ __all__ = [
 MIN_WORKING_DIGITS = 30
 # Digits carried internally beyond the working precision.  They keep the
 # roundoff of `hittime roots`' Newton loop below the printed digits and,
-# through internal_digits, widen the solver's fixed point; certify's
-# report counts at most working - GUARD_DIGITS digits.
+# through internal_digits, widen the solver's fixed point.
 GUARD_DIGITS = 15
 
 # Generous exponent range: overshoot probabilities sit around 1e-1000 and

@@ -146,7 +146,10 @@ def exact_dp(target: TargetSet, n: int, s: int,
 
 @dataclass(frozen=True)
 class McConfig:
-    """Simulation request: how many trials, from where, against what."""
+    """Simulation request: how many trials, from where, against what.
+
+    A start past the target's horizon is refused: no walk from it can hit.
+    """
 
     trials: int
     seed: int
@@ -162,6 +165,10 @@ class McConfig:
             raise ConfigError("max_steps must be >= 1")
         if self.start < 0:
             raise ConfigError("start must be nonnegative")
+        horizon = self.target.horizon
+        if horizon is not None and self.start > horizon:
+            raise ConfigError(f"start {self.start} lies past the target's horizon {horizon}: "
+                              "no walk from it can hit")
         if not 0 <= self.seed < 1 << 128:
             # Philox keys are 128-bit
             raise ConfigError(f"seed must lie in [0, 2^128), got {self.seed}")
@@ -291,7 +298,7 @@ def simulate_hitting(cfg: McConfig) -> McResult:
     m = cfg.die.sides
     target = cfg.target
     bound = target.horizon
-    if (bound is None or cfg.start <= bound) and target.membership(cfg.start):
+    if target.membership(cfg.start):
         return _result_from_sums(cfg.trials, 0, 0, 0)
     table = None
     if bound is not None:

@@ -270,7 +270,7 @@ def mc_reference(cfg) -> McResult:
     m = cfg.die.sides
     target = cfg.target
     bound = target.horizon
-    if (bound is None or cfg.start <= bound) and target.membership(cfg.start):
+    if target.membership(cfg.start):
         return _result_from_sums(cfg.trials, 0, 0, 0)
     members = None if bound is None else target.members_upto(bound)
 

@@ -89,12 +89,13 @@ def test_certify_report_contains_proven_interval():
 
 
 def test_certify_report_caps_certified_digits():
-    # the report counts at most its printed digits less GUARD_DIGITS; an
-    # exact estimate, from a start on a square, certifies more places
+    # the report counts at most the decimal places its printed point
+    # shows, its digits less one less its exponent; an exact estimate, from
+    # a start on a square, where E = 0, certifies more
     est = certify.certify_squares(4, start=4)
-    assert est.exact and est.certified_digits > 46
+    assert est.exact and est.point_value == 0 and est.certified_digits > 60
     digits = certify.recommended_digits(4)  # 61, certify's default at K = 4
-    assert cli.certification_report(est, digits, 0.0)["certified_digits"] == 46
+    assert cli.certification_report(est, digits, 0.0)["certified_digits"] == 60
 
 
 def test_certify_text_report(capsys):
@@ -136,13 +137,13 @@ def test_certify_rejects_bad_precision(capsys):
     assert code == 3
     assert "30" in err
     # below recommended_digits(500) = 135, certify prints fewer digits and
-    # counts at most 40 - GUARD_DIGITS of them
+    # counts at most the 39 places its point shows, all of them certified
     code, out, _ = run_cli(capsys, "certify", "--K", "500", "--precision", "40")
     assert code == 0
     report = json.loads(out)
     assert report["precision_digits"] == 40
-    assert report["certified_digits"] == 25
-    assert report["point_value"][:27] == REFERENCE_E0[:27]
+    assert report["certified_digits"] == 39
+    assert report["point_value"][:41] == REFERENCE_E0[:41]
 
 
 def test_inverted_interval_is_internal_failure(capsys, monkeypatch):
@@ -632,13 +633,18 @@ def test_simulate_huge_horizon_is_usage_error(capsys, tmp_path):
     assert peak < 10**6
 
 
-def test_simulate_with_every_walk_past_the_horizon_exits_4(capsys, tmp_path):
-    # from s = 100 no walk can hit 3, 7 or 20: each is capped for passing
-    # the horizon at once, not for reaching the step cap, and the message
-    # names both causes
+def test_simulate_past_the_horizon_is_a_usage_error(capsys, tmp_path):
+    # from s = 100 no walk can hit 3, 7 or 20, which the input alone shows:
+    # a usage error, before any walk is rolled
     p = tmp_path / "lone.txt"
     p.write_text("3\n7\n20\n")
     code, out, err = run_cli(capsys, "simulate", "--target", f"file:{p}", "--s", "100")
+    assert code == 2
+    assert out == ""
+    assert err == "error: start 100 lies past the target's horizon 20: no walk from it can hit\n"
+    # every walk capped for the step cap is still a numeric failure
+    p.write_text("1000\n")
+    code, out, err = run_cli(capsys, "simulate", "--target", f"file:{p}", "--max-steps", "1")
     assert code == 4
     assert out == ""
     assert err == ("error: every trial was capped: each walk reached the step cap "
@@ -719,14 +725,13 @@ def test_progress_printer_reports_rate_and_eta(capsys, monkeypatch):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == "covered 1000/5001 gaps (100.0/s)\n"  # the first line has no ETA
-    # the rate is taken since the previous line, and a count includes the
-    # covered share of the current gap
+    # the rate is taken since the previous line
     clock[0] = 113.0
     progress(1000, 5001)
     clock[0] = 117.0
-    progress(1000.4, 5001)
+    progress(1004, 5001)
     assert capsys.readouterr().err == ("covered 1000/5001 gaps (0.0/s)\n"
-                                       "covered 1000.4/5001 gaps (0.1/s, ETA 40,006 s)\n")
+                                       "covered 1004/5001 gaps (1.0/s, ETA 3,997 s)\n")
     # no gap done yet: a rate of 0 and no ETA, with no division by zero
     progress = cli._progress_printer()
     clock[0] = 120.0

@@ -25,7 +25,7 @@ from hittime.oracle import (
     simulate_hitting,
 )
 from hittime.hitprob import pn_exact
-from hittime.walkmodel import DieModel, TargetSet, solve_pair
+from hittime.walkmodel import ConfigError, DieModel, TargetSet, solve_pair
 
 SQUARES = TargetSet.perfect_squares()
 
@@ -106,9 +106,15 @@ MC_TARGETS = st.one_of(
        trials=st.sampled_from([1, 16384, 16385, 20000]), seed=st.integers(0, 2**63))
 def test_simulation_equals_reference_loop(target, sides, start, max_steps, trials, seed):
     # the oracle's pool gives the reference loop's result field for
-    # field, or its error
-    cfg = McConfig(trials=trials, seed=seed, die=DieModel(sides), target=target,
-                   start=start, max_steps=max_steps)
+    # field, or its error; a start past a finite target's horizon is
+    # refused, as no walk from it can hit
+    args = dict(trials=trials, seed=seed, die=DieModel(sides), target=target,
+                start=start, max_steps=max_steps)
+    if target.horizon is not None and start > target.horizon:
+        with pytest.raises(ConfigError, match="past the target's horizon"):
+            McConfig(**args)
+        return
+    cfg = McConfig(**args)
     try:
         expected = mc_reference(cfg)
     except AllTrialsCappedError:
@@ -225,10 +231,10 @@ def test_simulation_flags_unreachable_tail():
 
 
 def test_simulation_all_capped():
-    target = TargetSet.from_list([1])
+    target = TargetSet.from_list([1000])
     with pytest.raises(AllTrialsCappedError):
-        # start above the only element: no trial can ever hit
-        simulate_hitting(McConfig(trials=50, seed=9, target=target, start=5))
+        # one roll from 0 reaches no target: every trial meets the step cap
+        simulate_hitting(McConfig(trials=50, seed=9, target=target, max_steps=1))
 
 
 def test_simulation_at_the_int64_edge():
@@ -251,6 +257,12 @@ def test_simulate_config_validation():
     McConfig(trials=10, seed=1, start=2**63 - 1 - 6 * 10**6)
     with pytest.raises(ValueError):
         McConfig(trials=10, seed=1, start=2**63 - 6 * 10**6)
+    # a start past the horizon, the last state a walk could still hit, is
+    # refused; a start at the horizon is not
+    for target in (TargetSet.from_list([3, 7, 20]), TargetSet.from_list([3], bound=20)):
+        McConfig(trials=10, seed=1, target=target, start=20)
+        with pytest.raises(ConfigError):
+            McConfig(trials=10, seed=1, target=target, start=21)
 
 
 def test_merge_is_order_independent():

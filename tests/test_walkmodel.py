@@ -715,25 +715,30 @@ def test_kernel_meets_stepped_twin_at_certify_scale():
 
 
 def test_progress_reports_ascending_states(monkeypatch):
-    # about every 1000 states covered, also inside a long target-free
-    # stretch, the solve reports the gaps between targets covered so far,
-    # with the covered share of the current gap.  The cached power jumps
-    # 3, 7, 20's lone gap, so that case steps every state instead
+    # progress comes at targets only, as whole gaps d of G: at the first
+    # target at least PROGRESS_INTERVAL - 1 states past the start, and
+    # then at the first at least PROGRESS_INTERVAL past the last report's
     monkeypatch.setattr(walkmodel, "PROGRESS_INTERVAL", 1000)
-    for target, total, jump_min in ((SQUARES, 94, walkmodel.JUMP_MIN),
-                                    (TargetSet.from_list([3, 7, 20]), 1, 10**9)):
-        monkeypatch.setattr(walkmodel, "JUMP_MIN", jump_min)
-        seen = []
-        solve_pair(target, D6, 10**4, 50, make_context(30),
-                   progress=lambda done, gaps: seen.append((done, gaps)))
-        assert 8 <= len(seen) <= (10**4 - 50 + 1) // 1000
-        assert {gaps for _, gaps in seen} == {total}
-        done = [d for d, _ in seen]
-        assert done == sorted(done) and 0 <= done[0] and done[-1] < total
-    # from s = 50 all of [3, 7, 20]'s states form one gap, which the count
-    # crosses in even steps
-    assert all(a < b for a, b in zip(done, done[1:]))
-    assert done == pytest.approx([i * 1000 / (10**4 - 50 + 2) for i in range(1, 10)])
+    seen = []
+    solve_pair(SQUARES, D6, 10**4, 50, make_context(30), progress=lambda *call: seen.append(call))
+    members = SQUARES.members_upto(10**4)[7:]  # 64 .. 10^4, 93 squares
+    assert {gaps for _, gaps in seen} == {len(members) + 1}
+    done = [d for d, _ in seen]
+    assert all(type(d) is int for d in done)
+    assert done == sorted(set(done)) and 1 <= done[0] and done[-1] <= len(members)
+    assert len(done) == 9
+    due = 50 + 1000 - 1
+    for d in done:
+        # d's closing target is the first at or past the due state
+        assert members[d - 2] < due <= members[d - 1]
+        due = members[d - 1] + 1000
+    # a stepped run, however long, reports nothing: from s = 50, 3, 7,
+    # 20's one gap is stepped state by state when no run may be jumped
+    monkeypatch.setattr(walkmodel, "JUMP_MIN", 10**9)
+    seen = []
+    solve_pair(TargetSet.from_list([3, 7, 20]), D6, 10**4, 50, make_context(30),
+               progress=lambda *call: seen.append(call))
+    assert seen == []
 
 
 @settings(deadline=None)
